@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -79,7 +80,7 @@ def _emit(path, fmt: str, meta: dict, columns: dict) -> None:
         raise
 
 
-def _base_meta(args, command: str) -> dict:
+def _base_meta(command: str) -> dict:
     return {"tool": "twostate", "version": __version__, "command": command}
 
 
@@ -139,14 +140,14 @@ def _window(args, t0: float, period: float, default_periods: float) -> np.ndarra
     samples = args.samples if args.samples is not None else 1001
     if samples < 2:
         raise ParameterError("--samples must be >= 2")
-    if not t_end > t_start:
-        raise ParameterError("time window must satisfy t-end > t-start")
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
+        raise ParameterError("time window must be finite and satisfy t-end > t-start")
     return np.linspace(t_start, t_end, samples)
 
 
 def _cmd_detuning(args) -> int:
     model = args.model or "general"
-    meta = _base_meta(args, "detuning")
+    meta = _base_meta("detuning")
     if model == "n2":
         cfg = _n2_config(args)
         ts = _window(args, cfg.t0, cfg.period, 1.0)
@@ -184,7 +185,7 @@ def _cmd_simulate(args) -> int:
     atol = args.atol if args.atol is not None else 1e-12
     traj = integrate(drive_field(cfg), state0, (float(ts[0]), float(ts[-1])),
                      t_eval=ts, rtol=rtol, atol=atol)
-    meta = _base_meta(args, "simulate")
+    meta = _base_meta("simulate")
     meta.update(field_meta)
     meta.update(_meta_window(ts))
     meta.update({"init": args.init or "1,0,0,0", "rtol": _fmt(rtol), "atol": _fmt(atol),
@@ -204,7 +205,7 @@ def _cmd_closed_form(args) -> int:
     ts = _window(args, cfg.t0, cfg.period, 5.0)
     t_start = float(ts[0])
     a1, a2 = closed_form_states(cfg, state0, t_start, ts)
-    meta = _base_meta(args, "closed-form")
+    meta = _base_meta("closed-form")
     meta.update(_meta_n2(cfg))
     meta.update(_meta_window(ts))
     meta.update({"init": args.init or "1,0,0,0"})
@@ -222,7 +223,7 @@ def _cmd_floquet(args) -> int:
     lam_phys = (rep.lambda1 * cfg.delta, rep.lambda2 * cfg.delta)
     residual = exponent_pair_residual(lam_phys, mono.exponents, cfg.delta)
     eig_mod_err = max(abs(abs(ev) - 1.0) for ev in mono.eigenvalues)
-    meta = _base_meta(args, "floquet")
+    meta = _base_meta("floquet")
     meta.update(_meta_n2(cfg))
     meta.update({"rtol": _fmt(rtol)})
     _emit(args.output, args.format, meta, {
@@ -245,7 +246,7 @@ def _cmd_heun_map(args) -> int:
             rows[key].append(float(complex(val).real))
         rows["alpha1"].append(pre.alpha1)
         rows["fuchs_residual"].append(hp.fuchs_residual())
-    meta = _base_meta(args, "heun-map")
+    meta = _base_meta("heun-map")
     meta.update({"a": _fmt(cfg.a), "u0-scaled": _fmt(cfg.u0),
                  "delta1-scaled": _fmt(cfg.delta1), "delta2-scaled": _fmt(cfg.delta2)})
     _emit(args.output, args.format, meta, rows)
@@ -258,7 +259,7 @@ def _cmd_terminate(args) -> int:
     a_max = args.a_max if args.a_max is not None else 8.0
     base = FieldConfig(u0=args.u0, a=2.0, delta1=args.delta1, delta2=1.0)
     records = termination_search(base, n_max, a_range=(1e-3, a_max))
-    meta = _base_meta(args, "terminate")
+    meta = _base_meta("terminate")
     meta.update({"u0": _fmt(args.u0), "delta1": _fmt(args.delta1),
                  "n-max": str(n_max), "a-max": _fmt(a_max)})
     cols = {"n": [], "status": [], "drift": [], "roots": []}
@@ -279,13 +280,15 @@ def _cmd_compare(args) -> int:
     spp = args.samples_per_period if args.samples_per_period is not None else 200
     tol = args.tol if args.tol is not None else 1e-8
     rtol = args.rtol if args.rtol is not None else 1e-11
+    if periods < 1 or spp < 1 or not math.isfinite(tol):
+        raise ParameterError("need --periods >= 1, --samples-per-period >= 1 and a finite --tol")
     ts = np.linspace(cfg.t0, cfg.t0 + periods * cfg.period, int(periods * spp) + 1)
     a1c, a2c = closed_form_states(cfg, state0, float(ts[0]), ts)
     traj = integrate(drive_field(cfg), state0, (float(ts[0]), float(ts[-1])),
                      t_eval=ts, rtol=rtol, atol=1e-13)
     deviation = float(np.max(np.abs(a2c - traj.a2)))
     verdict = "PASS" if deviation <= tol else "FAIL"
-    meta = _base_meta(args, "compare")
+    meta = _base_meta("compare")
     meta.update(_meta_n2(cfg))
     meta.update({"init": args.init or "1,0,0,0", "periods": str(periods),
                  "samples-per-period": str(spp), "rtol": _fmt(rtol)})
@@ -330,7 +333,9 @@ def _add_window(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(prog="twostate",
                                      description="Periodically driven two-state systems: "
                                                  "drives, exact solutions, oracle comparisons")
@@ -385,24 +390,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _config_value(key: str, action: argparse.Action, val):
+    """A config-file value converted and checked as if given on the command line."""
+    text = str(val)
+    try:
+        out = action.type(text) if action.type else text
+    except (TypeError, ValueError):
+        raise ParameterError(f"--config: invalid value for {key}: {val!r}") from None
+    if action.choices is not None and out not in action.choices:
+        raise ParameterError(f"--config: {key} must be one of {list(action.choices)}, got {val!r}")
+    return out
+
+
+def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ParameterError("--config file must contain a JSON object")
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    options = {a.dest: a for a in commands[args.command]._actions if hasattr(args, a.dest)}
     for key, val in values.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, val)
+        if attr in options and getattr(args, attr) is None and val is not None:
+            setattr(args, attr, _config_value(key, options[attr], val))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(parser, args)
         if args.format is None:
             args.format = "csv"
         return _COMMANDS[args.command](args)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -56,13 +55,10 @@ class StateVector:
 
 @dataclass(frozen=True)
 class FloquetReport:
-    """Analytic quasi-energies, optionally augmented with monodromy data."""
+    """Analytic quasi-energies ``lambda_{1,2} = (delta1 -+ R)/2``, scaled time."""
 
     lambda1: float
     lambda2: float
-    monodromy_eigs: Optional[tuple[complex, complex]] = None
-    monodromy_exponents: Optional[tuple[float, float]] = None
-    residual_mod_delta: Optional[float] = None
 
 
 @dataclass(frozen=True)

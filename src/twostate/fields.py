@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
 
@@ -31,7 +32,7 @@ TWO_PI = 2.0 * math.pi
 
 # crossing detection (see classify_crossings)
 SAMPLES_PER_PERIOD = 4096
-ROOT_XTOL = 1e-14          # bisection interval width in t
+ROOT_XTOL = 1e-14          # brentq absolute tolerance on a crossing time
 GLANCING_TOL = 1e-9        # |delta_t| and |d delta_t/dt| at an extremum
 
 
@@ -54,6 +55,9 @@ class FieldConfig:
     t0: float = 0.0
 
     def __post_init__(self):
+        values = (self.u0, self.a, self.delta1, self.delta2, self.delta, self.t0)
+        if not all(map(math.isfinite, values)):
+            raise ParameterError(f"FieldConfig: parameters must be finite, got {self}")
         if not self.u0 > 0:
             raise ParameterError(f"FieldConfig: u0 must be > 0, got {self.u0}")
         if not self.a > 0 or self.a == 1.0:
@@ -94,6 +98,8 @@ class N2Config:
     t0: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u0, self.delta1, self.delta, self.t0))):
+            raise ParameterError(f"N2Config: parameters must be finite, got {self}")
         if not self.u0 > 0:
             raise ParameterError(f"N2Config: u0 must be > 0, got {self.u0}")
         if not abs(self.delta1) > 1:
@@ -189,8 +195,8 @@ def detuning_n3(u0: float, delta1: float, branch: int, t):
     if branch not in (+1, -1):
         raise ParameterError(f"detuning_n3: branch must be +1 or -1, got {branch}")
     rr = u0 * u0 + delta1 * delta1 - 1.0
-    if rr <= 0.0:
-        raise DomainError(f"detuning_n3: requires u0^2 + delta1^2 > 1, got {rr + 1.0}")
+    if not 0.0 < rr < math.inf:
+        raise DomainError(f"detuning_n3: need 1 < u0^2 + delta1^2 < inf, got {rr + 1.0}")
     r = branch * math.sqrt(rr)
     s3 = math.sqrt(3.0)
     pole = 3.0 + s3 * r - 3.0 * delta1
@@ -211,8 +217,8 @@ def n3_singular_point(u0: float, delta1: float, branch: int) -> float:
     if branch not in (+1, -1):
         raise ParameterError(f"n3_singular_point: branch must be +1 or -1, got {branch}")
     rr = u0 * u0 + delta1 * delta1 - 1.0
-    if rr <= 0.0:
-        raise DomainError(f"n3_singular_point: requires u0^2 + delta1^2 > 1, got {rr + 1.0}")
+    if not 0.0 < rr < math.inf:
+        raise DomainError(f"n3_singular_point: need 1 < u0^2 + delta1^2 < inf, got {rr + 1.0}")
     r = branch * math.sqrt(rr)
     pole = 3.0 + math.sqrt(3.0) * r - 3.0 * delta1
     if pole == 0.0:
@@ -261,33 +267,38 @@ def drive_field(cfg) -> DriveField:
     raise ParameterError(f"drive_field: unsupported config type {type(cfg)!r}")
 
 
-def _bisect(f, lo: float, hi: float, xtol: float) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def grid_roots(f, xs: np.ndarray, fx: np.ndarray, xtol: float, merge_tol: float) -> list[float]:
+    """Sorted roots of the scalar function ``f`` on a grid ``xs`` with values ``fx = f(xs)``.
+
+    Exact zeros on the grid are kept as they are; each sign change between
+    nonzero neighbours is refined with Brent's method to ``xtol``.  A bracket
+    whose endpoint signs do not repeat in scalar evaluation (a touch at
+    rounding level, e.g. a glancing extremum) is skipped.  A root within
+    ``merge_tol`` of the previous one is dropped.
+    """
+    neg = fx < 0
+    roots = [float(x) for x in xs[fx == 0.0]]
+    for i in np.flatnonzero((neg[:-1] != neg[1:]) & (fx[:-1] != 0.0) & (fx[1:] != 0.0)):
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        if f(lo) * f(hi) <= 0.0:
+            roots.append(brentq(f, lo, hi, xtol=xtol))
+    merged = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > merge_tol:
+            merged.append(r)
+    return merged
 
 
 def classify_crossings(cfg, window: tuple[float, float]) -> CrossingReport:
     """Locate resonance crossings of the detuning inside ``window``.
 
     Transversal roots are found by dense sampling (4096 points per period),
-    sign-change bracketing and bisection.  A tangential touch has no sign
+    sign-change bracketing and Brent's method.  A tangential touch has no sign
     change; it is detected at the modulation extrema, where the detuning
     derivative vanishes identically, by ``|delta_t| < 1e-9`` there.
     Accepts either a :class:`FieldConfig` or an :class:`N2Config`.
     """
     if isinstance(cfg, N2Config):
-        period, t0, delta = cfg.period, cfg.t0, cfg.delta
         d1, b = cfg.delta1, math.sqrt(cfg.delta1**2 - 1.0)
         f = lambda t: detuning_n2(cfg, t)
         fprime = lambda t: (-2.0 * delta**2 * b * np.sin(delta * (t - t0))
@@ -295,9 +306,9 @@ def classify_crossings(cfg, window: tuple[float, float]) -> CrossingReport:
     elif isinstance(cfg, FieldConfig):
         f = lambda t: detuning_general(cfg, t)
         fprime = lambda t: detuning_general_deriv(cfg, t)
-        period, t0, delta = cfg.period, cfg.t0, cfg.delta
     else:
         raise ParameterError(f"classify_crossings: unsupported config type {type(cfg)!r}")
+    period, t0, delta = cfg.period, cfg.t0, cfg.delta
 
     t_lo, t_hi = window
     if not t_hi > t_lo:
@@ -307,14 +318,7 @@ def classify_crossings(cfg, window: tuple[float, float]) -> CrossingReport:
     ts = np.linspace(t_lo, t_hi, n)
     vals = f(ts)
 
-    roots = []
-    for i in range(n - 1):
-        if vals[i] == 0.0:
-            roots.append(float(ts[i]))
-        elif (vals[i] < 0) != (vals[i + 1] < 0):
-            roots.append(_bisect(f, float(ts[i]), float(ts[i + 1]), ROOT_XTOL))
-    if vals[-1] == 0.0:
-        roots.append(float(ts[-1]))
+    roots = grid_roots(f, ts, vals, ROOT_XTOL, 1e-10 * period)
 
     # modulation extrema inside the window: theta = k*pi
     glance = []
@@ -325,15 +329,8 @@ def classify_crossings(cfg, window: tuple[float, float]) -> CrossingReport:
         if abs(f(te)) < GLANCING_TOL and abs(fprime(te)) < GLANCING_TOL:
             glance.append(te)
 
-    # drop bracketed roots that duplicate a glancing touch or each other
-    merged = []
-    for r in sorted(roots):
-        if glance and any(abs(r - g) <= 1e-7 * period for g in glance):
-            continue
-        if merged and abs(r - merged[-1]) <= 1e-10 * period:
-            continue
-        merged.append(r)
-    clean = merged
+    # drop bracketed roots that duplicate a glancing touch
+    clean = [r for r in roots if not any(abs(r - g) <= 1e-7 * period for g in glance)]
 
     if clean:
         times = tuple(sorted(clean + glance))

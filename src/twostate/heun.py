@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .fields import FieldConfig
+from .fields import FieldConfig, grid_roots
 from .specfun import UnwoundPoint, _is_nonpositive_integer, as_complex, hyp2f1, power
 
 TERMINATION_RTOL = 1e-12   # two consecutive coefficients below this (rel.) terminate
@@ -41,6 +41,7 @@ _FOLD_LEFTOVER_RTOL = 1e-10
 # termination_search thresholds
 _ROOT_MATCH_ATOL = 1e-6    # constraint roots agreeing across couplings
 _TRIVIAL_ATOL = 1e-8
+_ROOT_XTOL = 1e-15         # brentq absolute tolerance on a constraint root
 
 
 @dataclass(frozen=True)
@@ -115,13 +116,19 @@ def map_to_heun(cfg: FieldConfig, sign: int) -> tuple[HeunParams, PrefactorExpon
     if cfg.delta != 1.0:
         raise ParameterError("map_to_heun: scaled configuration required (delta = 1); "
                              "use FieldConfig.scaled()")
-    big_r = generalized_rabi(cfg.u0, cfg.delta1)
+    return _heun_constants(cfg.u0, cfg.a, cfg.delta1, cfg.delta2, sign)
+
+
+def _heun_constants(u0: float, a, delta1: float, delta2: float, sign: int
+                    ) -> tuple[HeunParams, PrefactorExponents]:
+    """:func:`map_to_heun` without its checks; an array ``a`` gives array ``a`` and ``q``."""
+    big_r = generalized_rabi(u0, delta1)
     gamma = 1.0 + sign * big_r
     beta = sign * big_r
-    alpha1 = 0.5 * (cfg.delta1 + sign * big_r)
-    q = (cfg.a - 1.0) * cfg.delta2 * alpha1
-    hp = HeunParams(a=cfg.a, q=q, alpha=0.0, beta=beta, gamma=gamma,
-                    delta=cfg.delta2, epsilon=-cfg.delta2)
+    alpha1 = 0.5 * (delta1 + sign * big_r)
+    q = (a - 1.0) * delta2 * alpha1
+    hp = HeunParams(a=a, q=q, alpha=0.0, beta=beta, gamma=gamma,
+                    delta=delta2, epsilon=-delta2)
     return hp, PrefactorExponents(alpha1=alpha1, sign=sign)
 
 
@@ -339,37 +346,31 @@ def _constraint_residual(u0: float, delta1: float, delta2: float, a: float, n_st
     return float(val.real) / scale
 
 
+def _constraint_determinant(u0: float, delta1: float, delta2: float, a, n_stop: int):
+    """``d_{N+1}`` of :func:`q_polynomial` at the physical ``q``, as a number.
+
+    The same tridiagonal recurrence run numerically on the sign -1 branch,
+    elementwise over an array ``a``; it vanishes where the termination
+    constraint holds and shares its sign with :func:`_constraint_residual`.
+    """
+    hp, _ = _heun_constants(u0, a, delta1, delta2, -1)
+    rc = [recurrence_coeffs(hp, n) for n in range(n_stop + 1)]
+    d_prev, d_cur = 1.0, rc[0].qn
+    for n in range(2, n_stop + 2):
+        d_prev, d_cur = d_cur, rc[n - 1].qn * d_cur - rc[n - 2].pn * rc[n - 1].rn * d_prev
+    return d_cur
+
+
 def _constraint_roots(u0: float, delta1: float, delta2: float, n_stop: int,
                       a_range: tuple[float, float], grid: int) -> tuple[float, ...]:
-    lo, hi = a_range
-    h = (hi - lo) / (grid - 1)
-    avals = np.linspace(lo, hi, grid)
-    avals = avals[np.abs(avals - 1.0) > 0.5 * h]   # a = 1 is excluded from the family
-    fvals = np.array([_constraint_residual(u0, delta1, delta2, a, n_stop) for a in avals])
+    avals, h = np.linspace(*a_range, grid, retstep=True)
+    f = lambda a: _constraint_determinant(u0, delta1, delta2, a, n_stop)
+    fvals = f(avals)
     roots = []
-    for i in range(len(avals) - 1):
-        if avals[i + 1] - avals[i] > 1.5 * h:
-            continue  # do not bracket across the excluded point a = 1
-        if fvals[i] == 0.0:
-            roots.append(float(avals[i]))
-        elif (fvals[i] < 0) != (fvals[i + 1] < 0):
-            f = lambda a: _constraint_residual(u0, delta1, delta2, a, n_stop)
-            lo_a, hi_a = float(avals[i]), float(avals[i + 1])
-            flo = f(lo_a)
-            for _ in range(80):
-                mid = 0.5 * (lo_a + hi_a)
-                fm = f(mid)
-                if (flo < 0) != (fm < 0):
-                    hi_a = mid
-                else:
-                    lo_a, flo = mid, fm
-            roots.append(0.5 * (lo_a + hi_a))
-    merged = []
-    for r in sorted(roots):
-        if merged and abs(r - merged[-1]) < 1e-8:
-            continue
-        merged.append(r)
-    return tuple(merged)
+    # a = 1 is excluded from the family: bracket on either side of it only
+    for side in (avals < 1.0 - 0.5 * h, avals > 1.0 + 0.5 * h):
+        roots += grid_roots(f, avals[side], fvals[side], _ROOT_XTOL, 1e-8)
+    return tuple(roots)
 
 
 def termination_search(cfg: FieldConfig, n_max: int,
@@ -387,6 +388,8 @@ def termination_search(cfg: FieldConfig, n_max: int,
     """
     if n_max < 0:
         raise ParameterError(f"termination_search: n_max must be >= 0, got {n_max}")
+    if not 0.0 < a_range[0] < a_range[1] < math.inf:
+        raise ParameterError(f"termination_search: need 0 < a_min < a_max < inf, got {a_range}")
     records = []
     for n_stop in range(n_max + 1):
         if n_stop == 0:

@@ -83,6 +83,13 @@ def _rhs(field: DriveField):
     return rhs
 
 
+def _check_tolerances(owner: str, rtol: float, atol: float) -> None:
+    # a non-finite tolerance makes solve_ivp step forever instead of failing
+    if not (_MIN_RTOL <= rtol < math.inf and 0.0 <= atol < math.inf):
+        raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 <= atol < inf, "
+                             f"got rtol={rtol}, atol={atol}")
+
+
 def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float],
               t_eval=None, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
               ) -> Trajectory:
@@ -92,8 +99,7 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     pass 0 when starting at the drive's time origin.  Backward integration
     (``t_span[1] < t_span[0]``) is supported.
     """
-    if rtol < _MIN_RTOL:
-        raise ParameterError(f"integrate: rtol must be >= {_MIN_RTOL}, got {rtol}")
+    _check_tolerances("integrate", rtol, atol)
     y0 = [state0.a1.real, state0.a1.imag, state0.a2.real, state0.a2.imag, state0.phase]
     sol = solve_ivp(_rhs(field), t_span, y0, method="RK45", dense_output=True,
                     t_eval=t_eval, rtol=rtol, atol=atol)
@@ -127,6 +133,7 @@ def monodromy(field: DriveField, t_ref: float = 0.0,
     give the exponents, folded into ``[-Delta/2, Delta/2)`` with
     ``Delta = 2 pi / T``.
     """
+    _check_tolerances("monodromy", rtol, atol)
     T = field.period
     cols = []
     rhs = _corotating_rhs(field)

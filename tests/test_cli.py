@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from twostate.cli import main
+from twostate.cli import build_parser, main
 
 SQ2 = math.sqrt(2.0)
 
@@ -199,6 +199,45 @@ def test_config_error_exit_codes(tmp_path):
                  "--init", "1,0,1,0"]) == 2
     # unreadable config file
     assert main(["detuning", "--model", "n2", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_bad_numeric_inputs_exit_2(tmp_path):
+    general = ["--u0", "1", "--a", "2", "--delta1", "2", "--delta2", "1"]
+    for argv in (["detuning", "--u0", "1", "--a", "2", "--delta1", "nan", "--delta2", "1"],
+                 ["detuning", *general, "--delta2", "inf"],
+                 ["detuning", *general, "--t0=-inf"],
+                 ["detuning", *general, "--t-end", "inf"],
+                 ["detuning", "--model", "n2", "--u0", "1", "--delta1", "inf"],
+                 ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--delta", "nan"],
+                 ["detuning", "--model", "n3", "--u0", "1", "--delta1", "nan"],
+                 ["floquet", "--u0", "inf", "--delta1", "2"],
+                 ["terminate", "--u0", "nan", "--delta1", "2"],
+                 ["terminate", "--u0", "1", "--delta1", "2", "--a-max", "inf"],
+                 ["compare", "--u0", "1", "--delta1", "2", "--rtol", "nan"],
+                 ["compare", "--u0", "1", "--delta1", "2", "--tol", "nan"],
+                 ["compare", "--u0", "1", "--delta1", "2", "--periods", "0"],
+                 ["simulate", "--model", "n2", "--u0", "1", "--delta1", "2", "--atol", "nan"],
+                 ["floquet", "--u0", "1", "--delta1", "2", "--rtol", "inf"]):
+        out = tmp_path / "never.csv"
+        assert main([*argv, "-o", str(out)]) == 2, argv
+        assert not out.exists()
+
+
+def test_config_file_values_typed_like_flags(tmp_path):
+    cfg_file = tmp_path / "run.json"
+    for bad in ({"samples": "abc"}, {"samples": 2.5}, {"delta1": [2]}, {"format": "xml"}):
+        cfg_file.write_text(json.dumps({"u0": 1.0, "delta1": 2.0, **bad}))
+        assert main(["detuning", "--model", "n2", "--config", str(cfg_file)]) == 2, bad
+    # strings convert as they would on the command line; null leaves an option unset
+    cfg_file.write_text(json.dumps({"u0": "1", "delta1": "3", "samples": "4", "t0": None}))
+    out = tmp_path / "out.csv"
+    assert main(["detuning", "--model", "n2", "--config", str(cfg_file), "-o", str(out)]) == 0
+    meta, _, rows = read_csv(out)
+    assert meta["delta1-scaled"] == "3" and meta["t0"] == "0" and len(rows) == 4
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_partial_file_removed_on_failure(tmp_path):

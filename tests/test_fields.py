@@ -13,7 +13,8 @@ from scipy.integrate import quad
 from twostate.errors import DomainError, ParameterError
 from twostate.fields import (FieldConfig, N2Config, a_from_delta1, classify_crossings,
                              detuning_general, detuning_n2, detuning_n3, drive_field,
-                             glancing_ratios, n3_general_config, n3_singular_point)
+                             glancing_ratios, grid_roots, n3_general_config,
+                             n3_singular_point)
 
 # glancing member of the a=16 family: delta1/delta2 = 25/15 = (sqrt(16)+1)/(sqrt(16)-1)
 GLANCING_16 = dict(u0=1.0, a=16.0, delta1=-25.0 / 16.0, delta2=-15.0 / 16.0)
@@ -65,6 +66,11 @@ def test_field_config_validation():
         FieldConfig(u0=1.0, a=1.0, delta1=1.0, delta2=1.0)
     with pytest.raises(ParameterError):
         FieldConfig(u0=1.0, a=-2.0, delta1=1.0, delta2=1.0)
+    good = dict(u0=1.0, a=2.0, delta1=1.0, delta2=1.0, delta=1.0, t0=0.0)
+    for key in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                FieldConfig(**{**good, key: bad})
 
 
 # ---------------------------------------------------------------- two-parameter model
@@ -127,6 +133,11 @@ def test_n2_config_validation():
         N2Config(u0=1.0, delta1=-0.5)
     with pytest.raises(ParameterError):
         N2Config(u0=-1.0, delta1=2.0)
+    good = dict(u0=1.0, delta1=2.0, delta=1.0, t0=0.0)
+    for key in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                N2Config(**{**good, key: bad})
 
 
 # ---------------------------------------------------------------- shape parameter map
@@ -167,6 +178,20 @@ def test_glancing_vanishes_at_predicted_extremum():
 
 
 # ---------------------------------------------------------------- crossing census
+
+def test_grid_roots_zeros_brackets_and_merging():
+    xs = np.linspace(0.0, 2.0, 9)                 # exact binary grid points
+    # exact zeros on the grid (the last point included) are returned once
+    g = lambda x: (x - 0.5) * (x - 2.0)
+    assert grid_roots(g, xs, g(xs), 1e-15, 1e-8) == [0.5, 2.0]
+    h = lambda x: x - 0.3
+    assert grid_roots(h, xs, h(xs), 1e-15, 1e-8) == [pytest.approx(0.3, abs=1e-15)]
+    # two crossings 2e-10 apart straddle a grid point: one root unless merge_tol is finer
+    f = lambda x: (x - 0.5 + 1e-10) * (x - 0.5 - 1e-10)
+    assert grid_roots(f, xs, f(xs), 1e-15, 1e-8) == [pytest.approx(0.5 - 1e-10, abs=1e-14)]
+    assert grid_roots(f, xs, f(xs), 1e-15, 1e-12) == [pytest.approx(0.5 - 1e-10, abs=1e-14),
+                                                      pytest.approx(0.5 + 1e-10, abs=1e-14)]
+
 
 def test_classify_no_modulation_is_non_crossing():
     cfg = FieldConfig(u0=1.0, a=4.0, delta1=0.9, delta2=0.0)

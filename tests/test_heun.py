@@ -8,12 +8,14 @@ series evaluation.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from twostate.errors import DomainError, ParameterError
 from twostate.fields import FieldConfig, a_from_delta1
-from twostate.heun import (BetaSeries, HeunParams, eval_series, expand, generalized_rabi,
+from twostate.heun import (BetaSeries, HeunParams, _constraint_determinant,
+                           _constraint_residual, eval_series, expand, generalized_rabi,
                            map_to_heun, q_polynomial, q_polynomial_roots,
                            recurrence_coeffs, series_solution, termination_search)
 from twostate.specfun import inc_beta
@@ -222,6 +224,49 @@ def test_q_polynomial_degree_two_vs_grid_scan():
         assert abs(s - c) < 1e-8, (s, c)
 
 
+def _determinant_50_digits(u0, d1, a, n_stop):
+    """d_{N+1} on the sign -1 branch (delta2 = N) and its term scale, at 50 digits.
+
+    The scale is the same recurrence run on absolute values of its terms.
+    """
+    with mp.workdps(50):
+        u0, d1, a, d2 = mp.mpf(u0), mp.mpf(d1), mp.mpf(a), mp.mpf(n_stop)
+        r = mp.sqrt(4 * u0 * u0 + d1 * d1)
+        q = (a - 1) * d2 * (d1 - r) / 2
+        qn = lambda n: -a * n * (n + r - d2) - (n - d2) * (n + r) - q
+        pr = lambda n: (n + r - d2) * (n - 1 - d2) * a * n * (n - 1 + r)   # P_{n-1} R_n
+        d_prev, d_cur, s_prev, s_cur = 1, qn(0), 1, abs(qn(0))
+        for n in range(2, n_stop + 2):
+            d_prev, d_cur = d_cur, qn(n - 1) * d_cur - pr(n - 1) * d_prev
+            s_prev, s_cur = s_cur, abs(qn(n - 1)) * s_cur + abs(pr(n - 1)) * s_prev
+        return float(d_cur), float(s_cur)
+
+
+def test_constraint_determinant_matches_q_polynomial():
+    # the numeric recurrence behind termination_search against the dense
+    # q-polynomial of criterion 04 and a 50-digit run of the same recurrence.
+    # Errors are measured against the term scale: near a root the value itself
+    # cancels, and the dense coefficients lose up to ~2e-12 of that scale
+    # (2e-8 of the value at delta1 = -4.5, a = 0.3, N = 6)
+    for d1 in (2.0, -2.0, 3.5, -4.5):
+        for a in (0.3, 0.77, 1.6, 4.2, 7.9):
+            for u0 in (0.5, 1.0, 2.0):
+                for n_stop in range(1, 9):
+                    got = _constraint_determinant(u0, d1, float(n_stop), a, n_stop)
+                    exact, scale = _determinant_50_digits(u0, d1, a, n_stop)
+                    assert abs(got - exact) <= 1e-14 * scale, (d1, a, u0, n_stop)
+                    hp, _ = map_to_heun(FieldConfig(u0=u0, a=a, delta1=d1,
+                                                    delta2=float(n_stop)), -1)
+                    dense = np.polyval(q_polynomial(hp, n_stop)[::-1], hp.q)
+                    assert abs(dense - got) <= 1e-11 * scale, (d1, a, u0, n_stop)
+
+
+def test_constraint_determinant_vectorized_over_a():
+    avals = np.array([0.3, 0.77, 1.6, 4.2])
+    vec = _constraint_determinant(1.3, -2.5, 4.0, avals, 4)
+    assert np.array_equal(vec, [_constraint_determinant(1.3, -2.5, 4.0, a, 4) for a in avals])
+
+
 def test_q_polynomial_requires_termination_precondition():
     hp = HeunParams(a=2.0, q=0.0, alpha=0.0, beta=0.7, gamma=0.3, delta=0.6, epsilon=0.8)
     with pytest.raises(ParameterError):
@@ -311,6 +356,28 @@ def test_termination_search_classifies_hierarchy():
     assert records[3].drift > 1e-3
 
 
+@pytest.mark.parametrize("delta1", [2.0, -2.0, 3.5])
+def test_termination_search_hierarchy_to_order_six(delta1):
+    # beyond the paper's N = 3: order 2 stays the only unconditional one
+    records = termination_search(FieldConfig(u0=1.0, a=2.0, delta1=delta1, delta2=1.0), 6)
+    assert [r.status for r in records] == ["trivial", "trivial", "unconditional"] + \
+        ["conditional"] * 4
+    for roots in records[2].roots_by_u0.values():
+        assert len(roots) == 1 and abs(roots[0] - a_from_delta1(delta1)) < 1e-9
+    # every root also zeroes the dense-polynomial residual the search used to scan
+    for rec in records[1:]:
+        for u0, roots in rec.roots_by_u0.items():
+            for a in roots:
+                assert abs(_constraint_residual(u0, delta1, float(rec.n), a, rec.n)) < 1e-9
+
+
 def test_termination_search_validates_n_max():
     with pytest.raises(ParameterError):
         termination_search(FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0), -1)
+
+
+def test_termination_search_validates_a_range():
+    base = FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0)
+    for a_range in ((1e-3, math.inf), (1e-3, math.nan), (1e-3, 1e-4), (0.0, 8.0)):
+        with pytest.raises(ParameterError):
+            termination_search(base, 3, a_range=a_range)

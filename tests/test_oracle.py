@@ -95,6 +95,12 @@ def test_time_reversal_round_trip():
 def test_integrate_rejects_loose_rtol_floor():
     with pytest.raises(ParameterError):
         integrate(constant_drive(1.0, 1.0), GROUND, (0.0, 1.0), rtol=1e-14)
+    # non-finite tolerances would make the solver step forever
+    for rtol, atol in ((math.nan, 1e-12), (math.inf, 1e-12), (1e-10, math.nan), (1e-10, -1.0)):
+        with pytest.raises(ParameterError):
+            integrate(constant_drive(1.0, 1.0), GROUND, (0.0, 1.0), rtol=rtol, atol=atol)
+        with pytest.raises(ParameterError):
+            monodromy(constant_drive(1.0, 1.0), rtol=rtol, atol=atol)
 
 
 def test_integrate_seeds_phase():
