@@ -2,18 +2,25 @@
 
 For the two-parameter model the series solution terminates after three terms.
 The resulting amplitude is elementary: with ``R = sqrt(4 u0^2 + delta1^2)``
-and ``z`` tracing the circle of radius ``sqrt(a)``,
+and ``z = sqrt(a) exp(i theta)`` tracing the circle of radius ``sqrt(a)``,
 
     a2(t) = C0 * z^((delta1+R)/2) * ((R-1)(delta1-1) + 2 (R+delta1) / (1-z)),
 
 and replacing ``R -> -R`` gives the second independent solution.  The
-``z``-power is a pure Floquet factor (its modulus is constant on the circle),
-so the quasi-energies can be read off directly:
-``lambda_{1,2} = (delta1 -+ R)/2``, defined modulo the drive frequency.
+``z``-power is a pure Floquet factor: its modulus ``sqrt(a)^lambda`` is
+constant on the circle, so the fundamental pair drops it and keeps the
+unit-modulus ``exp(i lambda theta)`` (the matching weights absorb any constant
+per solution, and ``sqrt(a)^lambda`` would overflow for large couplings).  The
+quasi-energies can be read off directly: ``lambda_{1,2} = (delta1 -+ R)/2``,
+defined modulo the drive frequency.
 
-Everything here routes powers of ``z`` through :class:`UnwoundPoint`; snapping
-to the principal branch mid-trajectory would silently destroy the Floquet
-structure, which is the single most error-prone spot of the whole build.
+The phase modulation ``int delta_t dt`` that links the two amplitudes is
+elementary as well (:func:`phase_n2`), so nothing here integrates numerically.
+
+Powers of ``z`` off the physical trajectory route through
+:class:`UnwoundPoint`; snapping to the principal branch mid-trajectory would
+silently destroy the Floquet structure, which is the single most error-prone
+spot of the whole build.
 
 For ``delta1 < -1`` the two-parameter detuning form fixes the opposite sign of
 the cosine relative to the general family, which amounts to starting the
@@ -29,28 +36,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ParameterError, SingularSystemError
-from .fields import N2Config, detuning_n2
+from .fields import N2Config, StateVector  # StateVector re-exported for callers
 from .heun import _fold_to_elementary, generalized_rabi
 from .specfun import UnwoundPoint, as_complex, power
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 _FOLD_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Amplitude pair plus the accumulated phase-modulation value."""
-
-    a1: complex
-    a2: complex
-    phase: float = 0.0
-
-    @property
-    def norm(self) -> float:
-        return abs(self.a1) ** 2 + abs(self.a2) ** 2
 
 
 @dataclass(frozen=True)
@@ -133,11 +125,10 @@ def _amplitude_arrays(cfg: N2Config, sign: int, times) -> tuple[np.ndarray, np.n
         raise ParameterError(f"amplitude: sign must be +1 or -1, got {sign}")
     t = np.asarray(times, dtype=float)
     theta = cfg.delta * (t - cfg.t0) + _angle_offset(cfg)
-    sqa = math.sqrt(cfg.a)
     rs = sign * generalized_rabi(cfg.u0, cfg.delta1)
     lam = 0.5 * (cfg.delta1 + rs)
-    zp = sqa**lam * np.exp(1j * lam * theta)            # unwound z^lambda
-    z = sqa * np.exp(1j * theta)
+    zp = np.exp(1j * lam * theta)                        # z^lambda / sqrt(a)^lambda
+    z = math.sqrt(cfg.a) * np.exp(1j * theta)
     bracket = (rs - 1.0) * (cfg.delta1 - 1.0) + 2.0 * (rs + cfg.delta1) / (1.0 - z)
     dbracket = 2.0 * (rs + cfg.delta1) / (1.0 - z) ** 2  # d/dz
     val = zp * bracket
@@ -147,40 +138,33 @@ def _amplitude_arrays(cfg: N2Config, sign: int, times) -> tuple[np.ndarray, np.n
 
 def amplitude_n2(cfg: N2Config, sign: int, t: float) -> complex:
     """Un-normalized fundamental solution for the chosen sign of R at time ``t``."""
-    val, _ = _amplitude_arrays(cfg, sign, np.array([t]))
-    return complex(val[0])
+    val, _ = _amplitude_arrays(cfg, sign, t)
+    return complex(val)
 
 
 def amplitude_n2_deriv(cfg: N2Config, sign: int, t: float) -> complex:
     """Analytic time derivative of :func:`amplitude_n2`."""
-    _, dval = _amplitude_arrays(cfg, sign, np.array([t]))
-    return complex(dval[0])
+    _, dval = _amplitude_arrays(cfg, sign, t)
+    return complex(dval)
 
 
-def phase_n2(cfg: N2Config, t: float) -> float:
-    """Accumulated phase modulation ``int_{t0}^{t} delta_t ds`` (adaptive quadrature)."""
-    if t == cfg.t0:
-        return 0.0
-    val, _err = quad(lambda s: detuning_n2(cfg, s), cfg.t0, t, **_QUAD_KW)
-    return val
+def phase_n2(cfg: N2Config, t):
+    """Accumulated phase modulation ``int_{t0}^{t} delta_t ds`` (scalar or array).
 
-
-def accumulated_phases(cfg: N2Config, times) -> np.ndarray:
-    """Phase modulation at each time, accumulated piecewise from ``t0``."""
-    t = np.asarray(times, dtype=float)
-    order = np.argsort(t)
-    sorted_t = t[order]
-    phases = np.empty_like(sorted_t)
-    prev_t, prev_phase = cfg.t0, 0.0
-    for i, ti in enumerate(sorted_t):
-        if ti != prev_t:
-            seg, _ = quad(lambda s: detuning_n2(cfg, s), prev_t, ti, **_QUAD_KW)
-            prev_phase += seg
-            prev_t = ti
-        phases[i] = prev_phase
-    out = np.empty_like(phases)
-    out[order] = phases
-    return out
+    With ``theta = delta (t - t0)``, ``s = sign(delta1)`` and
+    ``rho = sqrt((|delta1| - 1)/(|delta1| + 1)) < 1`` the detuning is
+    ``delta (delta1 - 2 s P(theta))`` with the Poisson kernel
+    ``P = (1 - rho^2)/|1 - s rho exp(i theta)|^2``, whose integral is
+    ``theta - 2 arg(1 - s rho exp(i theta))``.  The argument stays in the
+    right half-plane, so its principal value is continuous in ``t``.
+    """
+    theta = cfg.delta * (np.asarray(t, dtype=float) - cfg.t0)
+    d1 = cfg.delta1
+    s = math.copysign(1.0, d1)
+    rho = math.sqrt((abs(d1) - 1.0) / (abs(d1) + 1.0))
+    wind = np.angle(1.0 - s * rho * np.exp(1j * theta))
+    out = d1 * theta - 2.0 * s * (theta - 2.0 * wind)
+    return float(out) if np.isscalar(t) else out
 
 
 def recover_a1(cfg: N2Config, a2_value: complex, a2_derivative: complex, phase: float) -> complex:
@@ -196,8 +180,7 @@ def match_initial(cfg: N2Config, state0: StateVector, t_start: float) -> tuple[c
     phi0 = phase_n2(cfg, t_start)
     cols = []
     for sign in (+1, -1):
-        v = amplitude_n2(cfg, sign, t_start)
-        d = amplitude_n2_deriv(cfg, sign, t_start)
+        v, d = map(complex, _amplitude_arrays(cfg, sign, t_start))
         cols.append((recover_a1(cfg, v, d, phi0), v))
     (a1p, vp), (a1m, vm) = cols
     det = a1p * vm - a1m * vp
@@ -217,7 +200,7 @@ def closed_form_states(cfg: N2Config, state0: StateVector, t_start: float, times
     vm, dm = _amplitude_arrays(cfg, -1, times)
     a2 = c_plus * vp + c_minus * vm
     da2 = c_plus * dp + c_minus * dm
-    phases = accumulated_phases(cfg, times)
+    phases = phase_n2(cfg, times)
     u_phys = cfg.u0 * cfg.delta
     a1 = 1j * da2 * np.exp(-1j * phases) / u_phys
     return a1, a2

@@ -26,8 +26,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import IntegrationError, ParameterError
-from .closedform import StateVector
-from .fields import DriveField
+from .fields import DriveField, StateVector
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12

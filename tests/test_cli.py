@@ -129,6 +129,14 @@ def test_simulate_and_closed_form_agree(tmp_path):
     assert np.max(np.abs(norm - 1.0)) < 1e-9
 
 
+def test_closed_form_large_coupling(tmp_path):
+    out = tmp_path / "clo.csv"
+    assert main(["closed-form", "--u0", "300", "--delta1", "1.01", "--samples", "3",
+                 "-o", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert all(math.isfinite(v) for v in column(header, rows, "pop2"))
+
+
 def test_compare_verdict_pass(tmp_path):
     out = tmp_path / "cmp.json"
     rc = main(["compare", "--u0", "3.5", "--delta1", "2", "--periods", "2",

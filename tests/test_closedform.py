@@ -11,12 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from twostate.closedform import (StateVector, accumulated_phases, amplitude_n2,
-                                 amplitude_n2_deriv, circle_point, closed_form_states,
-                                 floquet_analytic, harmonic_content, hg_quasipoly,
-                                 hg_three_beta, match_initial, phase_n2, recover_a1,
-                                 three_beta_coeffs)
+from twostate.closedform import (StateVector, amplitude_n2, amplitude_n2_deriv,
+                                 circle_point, closed_form_states, floquet_analytic,
+                                 harmonic_content, hg_quasipoly, hg_three_beta,
+                                 match_initial, phase_n2, recover_a1, three_beta_coeffs)
 from twostate.errors import ParameterError
 from twostate.fields import N2Config, detuning_n2, drive_field
 from twostate.heun import generalized_rabi
@@ -138,9 +138,25 @@ def test_phase_accumulation_anchored_by_mean():
     assert abs(phase_n2(cfg, cfg.period) - (cfg.delta1 - 2.0) * cfg.period) < 1e-10
     assert phase_n2(cfg, 0.0) == 0.0
     ts = np.array([0.0, 1.0, 2.5, 2.5, 0.7])
-    phases = accumulated_phases(cfg, ts)
+    phases = phase_n2(cfg, ts)
     for t, p in zip(ts, phases):
         assert abs(p - phase_n2(cfg, t)) < 1e-10
+
+
+@pytest.mark.parametrize("d1", [1.01, 2.0, 40.0, -1.01, -2.0, -40.0])
+def test_phase_matches_quadrature(d1):
+    # the modulation part delta*delta1 - delta_t keeps one sign, so its
+    # quadrature reaches full relative precision even where the phase itself
+    # returns to 0 (|delta1| = 2: zero mean detuning)
+    cfg = N2Config(u0=1.0, delta1=d1, delta=1.7, t0=0.4)
+    carrier = cfg.delta * d1
+    ts = cfg.t0 + np.array([-1.3, -0.2, 0.37, 1.0, 3.3, 7.0]) * cfg.period
+    for t, got in zip(ts, phase_n2(cfg, ts)):
+        mod = quad(lambda s: carrier - detuning_n2(cfg, s), cfg.t0, t,
+                   epsabs=0.0, epsrel=1e-13, limit=1000)[0]
+        ref = carrier * (t - cfg.t0) - mod
+        assert abs(got - ref) <= 1e-12 * (abs(carrier * (t - cfg.t0)) + abs(mod)), (d1, t)
+        assert phase_n2(cfg, float(t)) == got
 
 
 def test_recover_a1_against_oracle():
@@ -211,6 +227,22 @@ def test_matched_solution_negative_carrier_branch():
     assert np.max(np.abs(a2c - traj.a2)) < 1e-8
 
 
+@pytest.mark.parametrize("u0,d1", [(300.0, 1.01), (1000.0, 1.5)])
+def test_matched_solution_large_coupling(u0, d1):
+    # sqrt(a)^lambda overflows here; the unit-modulus Floquet factor does not
+    cfg = N2Config(u0=u0, delta1=d1)
+    state0 = StateVector(a1=1.0, a2=0.0)
+    a1c, a2c = closed_form_states(cfg, state0, 0.0, np.linspace(0.0, cfg.period, 2001))
+    norm = np.abs(a1c) ** 2 + np.abs(a2c) ** 2
+    assert np.all(np.isfinite(norm)) and np.max(np.abs(norm - 1.0)) <= 1e-9
+    grid = np.linspace(0.0, cfg.period / 20, 101)
+    a1c, a2c = closed_form_states(cfg, state0, 0.0, grid)
+    traj = integrate(drive_field(cfg), state0, (0.0, float(grid[-1])), t_eval=grid,
+                     rtol=1e-11, atol=1e-13)
+    assert np.max(np.abs(a2c - traj.a2)) < 1e-8
+    assert np.max(np.abs(a1c - traj.a1)) < 1e-8
+
+
 def test_full_state_floquet_return():
     # after one period the matched state comes back as a phase mix of the two
     # fundamental channels: project, advance each weight, rebuild
@@ -259,8 +291,9 @@ def test_floquet_weak_coupling_limits():
 def _fft_bracket(cfg, n_fft=4096):
     lam2 = floquet_analytic(cfg).lambda2
     ts = np.arange(n_fft) * cfg.period / n_fft
-    g = np.array([amplitude_n2(cfg, +1, t) / unwound_power(circle_point(cfg, t), lam2)
-                  for t in ts])
+    # the fundamental solution carries z^lam2 / sqrt(a)^lam2
+    g = np.array([amplitude_n2(cfg, +1, t) * math.sqrt(cfg.a) ** lam2
+                  / unwound_power(circle_point(cfg, t), lam2) for t in ts])
     return np.fft.fft(g) / n_fft
 
 

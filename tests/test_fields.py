@@ -224,6 +224,14 @@ def test_classify_glancing():
     rep = classify_crossings(cfg, (-1.0, cfg.period))
     assert rep.kind == "glancing"
     assert any(abs(t - 0.0) < 1e-9 for t in rep.times)
+    # touches thousands of periods out, where sin(k pi) in floating point is
+    # far from zero
+    for delta, n_periods in ((100.0, 1000), (1.0, 100_000)):
+        cfg = FieldConfig(u0=1.0, a=16.0, delta1=r1 * 15.0, delta2=15.0, delta=delta, t0=0.3)
+        tc = cfg.t0 + n_periods * cfg.period
+        rep = classify_crossings(cfg, (tc - 0.5 * cfg.period, tc + 0.5 * cfg.period))
+        assert rep.kind == "glancing", (delta, rep)
+        assert any(abs(t - tc) < 1e-12 * tc for t in rep.times)
 
 
 def test_classify_window_validation():

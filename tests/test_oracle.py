@@ -6,11 +6,14 @@ scaling, time reversal, norm conservation) and against the analytic
 quasi-energies of the solvable model.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twostate import oracle
 from twostate.closedform import StateVector, floquet_analytic
 from twostate.errors import ParameterError
 from twostate.fields import DriveField, FieldConfig, N2Config, drive_field
@@ -168,3 +171,11 @@ def test_mean_detuning_general_golden():
     # frozen quadrature value; analytically delta1 - delta2 for a > 1
     cfg = FieldConfig(u0=1.0, a=16.0, delta1=-25.0 / 16.0, delta2=-15.0 / 16.0)
     assert abs(mean_detuning(drive_field(cfg)) - (-0.625)) < 1e-10
+
+
+def test_oracle_imports_no_analytic_module():
+    # the oracle must stay independent of closedform, heun and specfun
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert relative == {"errors", "fields"}

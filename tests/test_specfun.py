@@ -1,16 +1,19 @@
 """Special-function kernels against independent oracles.
 
 Oracles used here: elementary closed forms (logarithm, rational functions),
-adaptive quadrature of the defining integral, and finite differences of the
-integral's derivative.  Frozen constants are recorded next to the expression
+adaptive quadrature of the defining integral, finite differences of the
+integral's derivative, and 30-digit mpmath values at hypothesis-drawn points.  Frozen constants are recorded next to the expression
 that produced them.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from twostate.errors import DomainError, ParameterError
@@ -181,3 +184,61 @@ def test_unwound_point_requires_positive_modulus():
         UnwoundPoint(0.0, 1.0)
     with pytest.raises(ParameterError):
         UnwoundPoint(-2.0, 0.0)
+
+
+# ---------------------------------------------------------------- mpmath properties
+# The domain documented in hyp2f1: |z| <= 0.9 and the incomplete-Beta shape
+# p3 = p1 + 1 with -10 <= Re p1 <= 50, |Im p1| <= 10 and |p2| <= 5.
+
+def _complex(re_lo, re_hi, im_bound):
+    return st.builds(complex, st.floats(re_lo, re_hi), st.floats(-im_bound, im_bound))
+
+
+def _disc(radius):
+    return st.builds(cmath.rect, st.floats(0.0, radius), st.floats(-math.pi, math.pi))
+
+
+BETA_P = _complex(-10.0, 50.0, 10.0)
+ONE_MINUS_Q = _disc(5.0)        # p2 = 1 - q of the 2F1 representation
+DISC_Z = _disc(0.9)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _off_poles(p):
+    # p = 0, -1, -2, ... are rejected by design (B_z(p, q) does not exist there)
+    return abs(p - round(p.real)) > 1e-6 or round(p.real) > 0
+
+
+def _in_range(p, z):
+    # B_z(p, q) ~ z^p / p exceeds the double range for Re p < 0 and tiny |z|
+    return z == 0 or p.real * math.log(abs(z)) < 700.0
+
+
+@PROPERTY
+@given(BETA_P, ONE_MINUS_Q, DISC_Z)
+def test_hyp2f1_matches_mpmath(p, p2, z):
+    assume(_off_poles(p + 1.0))
+    with mpmath.workdps(30):
+        ref = complex(mpmath.hyp2f1(p, p2, p + 1.0, z))
+    got = hyp2f1(p, p2, p + 1.0, z)
+    assert abs(got - ref) <= EPS_CHECK * (1.0 + abs(ref)), (p, p2, z)
+
+
+@PROPERTY
+@given(BETA_P, ONE_MINUS_Q, DISC_Z)
+def test_inc_beta_and_beta_step_match_mpmath(p, p2, z):
+    q = 1.0 - p2
+    assume(_off_poles(p) and _off_poles(p + 1.0) and _in_range(p, z))
+    with mpmath.workdps(30):
+        ref = complex(mpmath.betainc(p, q, 0, z))
+    assert abs(inc_beta(p, q, z) - ref) <= EPS_CHECK * (1.0 + abs(ref)), (p, q, z)
+    assert abs(beta_step(p, q, z) - ref) <= EPS_CHECK * (1.0 + abs(ref)), (p, q, z)
+
+
+@PROPERTY
+@given(st.floats(0.05, 20.0), st.floats(-8 * math.pi, 8 * math.pi), _complex(-10.0, 50.0, 10.0))
+def test_unwound_power_matches_mpmath(modulus, angle, mu):
+    with mpmath.workdps(30):
+        ref = complex(mpmath.power(modulus, mu) * mpmath.exp(1j * mu * angle))
+    got = unwound_power(UnwoundPoint(modulus, angle), mu)
+    assert abs(got - ref) <= EPS_CHECK * abs(ref), (modulus, angle, mu)
