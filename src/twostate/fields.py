@@ -197,22 +197,12 @@ def detuning_n3(u0: float, delta1: float, branch: int, t):
     wherever it stops being a real periodic modulation: ``r`` imaginary or
     zero, or the interior square root negative.
     """
-    if branch not in (+1, -1):
-        raise ParameterError(f"detuning_n3: branch must be +1 or -1, got {branch}")
-    rr = u0 * u0 + delta1 * delta1 - 1.0
-    if not 0.0 < rr < math.inf:
-        raise DomainError(f"detuning_n3: need 1 < u0^2 + delta1^2 < inf, got {rr + 1.0}")
-    r = branch * math.sqrt(rr)
+    sqa = math.sqrt(n3_singular_point(u0, delta1, branch))
+    r = branch * math.sqrt(u0 * u0 + delta1 * delta1 - 1.0)
     s3 = math.sqrt(3.0)
-    pole = 3.0 + s3 * r - 3.0 * delta1
-    if pole == 0.0:
-        raise DomainError("detuning_n3: degenerate parameter point (zero inner denominator)")
-    inner = 1.0 - 6.0 / pole
-    if inner <= 0.0:
-        raise DomainError(f"detuning_n3: interior square root negative (inner={inner})")
     num = 9.0 - 3.0 * s3 * r - 9.0 * delta1
     den = ((s3 - r) * r + 3.0 * (delta1 - 1.0) * delta1
-           + math.sqrt(inner) * (r * r - 3.0 * (delta1 - 1.0) ** 2) * np.cos(np.asarray(t, dtype=float)))
+           + sqa * (r * r - 3.0 * (delta1 - 1.0) ** 2) * np.cos(np.asarray(t, dtype=float)))
     out = delta1 + num / den
     return float(out) if np.isscalar(t) else out
 
@@ -304,12 +294,7 @@ def classify_crossings(cfg, window: tuple[float, float]) -> CrossingReport:
     rounding noise grows with ``k``), by ``|delta_t| < 1e-9`` there.
     Accepts either a :class:`FieldConfig` or an :class:`N2Config`.
     """
-    if isinstance(cfg, N2Config):
-        f = lambda t: detuning_n2(cfg, t)
-    elif isinstance(cfg, FieldConfig):
-        f = lambda t: detuning_general(cfg, t)
-    else:
-        raise ParameterError(f"classify_crossings: unsupported config type {type(cfg)!r}")
+    f = drive_field(cfg).delta_t
     period, t0, delta = cfg.period, cfg.t0, cfg.delta
 
     t_lo, t_hi = window

@@ -65,14 +65,13 @@ class HeunParams:
 class PrefactorExponents:
     """Exponents of the elementary prefactor multiplying the series solution.
 
-    Only the power of ``z`` is nonzero for this drive family; the plus and
-    minus signs give the two independent fundamental solutions.
+    The prefactor is ``z**alpha1``: its powers of ``z - 1`` and ``z - a`` vanish
+    for this drive family.  The plus and minus signs give the two independent
+    fundamental solutions.
     """
 
     alpha1: float
     sign: int
-    alpha2: float = 0.0
-    alpha3: float = 0.0
 
 
 @dataclass(frozen=True)

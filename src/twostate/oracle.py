@@ -5,20 +5,23 @@ Integrates the raw coupled amplitude equations
     i da1/dt = U(t) exp(-i delta(t)) a2,
     i da2/dt = U(t) exp(+i delta(t)) a1,
 
-with the phase modulation ``delta(t)`` co-integrated as an extra real state
-component, so the oscillating factors stay consistent with the detuning
-callable to integrator accuracy.  Nothing here shares code with the analytic
-modules: agreement between the two is the package's core correctness check.
+as one complex state ``[a1, a2, phase]``: the phase modulation ``delta(t)`` is
+co-integrated as a third component whose imaginary part stays zero, so the
+oscillating factors stay consistent with the detuning callable to integrator
+accuracy.  Nothing here shares code with the analytic modules: agreement
+between the two is the package's core correctness check.
 
-Floquet data comes from the monodromy matrix of the equivalent periodic
-system in the co-rotating variable ``c1 = a1 exp(+i delta(t))``; in these
-variables the coefficients are periodic in time, the one-period transfer
-matrix is unitary, and the eigenvalue arguments are the quasi-energies of the
-amplitude equation modulo the drive frequency.
+Floquet data comes from the monodromy matrix, the fundamental matrix after one
+period, of the equivalent periodic system in the co-rotating variable
+``c1 = a1 exp(+i delta(t))``; in these variables the coefficients are periodic
+in time, the one-period transfer matrix is unitary, and the eigenvalue
+arguments are the quasi-energies of the amplitude equation modulo the drive
+frequency.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,7 +38,7 @@ _MIN_RTOL = 1e-13
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense sampled solution plus a norm-conservation figure of merit."""
+    """Sampled solution plus a norm-conservation figure of merit."""
 
     times: np.ndarray
     a1: np.ndarray
@@ -69,24 +72,15 @@ class MonodromyResult:
         return float(abs(np.linalg.det(self.matrix)))
 
 
-def _rhs(field: DriveField):
-    def rhs(t, y):
-        a1 = y[0] + 1j * y[1]
-        a2 = y[2] + 1j * y[3]
-        u = field.u(t)
-        dt = field.delta_t(t)
-        rot = np.exp(-1j * y[4])
-        da1 = -1j * u * rot * a2
-        da2 = -1j * u * np.conj(rot) * a1
-        return [da1.real, da1.imag, da2.real, da2.imag, dt]
-    return rhs
-
-
-def _check_tolerances(owner: str, rtol: float, atol: float) -> None:
+def _solve(owner: str, rhs, t_span, y0, rtol: float, atol: float, t_eval=None):
     # a non-finite tolerance makes solve_ivp step forever instead of failing
     if not (_MIN_RTOL <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 <= atol < inf, "
                              f"got rtol={rtol}, atol={atol}")
+    sol = solve_ivp(rhs, t_span, y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol)
+    if not sol.success:
+        raise IntegrationError(f"{owner}: solver failed: {sol.message}")
+    return sol
 
 
 def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float],
@@ -98,52 +92,38 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     pass 0 when starting at the drive's time origin.  Backward integration
     (``t_span[1] < t_span[0]``) is supported.
     """
-    _check_tolerances("integrate", rtol, atol)
-    y0 = [state0.a1.real, state0.a1.imag, state0.a2.real, state0.a2.imag, state0.phase]
-    sol = solve_ivp(_rhs(field), t_span, y0, method="RK45", dense_output=True,
-                    t_eval=t_eval, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(f"integrate: solver failed: {sol.message}")
-    a1 = sol.y[0] + 1j * sol.y[1]
-    a2 = sol.y[2] + 1j * sol.y[3]
+    def rhs(t, y):
+        u = field.u(t)
+        rot = cmath.exp(-1j * y[2].real)
+        return [-1j * u * rot * y[1], -1j * u * rot.conjugate() * y[0], field.delta_t(t)]
+
+    y0 = [complex(state0.a1), complex(state0.a2), complex(state0.phase)]
+    sol = _solve("integrate", rhs, t_span, y0, rtol, atol, t_eval)
+    a1, a2 = sol.y[0], sol.y[1]
     norm0 = abs(state0.a1) ** 2 + abs(state0.a2) ** 2
     drift = float(np.max(np.abs(np.abs(a1) ** 2 + np.abs(a2) ** 2 - norm0)))
-    return Trajectory(times=sol.t, a1=a1, a2=a2, phase=sol.y[4], norm_drift=drift)
-
-
-def _corotating_rhs(field: DriveField):
-    # c1' = i delta_t c1 - i U a2 ; a2' = -i U c1  (periodic coefficients)
-    def rhs(t, y):
-        c1 = y[0] + 1j * y[1]
-        a2 = y[2] + 1j * y[3]
-        u = field.u(t)
-        dc1 = 1j * field.delta_t(t) * c1 - 1j * u * a2
-        da2 = -1j * u * c1
-        return [dc1.real, dc1.imag, da2.real, da2.imag]
-    return rhs
+    return Trajectory(times=sol.t, a1=a1, a2=a2, phase=sol.y[2].real, norm_drift=drift)
 
 
 def monodromy(field: DriveField, t_ref: float = 0.0,
               rtol: float = 1e-11, atol: float = 1e-13) -> MonodromyResult:
     """One-period transfer matrix and Floquet exponents of the drive.
 
-    The two canonical basis states are propagated over ``[t_ref, t_ref + T]``
-    in the co-rotating variables; eigenvalue arguments divided by the period
-    give the exponents, folded into ``[-Delta/2, Delta/2)`` with
-    ``Delta = 2 pi / T``.
+    The fundamental matrix ``Y`` of the co-rotating system
+    ``c1' = i delta_t c1 - i U a2``, ``a2' = -i U c1`` (periodic coefficients)
+    is propagated from the identity over ``[t_ref, t_ref + T]`` in one solve;
+    eigenvalue arguments divided by the period give the exponents, folded into
+    ``[-Delta/2, Delta/2)`` with ``Delta = 2 pi / T``.
     """
-    _check_tolerances("monodromy", rtol, atol)
+    def rhs(t, y):
+        u = field.u(t)
+        a = np.array([[1j * field.delta_t(t), -1j * u], [-1j * u, 0.0]])
+        return (a @ y.reshape(2, 2)).ravel()
+
     T = field.period
-    cols = []
-    rhs = _corotating_rhs(field)
-    for e in ((1.0, 0.0), (0.0, 1.0)):
-        sol = solve_ivp(rhs, (t_ref, t_ref + T), [e[0], 0.0, e[1], 0.0],
-                        method="RK45", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise IntegrationError(f"monodromy: solver failed: {sol.message}")
-        yf = sol.y[:, -1]
-        cols.append([yf[0] + 1j * yf[1], yf[2] + 1j * yf[3]])
-    m = np.array(cols, dtype=complex).T
+    sol = _solve("monodromy", rhs, (t_ref, t_ref + T), np.eye(2, dtype=complex).ravel(),
+                 rtol, atol)
+    m = sol.y[:, -1].reshape(2, 2)
     eig = np.linalg.eigvals(m)
     delta = 2.0 * math.pi / T
     exps = tuple(wrap_mod(float(np.angle(ev)) / T, delta) for ev in eig)

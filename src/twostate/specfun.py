@@ -103,7 +103,7 @@ def inc_beta(p: complex, q: complex, z: complex) -> complex:
         raise DomainError(f"inc_beta: series path requires |z| < 1, got |z|={abs(z)}")
     if z == 0:
         return 0.0 + 0j
-    return z**p / p * hyp2f1(p, 1 - q, p + 1, z)
+    return power(z, p) / p * hyp2f1(p, 1 - q, p + 1, z)
 
 
 def beta_step(p: complex, q: complex, z: complex) -> complex:
@@ -118,8 +118,8 @@ def beta_step(p: complex, q: complex, z: complex) -> complex:
     if p == 0:
         raise ParameterError("beta_step: p must be nonzero")
     if z == 0:
-        return 0.0 + 0j                  # as inc_beta; 0 ** complex p raises
-    head = z**p / p * (1 - z) ** q
+        return 0.0 + 0j                  # as inc_beta; log(0) is undefined
+    head = power(z, p) / p * (1 - z) ** q
     coeff = (q + p) / p
     if coeff == 0:
         return head
@@ -154,10 +154,14 @@ def unwound_power(pt: UnwoundPoint, mu: complex) -> complex:
 
 
 def power(z, mu: complex) -> complex:
-    """Uniform power helper: unwound for :class:`UnwoundPoint`, principal otherwise."""
+    """Uniform power helper: unwound for :class:`UnwoundPoint`, principal otherwise.
+
+    The principal power is ``exp(mu log z)``: ``cmath.log`` rescales subnormal
+    parts of ``z``, where Python's ``complex ** complex`` loses their bits.
+    """
     if isinstance(z, UnwoundPoint):
         return unwound_power(z, mu)
-    return complex(z) ** complex(mu)
+    return cmath.exp(complex(mu) * cmath.log(complex(z)))
 
 
 def as_complex(z) -> complex:

@@ -154,6 +154,23 @@ def test_monodromy_general_drive_unit_circle():
         assert abs(abs(ev) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("cfg", [
+    N2Config(u0=1.0, delta1=2.0),
+    N2Config(u0=0.7, delta1=-3.0),
+    FieldConfig(u0=0.9, a=16.0, delta1=-25.0 / 16.0, delta2=-15.0 / 16.0),   # glancing
+])
+def test_monodromy_columns_match_integrate(cfg):
+    # column j is basis state j after one period, in co-rotating variables
+    # (a1 exp(i phase), a2), with the phase seeded at 0 at t_ref
+    fld, t_ref = drive_field(cfg), 0.3
+    m = monodromy(fld, t_ref=t_ref).matrix
+    for j, state0 in enumerate((StateVector(a1=1.0, a2=0.0), StateVector(a1=0.0, a2=1.0))):
+        end = integrate(fld, state0, (t_ref, t_ref + fld.period),
+                        rtol=1e-11, atol=1e-13).state_at(-1)
+        col = [end.a1 * np.exp(1j * end.phase), end.a2]
+        assert np.max(np.abs(m[:, j] - col)) < 1e-9, (cfg, j)
+
+
 # ---------------------------------------------------------------- averages
 
 def test_mean_detuning_solvable_model():

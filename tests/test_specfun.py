@@ -12,7 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -226,6 +226,8 @@ def test_hyp2f1_matches_mpmath(p, p2, z):
 
 @PROPERTY
 @given(BETA_P, ONE_MINUS_Q, DISC_Z)
+@example(1j, 0.0, 5e-324 + 5e-324j)     # subnormal z: power(z, 1j) inside inc_beta(1j, 1, z)
+@example(1j, 2.0, -5e-324 + 5e-324j)
 def test_inc_beta_and_beta_step_match_mpmath(p, p2, z):
     q = 1.0 - p2
     assume(_off_poles(p) and _off_poles(p + 1.0) and _in_range(p, z))
