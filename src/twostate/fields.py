@@ -156,6 +156,18 @@ class StateVector:
         return abs(self.a1) ** 2 + abs(self.a2) ** 2
 
 
+def _time_arg(t):
+    """``(math, float(t))`` for a scalar ``t``, ``(numpy, float array)`` otherwise.
+
+    Each detuning formula is written once against the returned module: the
+    oracle calls it once per right-hand-side evaluation with a scalar, where
+    ``math`` costs a fraction of a NumPy ufunc call, and gets a Python float.
+    """
+    if np.isscalar(t):
+        return math, float(t)
+    return np, np.asarray(t, dtype=float)
+
+
 def detuning_general(cfg: FieldConfig, t):
     """Detuning of the general family at time ``t`` (scalar or array).
 
@@ -164,11 +176,11 @@ def detuning_general(cfg: FieldConfig, t):
     It is evaluated as ``(sqrt(a)-1)^2 + 4 sqrt(a) sin^2(.../2)``, a sum of
     non-negative terms, to avoid cancellation near the modulation peak.
     """
-    theta = cfg.delta * (np.asarray(t, dtype=float) - cfg.t0)
+    xp, t = _time_arg(t)
+    theta = cfg.delta * (t - cfg.t0)
     sqa = math.sqrt(cfg.a)
-    den = (sqa - 1.0) ** 2 + 4.0 * sqa * np.sin(0.5 * theta) ** 2
-    out = cfg.delta1 + (1.0 - cfg.a) * cfg.delta2 / den
-    return float(out) if np.isscalar(t) else out
+    den = (sqa - 1.0) ** 2 + 4.0 * sqa * xp.sin(0.5 * theta) ** 2
+    return cfg.delta1 + (1.0 - cfg.a) * cfg.delta2 / den
 
 
 def detuning_n2(cfg: N2Config, t):
@@ -178,15 +190,15 @@ def detuning_n2(cfg: N2Config, t):
     rationalized into a single-signed sum so the spike near the modulation
     peak is computed without cancellation.
     """
-    theta = cfg.delta * (np.asarray(t, dtype=float) - cfg.t0)
+    xp, t = _time_arg(t)
+    theta = cfg.delta * (t - cfg.t0)
     d1 = cfg.delta1
     b = math.sqrt(d1 * d1 - 1.0)
     if d1 > 0:
-        den = 1.0 / (d1 + b) + 2.0 * b * np.sin(0.5 * theta) ** 2
+        den = 1.0 / (d1 + b) + 2.0 * b * xp.sin(0.5 * theta) ** 2
     else:
-        den = -1.0 / (b - d1) - 2.0 * b * np.cos(0.5 * theta) ** 2
-    out = cfg.delta * (d1 - 2.0 / den)
-    return float(out) if np.isscalar(t) else out
+        den = -1.0 / (b - d1) - 2.0 * b * xp.cos(0.5 * theta) ** 2
+    return cfg.delta * (d1 - 2.0 / den)
 
 
 def detuning_n3(u0: float, delta1: float, branch: int, t):
@@ -197,14 +209,14 @@ def detuning_n3(u0: float, delta1: float, branch: int, t):
     wherever it stops being a real periodic modulation: ``r`` imaginary or
     zero, or the interior square root negative.
     """
+    xp, t = _time_arg(t)
     sqa = math.sqrt(n3_singular_point(u0, delta1, branch))
     r = branch * math.sqrt(u0 * u0 + delta1 * delta1 - 1.0)
     s3 = math.sqrt(3.0)
     num = 9.0 - 3.0 * s3 * r - 9.0 * delta1
     den = ((s3 - r) * r + 3.0 * (delta1 - 1.0) * delta1
-           + sqa * (r * r - 3.0 * (delta1 - 1.0) ** 2) * np.cos(np.asarray(t, dtype=float)))
-    out = delta1 + num / den
-    return float(out) if np.isscalar(t) else out
+           + sqa * (r * r - 3.0 * (delta1 - 1.0) ** 2) * xp.cos(t))
+    return delta1 + num / den
 
 
 def n3_singular_point(u0: float, delta1: float, branch: int) -> float:

@@ -45,6 +45,7 @@ class Trajectory:
     a2: np.ndarray
     phase: np.ndarray
     norm_drift: float
+    nfev: int                              # right-hand-side evaluations
 
     @property
     def pop2(self) -> np.ndarray:
@@ -66,6 +67,8 @@ class MonodromyResult:
     matrix: np.ndarray                     # 2x2 complex
     eigenvalues: tuple[complex, complex]
     exponents: tuple[float, float]         # in [-Delta/2, Delta/2)
+    unitarity_error: float                 # max entry of |M^H M - I|
+    nfev: int                              # right-hand-side evaluations
 
     @property
     def det_modulus(self) -> float:
@@ -77,7 +80,7 @@ def _solve(owner: str, rhs, t_span, y0, rtol: float, atol: float, t_eval=None):
     if not (_MIN_RTOL <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 <= atol < inf, "
                              f"got rtol={rtol}, atol={atol}")
-    sol = solve_ivp(rhs, t_span, y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"{owner}: solver failed: {sol.message}")
     return sol
@@ -86,23 +89,25 @@ def _solve(owner: str, rhs, t_span, y0, rtol: float, atol: float, t_eval=None):
 def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float],
               t_eval=None, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
               ) -> Trajectory:
-    """Adaptive 5(4) Runge-Kutta integration of the amplitude equations.
+    """Adaptive Runge-Kutta integration of the amplitude equations (DOP853 8(5,3)).
 
     ``state0.phase`` seeds the accumulated phase modulation at ``t_span[0]``;
     pass 0 when starting at the drive's time origin.  Backward integration
     (``t_span[1] < t_span[0]``) is supported.
     """
     def rhs(t, y):
-        u = field.u(t)
-        rot = cmath.exp(-1j * y[2].real)
-        return [-1j * u * rot * y[1], -1j * u * rot.conjugate() * y[0], field.delta_t(t)]
+        a1, a2, phase = y.tolist()
+        iu = 1j * field.u(t)
+        rot = cmath.exp(-1j * phase.real)
+        return [-iu * rot * a2, -iu * rot.conjugate() * a1, field.delta_t(t)]
 
     y0 = [complex(state0.a1), complex(state0.a2), complex(state0.phase)]
     sol = _solve("integrate", rhs, t_span, y0, rtol, atol, t_eval)
     a1, a2 = sol.y[0], sol.y[1]
     norm0 = abs(state0.a1) ** 2 + abs(state0.a2) ** 2
     drift = float(np.max(np.abs(np.abs(a1) ** 2 + np.abs(a2) ** 2 - norm0)))
-    return Trajectory(times=sol.t, a1=a1, a2=a2, phase=sol.y[2].real, norm_drift=drift)
+    return Trajectory(times=sol.t, a1=a1, a2=a2, phase=sol.y[2].real, norm_drift=drift,
+                      nfev=sol.nfev)
 
 
 def monodromy(field: DriveField, t_ref: float = 0.0,
@@ -116,9 +121,11 @@ def monodromy(field: DriveField, t_ref: float = 0.0,
     ``[-Delta/2, Delta/2)`` with ``Delta = 2 pi / T``.
     """
     def rhs(t, y):
-        u = field.u(t)
-        a = np.array([[1j * field.delta_t(t), -1j * u], [-1j * u, 0.0]])
-        return (a @ y.reshape(2, 2)).ravel()
+        # A(t) @ Y with A = [[i delta_t, -i U], [-i U, 0]], Y row-major
+        y11, y12, y21, y22 = y.tolist()
+        iu = 1j * field.u(t)
+        idt = 1j * field.delta_t(t)
+        return [idt * y11 - iu * y21, idt * y12 - iu * y22, -iu * y11, -iu * y12]
 
     T = field.period
     sol = _solve("monodromy", rhs, (t_ref, t_ref + T), np.eye(2, dtype=complex).ravel(),
@@ -127,8 +134,9 @@ def monodromy(field: DriveField, t_ref: float = 0.0,
     eig = np.linalg.eigvals(m)
     delta = 2.0 * math.pi / T
     exps = tuple(wrap_mod(float(np.angle(ev)) / T, delta) for ev in eig)
+    unitarity = float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
     return MonodromyResult(matrix=m, eigenvalues=(complex(eig[0]), complex(eig[1])),
-                           exponents=exps)
+                           exponents=exps, unitarity_error=unitarity, nfev=sol.nfev)
 
 
 def wrap_mod(x: float, delta: float) -> float:

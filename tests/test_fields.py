@@ -59,6 +59,22 @@ def test_scaled_config_reproduces_physical_detuning():
                    - cfg.delta * detuning_general(s, tau)) < 1e-12
 
 
+@pytest.mark.parametrize("detuning, cfg", [
+    (detuning_general, FieldConfig(u0=1.0, a=2.5, delta1=0.4, delta2=-1.1, delta=1.7, t0=0.3)),
+    (detuning_general, FieldConfig(**GLANCING_16)),
+    (detuning_n2, N2Config(u0=0.6, delta1=2.4, delta=1.7, t0=0.3)),
+    (detuning_n2, N2Config(u0=0.6, delta1=-1.1)),
+    (lambda branch, t: detuning_n3(1.0, -2.0, branch, t), +1),
+])
+def test_detuning_scalar_matches_array(detuning, cfg):
+    # one formula, evaluated with math for a scalar and numpy for an array
+    ts = np.linspace(-7.5, 7.5, 61)          # steps of 1/4, so the integers are included
+    for t, ref in zip(ts, detuning(cfg, ts)):
+        for scalar in (float(t), np.float64(t)) + ((int(t),) if t == int(t) else ()):
+            val = detuning(cfg, scalar)
+            assert type(val) is float and val == ref, (scalar, val, ref)
+
+
 def test_field_config_validation():
     with pytest.raises(ParameterError):
         FieldConfig(u0=0.0, a=2.0, delta1=1.0, delta2=1.0)

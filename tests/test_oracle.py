@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from twostate import oracle
-from twostate.closedform import StateVector, floquet_analytic
+from twostate.closedform import StateVector, closed_form_states, floquet_analytic
 from twostate.errors import ParameterError
 from twostate.fields import DriveField, FieldConfig, N2Config, drive_field
 from twostate.oracle import (exponent_pair_residual, integrate, mean_detuning,
@@ -169,6 +169,63 @@ def test_monodromy_columns_match_integrate(cfg):
                         rtol=1e-11, atol=1e-13).state_at(-1)
         col = [end.a1 * np.exp(1j * end.phase), end.a2]
         assert np.max(np.abs(m[:, j] - col)) < 1e-9, (cfg, j)
+
+
+def test_monodromy_unitarity_error_floquet_grid():
+    # the criterion-02 grid plus both carrier signs below resonance
+    for d1 in (4.0 / 3.0, 2.0, 3.0, 5.0, -2.0, -5.0):
+        for u0 in (0.3, 1.0, 2.0, 3.5):
+            mono = monodromy(drive_field(N2Config(u0=u0, delta1=d1)), rtol=1e-12, atol=1e-13)
+            assert mono.unitarity_error <= 1e-9, (u0, d1)
+
+
+# ---------------------------------------------------------------- cost and range
+
+def _counting_field(fld):
+    calls = [0]
+
+    def delta_t(t):
+        calls[0] += 1
+        return fld.delta_t(t)
+    return calls, DriveField(u=fld.u, delta_t=delta_t, period=fld.period)
+
+
+def test_nfev_counts_rhs_calls():
+    # every right-hand-side call evaluates delta_t exactly once, dense output included
+    cfg = N2Config(u0=0.7, delta1=-3.0)
+    ts = np.linspace(0.0, 2 * cfg.period, 51)
+    calls, fld = _counting_field(drive_field(cfg))
+    traj = integrate(fld, GROUND, (0.0, float(ts[-1])), t_eval=ts, rtol=1e-11, atol=1e-13)
+    assert traj.nfev == calls[0] > 0
+    calls, fld = _counting_field(drive_field(cfg))
+    assert monodromy(fld).nfev == calls[0] > 0
+
+
+def test_rhs_call_budget_solvable_model():
+    # DOP853 makes 4,493 and 1,214 calls here; RK45 made 11,150 and 5,270
+    cfg = N2Config(u0=1.0, delta1=2.0)
+    fld = drive_field(cfg)
+    ts = np.linspace(0.0, 5 * cfg.period, 1001)
+    traj = integrate(fld, GROUND, (0.0, float(ts[-1])), t_eval=ts, rtol=1e-11, atol=1e-13)
+    assert traj.nfev <= 5000
+    assert monodromy(fld, rtol=1e-12, atol=1e-13).nfev <= 1500
+
+
+@pytest.mark.parametrize("u0", (0.2, 5.0))
+@pytest.mark.parametrize("delta1", (-6.0, -1.1, 1.1, 6.0))
+def test_oracle_agrees_at_input_range_corners(u0, delta1):
+    # corners of the validation inputs: u0 in [0.2, 5], 1.1 <= |delta1| <= 6,
+    # checked at the acceptance-gate bounds of criteria 01 and 02
+    cfg = N2Config(u0=u0, delta1=delta1)
+    fld = drive_field(cfg)
+    grid = np.linspace(0.0, 5 * cfg.period, 1001)
+    _, a2c = closed_form_states(cfg, GROUND, 0.0, grid)
+    traj = integrate(fld, GROUND, (0.0, float(grid[-1])), t_eval=grid, rtol=1e-11, atol=1e-13)
+    assert np.max(np.abs(a2c - traj.a2)) <= 1e-8
+    rep = floquet_analytic(cfg)
+    mono = monodromy(fld)
+    assert exponent_pair_residual((rep.lambda1, rep.lambda2), mono.exponents, 1.0) <= 1e-8
+    assert max(abs(abs(ev) - 1.0) for ev in mono.eigenvalues) <= 1e-9
 
 
 # ---------------------------------------------------------------- averages
