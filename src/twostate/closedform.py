@@ -42,8 +42,6 @@ from .fields import N2Config, StateVector  # StateVector re-exported for callers
 from .heun import _fold_to_elementary, generalized_rabi
 from .specfun import UnwoundPoint, as_complex, power
 
-_FOLD_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class FloquetReport:
@@ -77,17 +75,21 @@ def circle_point(cfg: N2Config, t: float) -> UnwoundPoint:
     return UnwoundPoint(math.sqrt(cfg.a), theta)
 
 
+def _bracket_weights(rs: float, delta1: float) -> tuple[float, float]:
+    """Weights ``(dc, w)`` of the amplitude's bracket ``dc + w / (1 - z)``; ``rs = +-R``."""
+    return (rs - 1.0) * (delta1 - 1.0), 2.0 * (rs + delta1)
+
+
 def hg_quasipoly(delta1: float, u0: float, z) -> complex:
-    """Quasi-polynomial form of the terminated series (elementary, any z != 1)."""
+    """Terminated series ``z^R (dc + w/(1-z)) / (R (R+1) (delta1+1))``: the plus bracket, z != 1."""
     zc = as_complex(z)
     if zc == 1.0:
         raise ParameterError("hg_quasipoly: singular at z = 1")
     if delta1 == -1.0:
         raise ParameterError("hg_quasipoly: singular at delta1 = -1")
     big_r = generalized_rabi(u0, delta1)
-    num = (zc - 1.0) * (1.0 + big_r * delta1) - (zc + 1.0) * (big_r + delta1)
-    den = big_r * (big_r + 1.0) * (delta1 + 1.0) * (zc - 1.0)
-    return power(z, big_r) * num / den
+    dc, w = _bracket_weights(big_r, delta1)
+    return power(z, big_r) * (dc + w / (1.0 - zc)) / (big_r * (big_r + 1.0) * (delta1 + 1.0))
 
 
 def three_beta_coeffs(delta1: float, u0: float) -> tuple[float, float, float]:
@@ -113,10 +115,7 @@ def hg_three_beta(delta1: float, u0: float, z) -> complex:
         raise ParameterError("hg_three_beta: singular at z = 1")
     big_r = generalized_rabi(u0, delta1)
     coeffs = np.array(three_beta_coeffs(delta1, u0), dtype=complex)
-    elem, leftover, _ = _fold_to_elementary(coeffs, big_r, -1.0, z)
-    if abs(leftover) > _FOLD_TOL * float(np.max(np.abs(coeffs))):
-        raise SingularSystemError(f"hg_three_beta: fold left a Beta weight {abs(leftover):.3e}")
-    return elem
+    return _fold_to_elementary(coeffs, big_r, -1.0, z)[0]
 
 
 def _amplitude_arrays(cfg: N2Config, sign: int, times) -> tuple[np.ndarray, np.ndarray]:
@@ -129,11 +128,10 @@ def _amplitude_arrays(cfg: N2Config, sign: int, times) -> tuple[np.ndarray, np.n
     lam = 0.5 * (cfg.delta1 + rs)
     zp = np.exp(1j * lam * theta)                        # z^lambda / sqrt(a)^lambda
     z = math.sqrt(cfg.a) * np.exp(1j * theta)
-    bracket = (rs - 1.0) * (cfg.delta1 - 1.0) + 2.0 * (rs + cfg.delta1) / (1.0 - z)
-    dbracket = 2.0 * (rs + cfg.delta1) / (1.0 - z) ** 2  # d/dz
-    val = zp * bracket
-    dval = 1j * cfg.delta * zp * (lam * bracket + z * dbracket)
-    return val, dval
+    dc, w = _bracket_weights(rs, cfg.delta1)
+    bracket = dc + w / (1.0 - z)
+    dbracket = w / (1.0 - z) ** 2                        # d/dz
+    return zp * bracket, 1j * cfg.delta * zp * (lam * bracket + z * dbracket)
 
 
 def amplitude_n2(cfg: N2Config, sign: int, t: float) -> complex:
@@ -227,8 +225,7 @@ def harmonic_content(cfg: N2Config, n_harmonics: int, sign: int = +1) -> Harmoni
         raise ParameterError(f"harmonic_content: sign must be +1 or -1, got {sign}")
     rs = sign * generalized_rabi(cfg.u0, cfg.delta1)
     base = math.sqrt(cfg.a) * math.cos(_angle_offset(cfg))  # -sqrt(a) on the shifted branch
-    w = 2.0 * (rs + cfg.delta1)
-    dc = (rs - 1.0) * (cfg.delta1 - 1.0)
+    dc, w = _bracket_weights(rs, cfg.delta1)
     k = np.arange(1, n_harmonics + 1)   # integer exponents: base may be negative
     if abs(base) > 1.0:
         coeffs = np.concatenate(([dc + 0j], -w * base**(-k)))

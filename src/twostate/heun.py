@@ -26,10 +26,11 @@ and classifies the termination hierarchy over N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .errors import DomainError, ParameterError
 from .fields import FieldConfig, grid_roots
@@ -40,7 +41,6 @@ _FOLD_LEFTOVER_RTOL = 1e-10
 
 # termination_search thresholds
 _ROOT_MATCH_ATOL = 1e-6    # constraint roots agreeing across couplings
-_TRIVIAL_ATOL = 1e-8
 _ROOT_XTOL = 1e-15         # brentq absolute tolerance on a constraint root
 
 
@@ -66,12 +66,10 @@ class PrefactorExponents:
     """Exponents of the elementary prefactor multiplying the series solution.
 
     The prefactor is ``z**alpha1``: its powers of ``z - 1`` and ``z - a`` vanish
-    for this drive family.  The plus and minus signs give the two independent
-    fundamental solutions.
+    for this drive family.
     """
 
     alpha1: float
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ def _heun_constants(u0: float, a, delta1: float, delta2: float, sign: int
     q = (a - 1.0) * delta2 * alpha1
     hp = HeunParams(a=a, q=q, alpha=0.0, beta=beta, gamma=gamma,
                     delta=delta2, epsilon=-delta2)
-    return hp, PrefactorExponents(alpha1=alpha1, sign=sign)
+    return hp, PrefactorExponents(alpha1=alpha1)
 
 
 def recurrence_coeffs(hp: HeunParams, n: int) -> RecurrenceCoeffs:
@@ -155,14 +153,16 @@ def expand(hp: HeunParams, max_terms: int = 40) -> BetaSeries:
         raise ParameterError("expand: max_terms must be >= 2")
 
     coeffs = [1.0 + 0j]
+    rc = [recurrence_coeffs(hp, 0)]
     cmax = 1.0
     terminated = False
     n_term = None
     for n in range(1, max_terms + 1):
-        rn = recurrence_coeffs(hp, n).rn
-        num = recurrence_coeffs(hp, n - 1).qn * coeffs[n - 1]
+        rc.append(recurrence_coeffs(hp, n))
+        rn = rc[n].rn
+        num = rc[n - 1].qn * coeffs[n - 1]
         if n >= 2:
-            num += recurrence_coeffs(hp, n - 2).pn * coeffs[n - 2]
+            num += rc[n - 2].pn * coeffs[n - 2]
         if rn == 0:
             if abs(num) <= TERMINATION_RTOL * cmax:
                 coeffs.append(0.0 + 0j)
@@ -182,14 +182,30 @@ def expand(hp: HeunParams, max_terms: int = 40) -> BetaSeries:
                       terminated=terminated, n_term=n_term)
 
 
+def _continuant(hp: HeunParams, n_stop: int):
+    """``d_{N+1}`` of the division-free tridiagonal-determinant recursion.
+
+    ``d_n = Q_{n-1} d_{n-1} - P_{n-2} R_{n-1} d_{n-2}`` from ``d_0 = 1``, every
+    coefficient taken from :func:`recurrence_coeffs`; ``d_{N+1} = 0`` is
+    equivalent to the vanishing of coefficient ``c_{N+1}``.  ``hp.q`` may be a
+    number, an array (with a matching array ``hp.a``) or the polynomial
+    variable (a :class:`numpy.polynomial.Polynomial`), and the result has the
+    same kind.
+    """
+    rc = [recurrence_coeffs(hp, n) for n in range(n_stop + 1)]
+    d_prev, d_cur = 1.0, rc[0].qn
+    for n in range(2, n_stop + 2):
+        d_prev, d_cur = d_cur, rc[n - 1].qn * d_cur - rc[n - 2].pn * rc[n - 1].rn * d_prev
+    return d_cur
+
+
 def q_polynomial(hp: HeunParams, n_stop: int) -> np.ndarray:
     """Accessory-parameter polynomial whose roots terminate the series at N = n_stop.
 
-    Uses the division-free tridiagonal-determinant recursion
-    ``d_n = Q_{n-1} d_{n-1} - P_{n-2} R_{n-1} d_{n-2}`` with ``q`` kept
-    symbolic (dense complex polynomial arithmetic); ``d_{N+1}(q) = 0`` is
-    equivalent to the vanishing of coefficient ``c_{N+1}``.  Returns the
-    ascending coefficient array of a degree-(N+1) polynomial.
+    :func:`_continuant` with ``q`` the polynomial variable; ``hp.q`` itself
+    is ignored.  The variable has complex dtype: with a real one the
+    coefficients move by up to ~2e-12 of the largest.  Returns the ascending
+    coefficient array of a degree-(N+1) polynomial.
     """
     if n_stop < 0:
         raise ParameterError(f"q_polynomial: N must be >= 0, got {n_stop}")
@@ -198,21 +214,7 @@ def q_polynomial(hp: HeunParams, n_stop: int) -> np.ndarray:
     if not (eps_ok or gd_ok):
         raise ParameterError("q_polynomial: termination precondition fails "
                              f"(epsilon = {hp.epsilon}, gamma+delta-2 = {hp.gamma + hp.delta - 2})")
-
-    def q_free(n: int) -> complex:
-        # recurrence Q_n with the accessory parameter removed
-        a, g, d, e = hp.a, hp.gamma, hp.delta, hp.epsilon
-        return -a * n * (n + 1 - g - d) - (n + e) * (n + 1 - g)
-
-    d_prev = np.array([1.0 + 0j])                      # d_0
-    d_cur = np.array([q_free(0), -1.0], dtype=complex)  # d_1 = Q_0
-    for n in range(2, n_stop + 2):
-        lin = np.array([q_free(n - 1), -1.0], dtype=complex)
-        d_new = np.convolve(lin, d_cur)
-        tail = recurrence_coeffs(hp, n - 2).pn * recurrence_coeffs(hp, n - 1).rn * d_prev
-        d_new[: len(tail)] -= tail
-        d_prev, d_cur = d_cur, d_new
-    return d_cur
+    return _continuant(replace(hp, q=Polynomial(np.array([0, 1], dtype=complex))), n_stop).coef
 
 
 def q_polynomial_roots(poly: np.ndarray) -> np.ndarray:
@@ -221,8 +223,8 @@ def q_polynomial_roots(poly: np.ndarray) -> np.ndarray:
     Each root is polished with a couple of Newton steps.
     """
     roots = np.roots(poly[::-1]).astype(complex)
-    dpoly = np.polyder(np.poly1d(poly[::-1]))
     p1d = np.poly1d(poly[::-1])
+    dpoly = p1d.deriv()
     for _ in range(2):
         dv = dpoly(roots)
         mask = np.abs(dv) > 0
@@ -235,8 +237,9 @@ def _fold_to_elementary(coeffs: np.ndarray, gamma0: complex, b: complex, z):
 
     Repeatedly rewrites the lowest Beta function through its upper neighbour;
     the elementary heads accumulate and the Beta weight migrates to the top
-    index.  Returns ``(elementary_sum, leftover_coeff, top_index)``; the
-    caller decides whether the leftover Beta weight is negligible.
+    index.  The sum is elementary only if that leftover weight cancels:
+    :class:`DomainError` if it exceeds ``1e-10 max(1, max|coeffs|)``.
+    Returns ``(elementary_sum, leftover_coeff)``.
     """
     zc = as_complex(z)
     work = list(np.asarray(coeffs, dtype=complex))
@@ -247,7 +250,11 @@ def _fold_to_elementary(coeffs: np.ndarray, gamma0: complex, b: complex, z):
             raise ParameterError("fold: Beta parameter hits 0 while folding")
         elem += work[n] * power(z, cn) / cn * (1.0 - zc) ** b
         work[n + 1] += work[n] * (b + cn) / cn
-    return elem, work[-1], gamma0 + len(work) - 1
+    leftover = work[-1]
+    if abs(leftover) > _FOLD_LEFTOVER_RTOL * max(1.0, float(np.max(np.abs(coeffs)))):
+        raise DomainError("fold: the series does not fold to elementary form "
+                          f"(leftover Beta weight {abs(leftover):.3e})")
+    return elem, leftover
 
 
 def eval_series(bs: BetaSeries, hp: HeunParams, z) -> complex:
@@ -277,12 +284,7 @@ def eval_series(bs: BetaSeries, hp: HeunParams, z) -> complex:
         return total
     if not bs.terminated:
         raise DomainError("eval_series: |z| >= 1 requires a terminated series")
-    elem, leftover, _top = _fold_to_elementary(active, bs.gamma0, bs.delta_n, z)
-    scale = max(1.0, float(np.max(np.abs(active))))
-    if abs(leftover) > _FOLD_LEFTOVER_RTOL * scale:
-        raise DomainError("eval_series: terminated series does not fold to elementary form "
-                          f"(leftover Beta weight {abs(leftover):.3e})")
-    return elem
+    return _fold_to_elementary(active, bs.gamma0, bs.delta_n, z)[0]
 
 
 def series_solution(cfg: FieldConfig, sign: int, max_terms: int = 40
@@ -328,36 +330,18 @@ class TerminationRecord:
     """Outcome of the termination test at one series order N."""
 
     n: int
-    status: str                 # "trivial" | "unconditional" | "conditional" | "none"
+    status: str                 # "trivial" | "unconditional" | "conditional"
     roots_by_u0: dict           # probe coupling -> tuple of admissible shape-parameter roots
     drift: float                # max movement of matched roots across couplings
 
 
-def _constraint_residual(u0: float, delta1: float, delta2: float, a: float, n_stop: int) -> float:
-    """Scale-free residual of the termination constraint at shape parameter ``a``."""
-    cfg = FieldConfig(u0=u0, a=a, delta1=delta1, delta2=delta2)
-    hp, _ = map_to_heun(cfg, -1)
-    poly = q_polynomial(hp, n_stop)
-    val = np.polyval(poly[::-1], hp.q)
-    scale = float(np.max(np.abs(poly)))
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
-        raise DomainError("termination constraint residual is not real for real inputs")
-    return float(val.real) / scale
-
-
 def _constraint_determinant(u0: float, delta1: float, delta2: float, a, n_stop: int):
-    """``d_{N+1}`` of :func:`q_polynomial` at the physical ``q``, as a number.
+    """:func:`_continuant` at the physical ``q`` of the sign -1 branch.
 
-    The same tridiagonal recurrence run numerically on the sign -1 branch,
-    elementwise over an array ``a``; it vanishes where the termination
-    constraint holds and shares its sign with :func:`_constraint_residual`.
+    Elementwise over an array ``a``; it vanishes where the termination
+    constraint holds.
     """
-    hp, _ = _heun_constants(u0, a, delta1, delta2, -1)
-    rc = [recurrence_coeffs(hp, n) for n in range(n_stop + 1)]
-    d_prev, d_cur = 1.0, rc[0].qn
-    for n in range(2, n_stop + 2):
-        d_prev, d_cur = d_cur, rc[n - 1].qn * d_cur - rc[n - 2].pn * rc[n - 1].rn * d_prev
-    return d_cur
+    return _continuant(_heun_constants(u0, a, delta1, delta2, -1)[0], n_stop)
 
 
 def _constraint_roots(u0: float, delta1: float, delta2: float, n_stop: int,
@@ -382,8 +366,11 @@ def termination_search(cfg: FieldConfig, n_max: int,
     for the shape parameter ``a`` at several couplings ``u0``.  A root set
     that does not move with ``u0`` means the coupling and the detuning are
     independent (unconditional); a drifting root set couples them
-    (conditional).  Orders whose only solution is the degenerate constant
-    detuning (delta2 = 0 or a -> 1) are reported as trivial.
+    (conditional).  An order with no admissible root is trivial: its only
+    solution is the degenerate constant detuning (delta2 = 0, or a = 1).  Every
+    order terminates at a = 1, where q = 0 and delta = -epsilon = N reduce the
+    ODE to ``u'' + (gamma/z) u' = 0``; its solution ``z^(1-gamma)/(1-gamma)``
+    is the (N+1)-term sum ``sum_k C(N,k) (-1)^k B_z(1-gamma+k, 1-N)``.
     """
     if n_max < 0:
         raise ParameterError(f"termination_search: n_max must be >= 0, got {n_max}")
@@ -402,12 +389,7 @@ def termination_search(cfg: FieldConfig, n_max: int,
         sets = list(roots_by_u0.values())
         counts = {len(s) for s in sets}
         if counts == {0}:
-            # no admissible root: trivial if the constraint closes at the
-            # degenerate point a = 1, otherwise there is simply no model
-            near_one = max(abs(_constraint_residual(u0, cfg.delta1, delta2, 1.0 + 1e-7, n_stop))
-                           for u0 in u0_probes)
-            status = "trivial" if near_one < _TRIVIAL_ATOL else "none"
-            records.append(TerminationRecord(n_stop, status, roots_by_u0, 0.0))
+            records.append(TerminationRecord(n_stop, "trivial", roots_by_u0, 0.0))
             continue
         if len(counts) > 1:
             records.append(TerminationRecord(n_stop, "conditional", roots_by_u0, float("inf")))

@@ -15,7 +15,7 @@ import pytest
 from twostate.errors import DomainError, ParameterError
 from twostate.fields import FieldConfig, a_from_delta1
 from twostate.heun import (BetaSeries, HeunParams, _constraint_determinant,
-                           _constraint_residual, eval_series, expand, generalized_rabi,
+                           _fold_to_elementary, eval_series, expand, generalized_rabi,
                            map_to_heun, q_polynomial, q_polynomial_roots,
                            recurrence_coeffs, series_solution, termination_search)
 from twostate.specfun import inc_beta
@@ -260,6 +260,19 @@ def test_constraint_determinant_matches_q_polynomial():
                     assert abs(dense - got) <= 1e-11 * scale, (d1, a, u0, n_stop)
 
 
+def test_constraint_vanishes_at_a_equal_one():
+    # at a = 1 (q = 0, delta = -epsilon = N) the ODE is u'' + (gamma/z) u' = 0,
+    # solved by the (N+1)-term Beta sum: every order terminates there, which is
+    # why termination_search calls an order without admissible roots trivial
+    for d1 in (2.0, -2.0, 3.5, -4.5):
+        for u0 in (0.5, 1.0, 2.0):
+            for n_stop in range(1, 9):
+                exact, scale = _determinant_50_digits(u0, d1, 1.0, n_stop)
+                assert abs(exact) <= 1e-40 * scale      # zero to the 50-digit working precision
+                got = _constraint_determinant(u0, d1, float(n_stop), 1.0, n_stop)
+                assert abs(got) <= 1e-14 * scale, (d1, u0, n_stop, abs(got) / scale)
+
+
 def test_constraint_determinant_vectorized_over_a():
     avals = np.array([0.3, 0.77, 1.6, 4.2])
     vec = _constraint_determinant(1.3, -2.5, 4.0, avals, 4)
@@ -273,6 +286,27 @@ def test_q_polynomial_requires_termination_precondition():
 
 
 # ---------------------------------------------------------------- series evaluation
+
+def test_fold_rejects_a_non_cancelling_weight_set():
+    # without the cancelling weights of a terminated series the top Beta
+    # weight survives the fold and the sum is not elementary
+    with pytest.raises(DomainError):
+        _fold_to_elementary(np.array([1.0, 0.5, 0.25], dtype=complex), 1.3, -1.0, 1.5 + 0.5j)
+
+
+def test_eval_series_rejects_a_perturbed_terminated_series():
+    cfg = n2_scaled_config(1.0, 2.0)        # a = 3: the circle lies outside the unit disc
+    hp, _ = map_to_heun(cfg, -1)
+    bs = expand(hp)
+    z = math.sqrt(cfg.a) * np.exp(0.7j)
+    eval_series(bs, hp, z)                  # the genuine series folds
+    coeffs = bs.coeffs.copy()
+    coeffs[1] *= 1.0 + 1e-6
+    bad = BetaSeries(gamma0=bs.gamma0, delta_n=bs.delta_n, coeffs=coeffs,
+                     terminated=True, n_term=bs.n_term)
+    with pytest.raises(DomainError):
+        eval_series(bad, hp, z)
+
 
 def test_eval_series_single_term_is_beta_kernel():
     hp, _ = map_to_heun(FieldConfig(u0=0.7, a=3.0, delta1=1.3, delta2=0.7), -1)
@@ -363,11 +397,14 @@ def test_termination_search_hierarchy_to_order_six(delta1):
         ["conditional"] * 4
     for roots in records[2].roots_by_u0.values():
         assert len(roots) == 1 and abs(roots[0] - a_from_delta1(delta1)) < 1e-9
-    # every root also zeroes the dense-polynomial residual the search used to scan
+    # every root also zeroes the dense q-polynomial of criterion 04
     for rec in records[1:]:
         for u0, roots in rec.roots_by_u0.items():
             for a in roots:
-                assert abs(_constraint_residual(u0, delta1, float(rec.n), a, rec.n)) < 1e-9
+                hp, _ = map_to_heun(FieldConfig(u0=u0, a=a, delta1=delta1,
+                                                delta2=float(rec.n)), -1)
+                poly = q_polynomial(hp, rec.n)
+                assert abs(np.polyval(poly[::-1], hp.q)) / np.max(np.abs(poly)) < 1e-9
 
 
 def test_termination_search_validates_n_max():
