@@ -136,7 +136,12 @@ class CrossingReport:
 
 @dataclass(frozen=True)
 class DriveField:
-    """Callable view of a drive, the only interface the numerical oracle uses."""
+    """Callable view of a drive, the only interface the numerical oracle uses.
+
+    Contract: ``u`` and ``delta_t`` are ``period``-periodic.  The oracle relies
+    on it to compose every period of a window from one one-period solve.  The
+    n2, general and printed n3 drives and a constant drive all satisfy it.
+    """
 
     u: Callable[[float], float]
     delta_t: Callable[[float], float]

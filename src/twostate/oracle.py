@@ -1,22 +1,28 @@
 """Independent numerical ground truth for the driven two-state system.
 
-Integrates the raw coupled amplitude equations
+Solves the raw coupled amplitude equations
 
     i da1/dt = U(t) exp(-i delta(t)) a2,
     i da2/dt = U(t) exp(+i delta(t)) a1,
 
-as one complex state ``[a1, a2, phase]``: the phase modulation ``delta(t)`` is
-co-integrated as a third component whose imaginary part stays zero, so the
-oscillating factors stay consistent with the detuning callable to integrator
-accuracy.  Nothing here shares code with the analytic modules: agreement
-between the two is the package's core correctness check.
+with the phase modulation ``delta(t)``, ``delta' = delta_t``, co-integrated.
+In the co-rotating variable ``c1 = a1 exp(+i delta(t))`` they read
+``c' = A(t) c`` with ``A = [[i delta_t, -i U], [-i U, 0]]``, whose
+coefficients are ``period``-periodic (the :class:`~twostate.fields.DriveField`
+contract).  By Floquet's theorem the fundamental matrix ``Y`` (``Y(t0) = I``)
+and the phase then satisfy
 
-Floquet data comes from the monodromy matrix, the fundamental matrix after one
-period, of the equivalent periodic system in the co-rotating variable
-``c1 = a1 exp(+i delta(t))``; in these variables the coefficients are periodic
-in time, the one-period transfer matrix is unitary, and the eigenvalue
-arguments are the quasi-energies of the amplitude equation modulo the drive
-frequency.
+    Y(t0 + s + k T) = Y(t0 + s) M^k,    delta(t0 + s + k T) = delta(t0 + s) + k Phi,
+
+with the monodromy matrix ``M = Y(t0 + T)`` and ``Phi`` the phase gained over
+one period.  So one adaptive solve of ``[Y, delta]`` over a single period gives
+every sample of any window through 2x2 products, and its end point is the
+monodromy matrix, which is unitary and whose eigenvalue arguments are the
+quasi-energies of the amplitude equation modulo the drive frequency.  The
+composition adds no truncation error of its own: the one-period error
+``eps_M`` is carried coherently, so a sample ``k`` periods out is off by about
+``k eps_M``.  Nothing here shares code with the analytic modules: agreement
+between the two is the package's core correctness check.
 """
 
 from __future__ import annotations
@@ -75,12 +81,28 @@ class MonodromyResult:
         return float(abs(np.linalg.det(self.matrix)))
 
 
-def _solve(owner: str, rhs, t_span, y0, rtol: float, atol: float, t_eval=None):
+def _period_solve(owner: str, field: DriveField, t0: float, h: float, rtol: float,
+                  atol: float, t_eval=None, dense: bool = False):
+    """One DOP853 solve of ``[Y (row-major), delta]`` from ``[I, 0]`` over ``[t0, t0 + h]``.
+
+    ``h`` is at most one period long, so ``Y(t0 + h)`` is the monodromy matrix
+    when ``|h| = T``; ``t_eval`` and ``dense`` are passed to ``solve_ivp``.
+    """
     # a non-finite tolerance makes solve_ivp step forever instead of failing
     if not (_MIN_RTOL <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 <= atol < inf, "
                              f"got rtol={rtol}, atol={atol}")
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
+
+    def rhs(t, y):
+        # A(t) @ Y with A = [[i delta_t, -i U], [-i U, 0]], then delta' = delta_t
+        y11, y12, y21, y22, _ = y.tolist()
+        iu = 1j * field.u(t)
+        dt = field.delta_t(t)
+        idt = 1j * dt
+        return [idt * y11 - iu * y21, idt * y12 - iu * y22, -iu * y11, -iu * y12, dt]
+
+    sol = solve_ivp(rhs, (t0, t0 + h), np.array([1, 0, 0, 1, 0], dtype=complex),
+                    method="DOP853", t_eval=t_eval, dense_output=dense, rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"{owner}: solver failed: {sol.message}")
     return sol
@@ -89,48 +111,82 @@ def _solve(owner: str, rhs, t_span, y0, rtol: float, atol: float, t_eval=None):
 def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float],
               t_eval=None, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
               ) -> Trajectory:
-    """Adaptive Runge-Kutta integration of the amplitude equations (DOP853 8(5,3)).
+    """Amplitude-equation samples composed from one one-period solve (DOP853 8(5,3)).
+
+    ``Y`` and ``delta`` are integrated from ``t_span[0]`` over
+    ``h = sign(span) min(|span|, T)`` only.  A sample ``k`` whole periods from
+    ``t_span[0]``, at offset ``s`` into its period, is ``c = Y(s) M^k c0`` with
+    ``c0 = (a1 exp(i delta0), a2)``, ``delta = delta0 + delta(s) + k Phi`` and
+    ``a1 = c1 exp(-i delta)``.  The cost therefore does not grow with the
+    number of periods, while the error grows like ``k eps_M``, ``eps_M`` being
+    the error of the one-period matrix.  ``nfev`` counts the calls of the one
+    solve.
 
     ``state0.phase`` seeds the accumulated phase modulation at ``t_span[0]``;
     pass 0 when starting at the drive's time origin.  Backward integration
-    (``t_span[1] < t_span[0]``) is supported.
+    (``t_span[1] < t_span[0]``) composes the backward one-period matrix.
+    ``t_eval`` must be strictly monotone within ``t_span``; without it the
+    samples are the solver's steps over one period, tiled over the span and cut
+    at ``t_span[1]``, with both end points included.
     """
-    def rhs(t, y):
-        a1, a2, phase = y.tolist()
-        iu = 1j * field.u(t)
-        rot = cmath.exp(-1j * phase.real)
-        return [-iu * rot * a2, -iu * rot.conjugate() * a1, field.delta_t(t)]
-
-    y0 = [complex(state0.a1), complex(state0.a2), complex(state0.phase)]
-    sol = _solve("integrate", rhs, t_span, y0, rtol, atol, t_eval)
-    a1, a2 = sol.y[0], sol.y[1]
+    T = field.period
+    t_start, t_end = float(t_span[0]), float(t_span[1])
+    span = t_end - t_start
+    sign = -1.0 if span < 0 else 1.0
+    multi = abs(span) > T
+    h = sign * min(abs(span), T)
+    if t_eval is None:
+        sol = _period_solve("integrate", field, t_start, h, rtol, atol, dense=multi)
+        x = sign * (sol.t - t_start)
+        if multi:
+            x = (np.arange(math.ceil(abs(span) / T))[:, None] * T + x[:-1]).ravel()
+            x = np.append(x[x < abs(span)], abs(span))
+            times = np.append(t_start + sign * x[:-1], t_end)
+        else:
+            times = sol.t
+    else:
+        times = np.array(t_eval, dtype=float)
+        x = sign * (times - t_start)
+        if np.any(x < 0) or np.any(x > abs(span)) or np.any(np.diff(x) <= 0):
+            raise ParameterError("integrate: t_eval must be strictly monotone within t_span")
+    # whole periods before each sample; a window of at most one period reads
+    # every sample straight off the solve, so k = 0 there, also at x = T
+    k = np.floor(x / T).astype(int) if multi else np.zeros(len(x), dtype=int)
+    # each sample's time mapped into the solved period
+    at = t_start + sign * np.clip(x - k * T, 0.0, abs(h))
+    if t_eval is not None:
+        # solve_ivp wants a strictly monotone t_eval; the period end gives M and Phi
+        key, where = np.unique(sign * np.append(at, t_start + h), return_inverse=True)
+        sol = _period_solve("integrate", field, t_start, h, rtol, atol, t_eval=sign * key)
+        y = sol.y[:, where[:-1]]
+    else:
+        y = sol.sol(at) if multi else sol.y
+    m, phase_period = sol.y[:4, -1].reshape(2, 2), sol.y[4, -1].real
+    powers = [np.array([state0.a1 * cmath.exp(1j * state0.phase), state0.a2], dtype=complex)]
+    for _ in range(int(k.max())):
+        powers.append(m @ powers[-1])
+    v = np.array(powers)[k].T                                  # M^k c0 per sample
+    c1 = y[0] * v[0] + y[1] * v[1]
+    a2 = y[2] * v[0] + y[3] * v[1]
+    phase = state0.phase + y[4].real + k * phase_period
+    a1 = c1 * np.exp(-1j * phase)
     norm0 = abs(state0.a1) ** 2 + abs(state0.a2) ** 2
     drift = float(np.max(np.abs(np.abs(a1) ** 2 + np.abs(a2) ** 2 - norm0)))
-    return Trajectory(times=sol.t, a1=a1, a2=a2, phase=sol.y[2].real, norm_drift=drift,
-                      nfev=sol.nfev)
+    return Trajectory(times=times, a1=a1, a2=a2, phase=phase, norm_drift=drift, nfev=sol.nfev)
 
 
 def monodromy(field: DriveField, t_ref: float = 0.0,
               rtol: float = 1e-11, atol: float = 1e-13) -> MonodromyResult:
     """One-period transfer matrix and Floquet exponents of the drive.
 
-    The fundamental matrix ``Y`` of the co-rotating system
-    ``c1' = i delta_t c1 - i U a2``, ``a2' = -i U c1`` (periodic coefficients)
-    is propagated from the identity over ``[t_ref, t_ref + T]`` in one solve;
-    eigenvalue arguments divided by the period give the exponents, folded into
-    ``[-Delta/2, Delta/2)`` with ``Delta = 2 pi / T``.
+    The matrix is ``Y(t_ref + T)``, the end point of the one-period solve that
+    :func:`integrate` composes its samples from; eigenvalue arguments divided by
+    the period give the exponents, folded into ``[-Delta/2, Delta/2)`` with
+    ``Delta = 2 pi / T``.
     """
-    def rhs(t, y):
-        # A(t) @ Y with A = [[i delta_t, -i U], [-i U, 0]], Y row-major
-        y11, y12, y21, y22 = y.tolist()
-        iu = 1j * field.u(t)
-        idt = 1j * field.delta_t(t)
-        return [idt * y11 - iu * y21, idt * y12 - iu * y22, -iu * y11, -iu * y12]
-
     T = field.period
-    sol = _solve("monodromy", rhs, (t_ref, t_ref + T), np.eye(2, dtype=complex).ravel(),
-                 rtol, atol)
-    m = sol.y[:, -1].reshape(2, 2)
+    sol = _period_solve("monodromy", field, t_ref, T, rtol, atol)
+    m = sol.y[:4, -1].reshape(2, 2)
     eig = np.linalg.eigvals(m)
     delta = 2.0 * math.pi / T
     exps = tuple(wrap_mod(float(np.angle(ev)) / T, delta) for ev in eig)

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from twostate.cli import build_parser, main
 
@@ -145,6 +146,18 @@ def test_compare_verdict_pass(tmp_path):
     data = json.loads(out.read_text())["data"]
     assert data["verdict"] == ["PASS"]
     assert data["max_deviation"][0] <= 1e-8
+
+
+@pytest.mark.parametrize("u0, delta1", [("1", "2"), ("5", "-6")])
+def test_compare_long_window_pass(tmp_path, u0, delta1):
+    # the oracle composes every period from one one-period solve, so its error
+    # grows with the window; 200 periods still pass the default 1e-8
+    out = tmp_path / "cmp_long.json"
+    rc = main(["compare", "--u0", u0, "--delta1", delta1, "--periods", "200",
+               "--format", "json", "-o", str(out)])
+    assert rc == 0
+    data = json.loads(out.read_text())["data"]
+    assert data["verdict"] == ["PASS"] and data["tolerance"] == [1e-8]
 
 
 def test_compare_verdict_fail_exit_code(tmp_path):

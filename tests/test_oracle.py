@@ -2,8 +2,9 @@
 
 The integrator is checked against problems with known closed-form behaviour
 (decoupled system, constant-detuning flopping), against itself (tolerance
-scaling, time reversal, norm conservation) and against the analytic
-quasi-energies of the solvable model.
+scaling, time reversal, norm conservation), against the analytic
+quasi-energies of the solvable model, and against a brute-force multi-period
+solve written here, which shares no code with the Floquet composition.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from twostate import oracle
 from twostate.closedform import StateVector, closed_form_states, floquet_analytic
@@ -25,6 +27,45 @@ GROUND = StateVector(a1=1.0, a2=0.0)
 
 def constant_drive(u0, delta1):
     return DriveField(u=lambda t: u0, delta_t=lambda t: delta1, period=2 * math.pi)
+
+
+def printed_n3_drive():
+    from twostate.fields import detuning_n3
+    return DriveField(u=lambda t: 1.0, delta_t=lambda t: detuning_n3(1.0, -2.0, +1, t),
+                      period=2 * math.pi)
+
+
+def brute_force(field, state0, t_span, t_eval):
+    """Reference: the raw amplitude equations solved straight across the whole window.
+
+    ``[a1, a2, phase]`` in the lab frame, every period integrated, at a tighter
+    tolerance than the runs it checks; no Floquet composition, no co-rotating
+    frame and no code from the oracle.
+    """
+    def rhs(t, y):
+        a1, a2, phase = y
+        rot = np.exp(-1j * phase.real)
+        u = field.u(t)
+        return [-1j * u * rot * a2, -1j * u * np.conj(rot) * a1, field.delta_t(t)]
+
+    sol = solve_ivp(rhs, t_span, np.array([state0.a1, state0.a2, state0.phase], dtype=complex),
+                    method="DOP853", t_eval=t_eval, rtol=1e-13, atol=1e-15)
+    assert sol.success
+    return sol.y[0], sol.y[1], sol.y[2].real
+
+
+# every in-repo drive family, each `period`-periodic: n2 with both carrier
+# signs, the general drive (generic and the a = 16 glancing case), the printed
+# n3 field and the constant drive
+DRIVES = {
+    "n2+": lambda: drive_field(N2Config(u0=1.0, delta1=2.0)),
+    "n2-": lambda: drive_field(N2Config(u0=0.7, delta1=-3.0)),
+    "general": lambda: drive_field(FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0)),
+    "glancing": lambda: drive_field(FieldConfig(u0=0.9, a=16.0, delta1=-25.0 / 16.0,
+                                                delta2=-15.0 / 16.0)),
+    "n3-printed": printed_n3_drive,
+    "constant": lambda: constant_drive(0.8, 1.3),
+}
 
 
 # ---------------------------------------------------------------- basic integration
@@ -59,13 +100,11 @@ def test_norm_drift_solvable_model():
 
 
 def test_norm_conservation_all_drive_families():
-    from twostate.fields import detuning_n3
     rtol = 1e-10
     drives = [
         drive_field(N2Config(u0=1.0, delta1=2.0)),
         drive_field(FieldConfig(u0=0.9, a=16.0, delta1=-25.0 / 16.0, delta2=-15.0 / 16.0)),
-        DriveField(u=lambda t: 1.0, delta_t=lambda t: detuning_n3(1.0, -2.0, +1, t),
-                   period=2 * math.pi),
+        printed_n3_drive(),
     ]
     for fld in drives:
         traj = integrate(fld, GROUND, (0.0, 10 * fld.period), rtol=rtol, atol=1e-12)
@@ -116,6 +155,51 @@ def test_integrate_seeds_phase():
     assert abs(cont.state_at(-1).a2 - full.state_at(-1).a2) < 1e-9
 
 
+@pytest.mark.parametrize("name", DRIVES)
+@pytest.mark.parametrize("periods", (5.37, -5.37, 0.61))
+def test_composed_integrate_matches_brute_force(name, periods):
+    # a window starting off the origin, forward, backward and shorter than one
+    # period, from a state with a seeded phase
+    fld = DRIVES[name]()
+    t_ref = 0.3
+    t_span = (t_ref, t_ref + periods * fld.period)
+    state0 = StateVector(a1=0.6, a2=0.8j, phase=0.4)
+    ts = np.linspace(*t_span, 401)
+    traj = integrate(fld, state0, t_span, t_eval=ts, rtol=1e-11, atol=1e-13)
+    assert np.array_equal(traj.times, ts)
+    a1, a2, phase = brute_force(fld, state0, t_span, ts)
+    assert np.max(np.abs(traj.a1 - a1)) < 1e-9, name
+    assert np.max(np.abs(traj.a2 - a2)) < 1e-9, name
+    assert np.max(np.abs(traj.phase - phase)) < 1e-9, name
+    # without t_eval: the one-period steps tiled over the window, checked there too
+    steps = integrate(fld, state0, t_span, rtol=1e-11, atol=1e-13)
+    assert steps.times[0] == t_span[0] and steps.times[-1] == t_span[1]
+    assert np.all(np.sign(periods) * np.diff(steps.times) > 0)
+    a1, a2, _ = brute_force(fld, state0, t_span, steps.times)
+    assert np.max(np.abs(steps.a1 - a1)) < 1e-9, name
+    assert np.max(np.abs(steps.a2 - a2)) < 1e-9, name
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (0.0, -2.0)])
+def test_whole_period_windows_match_brute_force(t_span):
+    # spans of exactly one or two periods, where a sample falls on a period end
+    cfg = N2Config(u0=1.0, delta1=2.0)
+    fld = drive_field(cfg)
+    t_span = (t_span[0] * cfg.period, t_span[1] * cfg.period)
+    traj = integrate(fld, GROUND, t_span, rtol=1e-11, atol=1e-13)
+    assert traj.times[-1] == t_span[1]
+    a1, a2, _ = brute_force(fld, GROUND, t_span, traj.times)
+    assert np.max(np.abs(traj.a1 - a1)) < 1e-9
+    assert np.max(np.abs(traj.a2 - a2)) < 1e-9
+
+
+def test_integrate_rejects_t_eval_outside_span_or_unsorted():
+    fld = constant_drive(1.0, 1.0)
+    for t_eval in ([0.0, 2.0], [1.0, 0.5], [0.5, 0.5]):
+        with pytest.raises(ParameterError):
+            integrate(fld, GROUND, (0.0, 1.0), t_eval=t_eval)
+
+
 # ---------------------------------------------------------------- monodromy
 
 def test_monodromy_matches_analytic_quasi_energies():
@@ -161,13 +245,15 @@ def test_monodromy_general_drive_unit_circle():
 ])
 def test_monodromy_columns_match_integrate(cfg):
     # column j is basis state j after one period, in co-rotating variables
-    # (a1 exp(i phase), a2), with the phase seeded at 0 at t_ref
+    # (a1 exp(i phase), a2), with the phase seeded at 0 at t_ref; the columns
+    # come from the brute-force reference, since integrate composes its
+    # samples from the same one-period solve as monodromy
     fld, t_ref = drive_field(cfg), 0.3
     m = monodromy(fld, t_ref=t_ref).matrix
+    t_end = t_ref + fld.period
     for j, state0 in enumerate((StateVector(a1=1.0, a2=0.0), StateVector(a1=0.0, a2=1.0))):
-        end = integrate(fld, state0, (t_ref, t_ref + fld.period),
-                        rtol=1e-11, atol=1e-13).state_at(-1)
-        col = [end.a1 * np.exp(1j * end.phase), end.a2]
+        a1, a2, phase = brute_force(fld, state0, (t_ref, t_end), [t_end])
+        col = [a1[0] * np.exp(1j * phase[0]), a2[0]]
         assert np.max(np.abs(m[:, j] - col)) < 1e-9, (cfg, j)
 
 
@@ -202,13 +288,26 @@ def test_nfev_counts_rhs_calls():
 
 
 def test_rhs_call_budget_solvable_model():
-    # DOP853 makes 4,493 and 1,214 calls here; RK45 made 11,150 and 5,270
+    # one composed one-period solve makes 1,154 calls here and the monodromy
+    # 1,202; DOP853 across all five periods made 4,493, RK45 11,150
     cfg = N2Config(u0=1.0, delta1=2.0)
     fld = drive_field(cfg)
     ts = np.linspace(0.0, 5 * cfg.period, 1001)
     traj = integrate(fld, GROUND, (0.0, float(ts[-1])), t_eval=ts, rtol=1e-11, atol=1e-13)
-    assert traj.nfev <= 5000
+    assert traj.nfev <= 1500
     assert monodromy(fld, rtol=1e-12, atol=1e-13).nfev <= 1500
+
+
+def test_integrate_cost_independent_of_periods():
+    # the same 200-sample-per-period grid over 5 and over 200 periods
+    cfg = N2Config(u0=1.0, delta1=2.0)
+    fld = drive_field(cfg)
+    nfev = []
+    for periods in (5, 200):
+        ts = np.linspace(0.0, periods * cfg.period, 200 * periods + 1)
+        nfev.append(integrate(fld, GROUND, (0.0, float(ts[-1])), t_eval=ts,
+                              rtol=1e-11, atol=1e-13).nfev)
+    assert nfev[0] == nfev[1]
 
 
 @pytest.mark.parametrize("u0", (0.2, 5.0))
