@@ -22,7 +22,7 @@ from .heun import (BetaSeries, HeunParams, PrefactorExponents, RecurrenceCoeffs,
                    series_solution, termination_search)
 from .oracle import (MonodromyResult, Trajectory, integrate, mean_detuning, mod_distance,
                      monodromy, rabi_population, wrap_mod)
-from .specfun import (EPS_CHECK, EPS_SERIES, UnwoundPoint, beta_step, hyp2f1, inc_beta,
-                      unwound_power)
+from .specfun import (EPS_CHECK, EPS_SERIES, UnwoundPoint, beta_step, fold_beta_sum, hyp2f1,
+                      inc_beta, unwound_power)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

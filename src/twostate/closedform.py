@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import ParameterError, SingularSystemError
 from .fields import N2Config, StateVector  # StateVector re-exported for callers
-from .heun import _fold_to_elementary, generalized_rabi
-from .specfun import UnwoundPoint, as_complex, power
+from .heun import generalized_rabi
+from .specfun import UnwoundPoint, as_complex, fold_beta_sum, power
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class HarmonicLadder:
     """
 
     direction: int
-    base: float
     coeffs: np.ndarray
 
 
@@ -113,9 +112,7 @@ def hg_three_beta(delta1: float, u0: float, z) -> complex:
     zc = as_complex(z)
     if zc == 1.0:
         raise ParameterError("hg_three_beta: singular at z = 1")
-    big_r = generalized_rabi(u0, delta1)
-    coeffs = np.array(three_beta_coeffs(delta1, u0), dtype=complex)
-    return _fold_to_elementary(coeffs, big_r, -1.0, z)[0]
+    return fold_beta_sum(three_beta_coeffs(delta1, u0), generalized_rabi(u0, delta1), -1.0, z)
 
 
 def _amplitude_arrays(cfg: N2Config, sign: int, times) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +162,7 @@ def phase_n2(cfg: N2Config, t):
     return float(out) if np.isscalar(t) else out
 
 
-def recover_a1(cfg: N2Config, a2_value: complex, a2_derivative: complex, phase: float) -> complex:
+def recover_a1(cfg: N2Config, a2_derivative: complex, phase: float) -> complex:
     """Companion amplitude: a1 = i * (da2/dt) * exp(-i phase) / U."""
     u_phys = cfg.u0 * cfg.delta
     return 1j * a2_derivative * cmath.exp(-1j * phase) / u_phys
@@ -179,7 +176,7 @@ def match_initial(cfg: N2Config, state0: StateVector, t_start: float) -> tuple[c
     cols = []
     for sign in (+1, -1):
         v, d = map(complex, _amplitude_arrays(cfg, sign, t_start))
-        cols.append((recover_a1(cfg, v, d, phi0), v))
+        cols.append((recover_a1(cfg, d, phi0), v))
     (a1p, vp), (a1m, vm) = cols
     det = a1p * vm - a1m * vp
     scale = abs(a1p * vm) + abs(a1m * vp)
@@ -211,8 +208,8 @@ def floquet_analytic(cfg: N2Config) -> FloquetReport:
                          lambda2=0.5 * (cfg.delta1 + big_r))
 
 
-def harmonic_content(cfg: N2Config, n_harmonics: int, sign: int = +1) -> HarmonicLadder:
-    """Fourier ladder of the periodic bracket of the fundamental solution.
+def harmonic_content(cfg: N2Config, n_harmonics: int) -> HarmonicLadder:
+    """Fourier ladder of the periodic bracket of the plus-sign fundamental solution.
 
     The geometric structure of ``1/(1 - z)`` on a circle of radius != 1 makes
     the ladder one-sided: descending harmonics for radius > 1 (the expansion
@@ -221,14 +218,11 @@ def harmonic_content(cfg: N2Config, n_harmonics: int, sign: int = +1) -> Harmoni
     """
     if n_harmonics < 1:
         raise ParameterError(f"harmonic_content: n_harmonics must be >= 1, got {n_harmonics}")
-    if sign not in (+1, -1):
-        raise ParameterError(f"harmonic_content: sign must be +1 or -1, got {sign}")
-    rs = sign * generalized_rabi(cfg.u0, cfg.delta1)
     base = math.sqrt(cfg.a) * math.cos(_angle_offset(cfg))  # -sqrt(a) on the shifted branch
-    dc, w = _bracket_weights(rs, cfg.delta1)
+    dc, w = _bracket_weights(generalized_rabi(cfg.u0, cfg.delta1), cfg.delta1)
     k = np.arange(1, n_harmonics + 1)   # integer exponents: base may be negative
     if abs(base) > 1.0:
         coeffs = np.concatenate(([dc + 0j], -w * base**(-k)))
-        return HarmonicLadder(direction=-1, base=base, coeffs=coeffs)
+        return HarmonicLadder(direction=-1, coeffs=coeffs)
     coeffs = np.concatenate(([dc + w + 0j], w * base**k))
-    return HarmonicLadder(direction=+1, base=base, coeffs=coeffs)
+    return HarmonicLadder(direction=+1, coeffs=coeffs)

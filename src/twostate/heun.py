@@ -34,12 +34,13 @@ from numpy.polynomial import Polynomial
 
 from .errors import DomainError, ParameterError
 from .fields import FieldConfig, grid_roots
-from .specfun import UnwoundPoint, _is_nonpositive_integer, as_complex, hyp2f1, power
+from .specfun import UnwoundPoint, as_complex, fold_beta_sum, inc_beta, power
 
 TERMINATION_RTOL = 1e-12   # two consecutive coefficients below this (rel.) terminate
-_FOLD_LEFTOVER_RTOL = 1e-10
 
-# termination_search thresholds
+# termination_search settings
+_U0_PROBES = (0.5, 1.0, 2.0)   # couplings at which the constraint roots are compared
+_A_GRID = 2001             # shape-parameter grid points bracketing the roots
 _ROOT_MATCH_ATOL = 1e-6    # constraint roots agreeing across couplings
 _ROOT_XTOL = 1e-15         # brentq absolute tolerance on a constraint root
 
@@ -86,12 +87,15 @@ class BetaSeries:
     gamma0: complex
     delta_n: complex
     coeffs: np.ndarray          # c_0 .. c_M, c_0 = 1
-    terminated: bool
     n_term: Optional[int]       # index N with c_{N+1}, c_{N+2} ~ 0, if terminated
+
+    @property
+    def terminated(self) -> bool:
+        return self.n_term is not None
 
     def active_coeffs(self) -> np.ndarray:
         """Coefficients that actually contribute (c_0..c_N if terminated)."""
-        if self.terminated and self.n_term is not None:
+        if self.terminated:
             return self.coeffs[: self.n_term + 1]
         return self.coeffs
 
@@ -155,7 +159,6 @@ def expand(hp: HeunParams, max_terms: int = 40) -> BetaSeries:
     coeffs = [1.0 + 0j]
     rc = [recurrence_coeffs(hp, 0)]
     cmax = 1.0
-    terminated = False
     n_term = None
     for n in range(1, max_terms + 1):
         rc.append(recurrence_coeffs(hp, n))
@@ -174,12 +177,10 @@ def expand(hp: HeunParams, max_terms: int = 40) -> BetaSeries:
         cmax = max(cmax, abs(c))
         if n >= 2 and abs(coeffs[n]) <= TERMINATION_RTOL * cmax \
                 and abs(coeffs[n - 1]) <= TERMINATION_RTOL * cmax:
-            terminated = True
             n_term = n - 2
             break
     return BetaSeries(gamma0=1.0 - hp.gamma, delta_n=1.0 - hp.delta,
-                      coeffs=np.array(coeffs, dtype=complex),
-                      terminated=terminated, n_term=n_term)
+                      coeffs=np.array(coeffs, dtype=complex), n_term=n_term)
 
 
 def _continuant(hp: HeunParams, n_stop: int):
@@ -232,32 +233,7 @@ def q_polynomial_roots(poly: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _fold_to_elementary(coeffs: np.ndarray, gamma0: complex, b: complex, z):
-    """Collapse ``sum_n coeffs[n] B_z(gamma0+n, b)`` to elementary terms.
-
-    Repeatedly rewrites the lowest Beta function through its upper neighbour;
-    the elementary heads accumulate and the Beta weight migrates to the top
-    index.  The sum is elementary only if that leftover weight cancels:
-    :class:`DomainError` if it exceeds ``1e-10 max(1, max|coeffs|)``.
-    Returns ``(elementary_sum, leftover_coeff)``.
-    """
-    zc = as_complex(z)
-    work = list(np.asarray(coeffs, dtype=complex))
-    elem = 0.0 + 0j
-    for n in range(len(work) - 1):
-        cn = gamma0 + n
-        if cn == 0:
-            raise ParameterError("fold: Beta parameter hits 0 while folding")
-        elem += work[n] * power(z, cn) / cn * (1.0 - zc) ** b
-        work[n + 1] += work[n] * (b + cn) / cn
-    leftover = work[-1]
-    if abs(leftover) > _FOLD_LEFTOVER_RTOL * max(1.0, float(np.max(np.abs(coeffs)))):
-        raise DomainError("fold: the series does not fold to elementary form "
-                          f"(leftover Beta weight {abs(leftover):.3e})")
-    return elem, leftover
-
-
-def eval_series(bs: BetaSeries, hp: HeunParams, z) -> complex:
+def eval_series(bs: BetaSeries, z) -> complex:
     """Value of the expansion at ``z`` (plain complex or :class:`UnwoundPoint`).
 
     Inside the unit disc every term is summed through the incomplete Beta
@@ -270,55 +246,36 @@ def eval_series(bs: BetaSeries, hp: HeunParams, z) -> complex:
         raise DomainError("eval_series: z = 1 is a singular point")
     active = bs.active_coeffs()
     if abs(zc) < 1.0:
-        # inline the Beta representation so the z^p factor can stay on the
-        # universal cover when an UnwoundPoint is supplied (the 2F1 factor is
-        # single-valued inside the unit disc)
-        total = 0.0 + 0j
-        for n, c in enumerate(active):
-            if c == 0:
-                continue
-            p = bs.gamma0 + n
-            if p == 0 or _is_nonpositive_integer(p):
-                raise ParameterError(f"eval_series: Beta parameter {p} is a non-positive integer")
-            total += c * power(z, p) / p * hyp2f1(p, 1.0 - bs.delta_n, p + 1.0, zc)
-        return total
+        return sum((c * inc_beta(bs.gamma0 + n, bs.delta_n, z)
+                    for n, c in enumerate(active) if c != 0), 0j)
     if not bs.terminated:
         raise DomainError("eval_series: |z| >= 1 requires a terminated series")
-    return _fold_to_elementary(active, bs.gamma0, bs.delta_n, z)[0]
+    return fold_beta_sum(active, bs.gamma0, bs.delta_n, z)
 
 
-def series_solution(cfg: FieldConfig, sign: int, max_terms: int = 40
+def series_solution(cfg: FieldConfig, sign: int
                     ) -> tuple[Callable[[float], complex], Callable[[float], complex]]:
     """Amplitude callables ``(a2(t), da2/dt(t))`` built from prefactor x series.
 
     Scaled time (cfg.delta must be 1).  The derivative uses the elementary
     closed form of ``dB_z/dz`` so no numerical differentiation is involved.
+    ``z`` stays an :class:`UnwoundPoint`: its powers must not branch-snap.
     """
     hp, pre = map_to_heun(cfg, sign)
-    bs = expand(hp, max_terms)
+    bs = expand(hp)
     sqa = math.sqrt(cfg.a)
     active = bs.active_coeffs()
 
-    def _u_and_du(pt: UnwoundPoint) -> tuple[complex, complex]:
-        zc = pt.value
-        if not bs.terminated and abs(zc) >= 1.0:
-            raise DomainError("series_solution: non-terminated series off the unit disc")
-        u = eval_series(bs, hp, pt)   # keep the unwound phase: z^p must not branch-snap
-        du = 0.0 + 0j
-        for n, c in enumerate(active):
-            if c == 0:
-                continue
-            du += c * power(pt, bs.gamma0 + n - 1) * (1.0 - zc) ** (bs.delta_n - 1.0)
-        return u, du
-
     def a2(t: float) -> complex:
         pt = UnwoundPoint(sqa, t - cfg.t0)
-        u, _ = _u_and_du(pt)
-        return power(pt, pre.alpha1) * u
+        return power(pt, pre.alpha1) * eval_series(bs, pt)
 
     def da2_dt(t: float) -> complex:
         pt = UnwoundPoint(sqa, t - cfg.t0)
-        u, du = _u_and_du(pt)
+        u = eval_series(bs, pt)
+        zc = pt.value
+        du = sum((c * power(pt, bs.gamma0 + n - 1) * (1.0 - zc) ** (bs.delta_n - 1.0)
+                  for n, c in enumerate(active) if c != 0), 0j)
         return 1j * (pre.alpha1 * power(pt, pre.alpha1) * u
                      + power(pt, pre.alpha1 + 1.0) * du)
 
@@ -345,8 +302,8 @@ def _constraint_determinant(u0: float, delta1: float, delta2: float, a, n_stop: 
 
 
 def _constraint_roots(u0: float, delta1: float, delta2: float, n_stop: int,
-                      a_range: tuple[float, float], grid: int) -> tuple[float, ...]:
-    avals, h = np.linspace(*a_range, grid, retstep=True)
+                      a_range: tuple[float, float]) -> tuple[float, ...]:
+    avals, h = np.linspace(*a_range, _A_GRID, retstep=True)
     f = lambda a: _constraint_determinant(u0, delta1, delta2, a, n_stop)
     fvals = f(avals)
     roots = []
@@ -357,9 +314,7 @@ def _constraint_roots(u0: float, delta1: float, delta2: float, n_stop: int,
 
 
 def termination_search(cfg: FieldConfig, n_max: int,
-                       u0_probes: tuple[float, ...] = (0.5, 1.0, 2.0),
-                       a_range: tuple[float, float] = (1e-3, 8.0),
-                       grid: int = 2001) -> list[TerminationRecord]:
+                       a_range: tuple[float, float] = (1e-3, 8.0)) -> list[TerminationRecord]:
     """Classify the termination hierarchy for N = 0..n_max with delta2 = N imposed.
 
     For each N the constraint "series terminates after N+1 terms" is solved
@@ -384,8 +339,8 @@ def termination_search(cfg: FieldConfig, n_max: int,
             records.append(TerminationRecord(0, "trivial", {}, 0.0))
             continue
         delta2 = float(n_stop)
-        roots_by_u0 = {u0: _constraint_roots(u0, cfg.delta1, delta2, n_stop, a_range, grid)
-                       for u0 in u0_probes}
+        roots_by_u0 = {u0: _constraint_roots(u0, cfg.delta1, delta2, n_stop, a_range)
+                       for u0 in _U0_PROBES}
         sets = list(roots_by_u0.values())
         counts = {len(s) for s in sets}
         if counts == {0}:

@@ -215,11 +215,10 @@ def exponent_pair_residual(analytic: tuple[float, float], measured: tuple[float,
     return min(direct, swapped)
 
 
-def mean_detuning(field: DriveField, period: float | None = None) -> float:
+def mean_detuning(field: DriveField) -> float:
     """Period average of the detuning by adaptive quadrature."""
-    T = field.period if period is None else period
-    val, _err = quad(field.delta_t, 0.0, T, epsabs=1e-12, epsrel=1e-12, limit=400)
-    return val / T
+    val, _err = quad(field.delta_t, 0.0, field.period, epsabs=1e-12, epsrel=1e-12, limit=400)
+    return val / field.period
 
 
 def rabi_population(u0: float, delta1: float, t) -> np.ndarray:

@@ -5,7 +5,8 @@ and its finite-sum reductions) is built on three primitives:
 
 * the Gauss hypergeometric series ``2F1`` for complex parameters and |z| < 1,
 * the incomplete Beta function ``B_z(p, q)`` evaluated through its ``2F1``
-  representation,
+  representation, its neighbour recurrence, and the fold of a terminating
+  Beta sum ``sum_n c_n B_z(p0+n, q)`` into elementary terms,
 * branch-tracked complex powers of points that wind around the origin
   (:class:`UnwoundPoint`), which must never be snapped back to the principal
   branch.
@@ -29,6 +30,7 @@ EPS_CHECK = 1e-11    # identity / oracle agreement tolerance
 MAX_TERMS = 10_000   # hard cap on hypergeometric series length
 
 _INT_TOL = 1e-12
+_FOLD_LEFTOVER_RTOL = 1e-10
 
 
 def _is_nonpositive_integer(w: complex) -> bool:
@@ -88,42 +90,74 @@ def hyp2f1(p1: complex, p2: complex, p3: complex, z: complex) -> complex:
     raise ConvergenceError(f"hyp2f1: no convergence after {MAX_TERMS} terms at z={z}")
 
 
-def inc_beta(p: complex, q: complex, z: complex) -> complex:
+def inc_beta(p: complex, q: complex, z) -> complex:
     """Incomplete Beta function ``B_z(p, q) = int_0^z t^(p-1) (1-t)^(q-1) dt``.
 
-    Evaluated as ``(z^p / p) * 2F1(p, 1-q; p+1; z)`` on the principal branch,
-    which is valid for |z| < 1 and any complex ``p, q`` with ``p`` not a
-    non-positive integer (``B_z(0, q)`` and its negative-integer neighbours
-    do not exist).
+    Evaluated as ``(z^p / p) * 2F1(p, 1-q; p+1; z)``, which is valid for
+    |z| < 1 and any complex ``p, q`` with ``p`` not a non-positive integer
+    (``B_z(0, q)`` and its negative-integer neighbours do not exist).  ``z^p``
+    is taken on the universal cover for an :class:`UnwoundPoint` and on the
+    principal branch otherwise; the ``2F1`` factor is single-valued in the disc.
     """
-    p, q, z = complex(p), complex(q), complex(z)
+    p, q, zc = complex(p), complex(q), as_complex(z)
     if p == 0 or _is_nonpositive_integer(p):
         raise ParameterError(f"inc_beta: p={p} is a non-positive integer")
-    if abs(z) >= 1.0:
-        raise DomainError(f"inc_beta: series path requires |z| < 1, got |z|={abs(z)}")
-    if z == 0:
+    if abs(zc) >= 1.0:
+        raise DomainError(f"inc_beta: series path requires |z| < 1, got |z|={abs(zc)}")
+    if zc == 0:
         return 0.0 + 0j
-    return power(z, p) / p * hyp2f1(p, 1 - q, p + 1, z)
+    return power(z, p) / p * hyp2f1(p, 1 - q, p + 1, zc)
 
 
-def beta_step(p: complex, q: complex, z: complex) -> complex:
+def _beta_head(p: complex, q: complex, z, zc: complex) -> complex:
+    """Head ``(z^p / p)(1-z)^q`` of the neighbour recurrence; ``zc`` is the value of ``z``."""
+    return power(z, p) / p * (1 - zc) ** q
+
+
+def beta_step(p: complex, q: complex, z) -> complex:
     """``B_z(p, q)`` computed from its upper neighbour ``B_z(p+1, q)``.
 
     Implements the neighbour recurrence
-    ``B_z(p, q) = (z^p / p)(1-z)^q + ((q+p)/p) B_z(p+1, q)``.
-    When the coupling coefficient ``q + p`` vanishes the recursive term is
-    dropped without being evaluated, so the elementary head alone is exact.
+    ``B_z(p, q) = (z^p / p)(1-z)^q + ((q+p)/p) B_z(p+1, q)``, with ``z``
+    plain or an :class:`UnwoundPoint` as in :func:`inc_beta`.  When the
+    coupling coefficient ``q + p`` vanishes the recursive term is dropped
+    without being evaluated, so the elementary head alone is exact.
     """
-    p, q, z = complex(p), complex(q), complex(z)
+    p, q, zc = complex(p), complex(q), as_complex(z)
     if p == 0:
         raise ParameterError("beta_step: p must be nonzero")
-    if z == 0:
+    if zc == 0:
         return 0.0 + 0j                  # as inc_beta; log(0) is undefined
-    head = power(z, p) / p * (1 - z) ** q
+    head = _beta_head(p, q, z, zc)
     coeff = (q + p) / p
     if coeff == 0:
         return head
     return head + coeff * inc_beta(p + 1, q, z)
+
+
+def fold_beta_sum(coeffs, p0: complex, q: complex, z) -> complex:
+    """Elementary value of ``sum_n coeffs[n] B_z(p0+n, q)``, for any ``z != 0, 1``.
+
+    Applies :func:`beta_step`'s neighbour recurrence to the lowest Beta
+    function again and again: the elementary heads accumulate and the Beta
+    weight migrates to the top index.  The sum is elementary only if that
+    leftover weight cancels, as it does for a terminated series:
+    :class:`DomainError` if it exceeds ``1e-10 max(1, max|coeffs|)``.
+    """
+    zc = as_complex(z)
+    work = [complex(c) for c in coeffs]
+    total = 0.0 + 0j
+    for n in range(len(work) - 1):
+        p = p0 + n
+        if p == 0:
+            raise ParameterError("fold_beta_sum: Beta parameter hits 0 while folding")
+        total += work[n] * _beta_head(p, q, z, zc)
+        work[n + 1] += work[n] * (q + p) / p
+    leftover = abs(work[-1])
+    if leftover > _FOLD_LEFTOVER_RTOL * max(1.0, max(abs(c) for c in coeffs)):
+        raise DomainError("fold_beta_sum: the series does not fold to elementary form "
+                          f"(leftover Beta weight {leftover:.3e})")
+    return total
 
 
 @dataclass(frozen=True)
@@ -158,10 +192,15 @@ def power(z, mu: complex) -> complex:
 
     The principal power is ``exp(mu log z)``: ``cmath.log`` rescales subnormal
     parts of ``z``, where Python's ``complex ** complex`` loses their bits.
+    Raises :class:`DomainError` when the result overflows a float.
     """
-    if isinstance(z, UnwoundPoint):
-        return unwound_power(z, mu)
-    return cmath.exp(complex(mu) * cmath.log(complex(z)))
+    try:
+        if isinstance(z, UnwoundPoint):
+            return unwound_power(z, mu)
+        return cmath.exp(complex(mu) * cmath.log(complex(z)))
+    except OverflowError:
+        modulus = z.modulus if isinstance(z, UnwoundPoint) else abs(complex(z))
+        raise DomainError(f"power: |z|^mu overflows at |z| = {modulus}, mu = {mu}") from None
 
 
 def as_complex(z) -> complex:

@@ -17,7 +17,7 @@ from twostate.closedform import (StateVector, amplitude_n2, amplitude_n2_deriv,
                                  circle_point, closed_form_states, floquet_analytic,
                                  harmonic_content, hg_quasipoly, hg_three_beta,
                                  match_initial, phase_n2, recover_a1, three_beta_coeffs)
-from twostate.errors import ParameterError
+from twostate.errors import DomainError, ParameterError
 from twostate.fields import N2Config, detuning_n2, drive_field
 from twostate.heun import generalized_rabi
 from twostate.oracle import integrate, mean_detuning, mod_distance
@@ -40,11 +40,13 @@ def test_three_beta_equals_quasipoly_on_physical_circle():
 
 
 def test_three_beta_matches_term_by_term_sum_inside_disc():
-    # |z| < 1 admits the direct Beta-kernel summation as a third route
+    # |z| < 1 admits the direct Beta-kernel summation as a third route; the
+    # unwound points lie turns away from the principal sheet
     d1, u0 = 3.0, 1.0                     # R = sqrt(13)
     r = generalized_rabi(u0, d1)
     c0, c1, c2 = three_beta_coeffs(d1, u0)
-    for z in (0.3, 0.2 + 0.4j, -0.5 + 0.1j):
+    for z in (0.3, 0.2 + 0.4j, -0.5 + 0.1j,
+              UnwoundPoint(0.5, 0.7 + 2 * math.pi), UnwoundPoint(0.45, -2.0 - 4 * math.pi)):
         direct = (c0 * inc_beta(r, -1.0, z) + c1 * inc_beta(r + 1.0, -1.0, z)
                   + c2 * inc_beta(r + 2.0, -1.0, z))
         got = hg_three_beta(d1, u0, z)
@@ -73,6 +75,14 @@ def test_quasipoly_continuous_in_coupling():
     v = [hg_quasipoly(d1, u0, z) for u0 in (1e-4, 1e-6, 1e-8)]
     assert abs(v[1] - v[2]) < 1e-7 * abs(v[2])
     assert abs(v[0] - v[2]) < 1e-3 * abs(v[2])
+
+
+def test_three_beta_and_quasipoly_overflow_is_a_domain_error():
+    # |z|^R = sqrt(201)^600 exceeds the float range, on the cover and on the principal branch
+    for z in (UnwoundPoint(math.sqrt(201.0), 0.3), cmath.rect(math.sqrt(201.0), 0.3)):
+        for route in (hg_three_beta, hg_quasipoly):
+            with pytest.raises(DomainError, match="overflows"):
+                route(1.01, 300.0, z)
 
 
 def test_quasipoly_rejects_singular_point():
@@ -171,7 +181,7 @@ def test_recover_a1_against_oracle():
     # 5-point interior differentiation of the oracle's own a2 samples
     d_a2 = (a2[:-4] - 8 * a2[1:-3] + 8 * a2[3:-1] - a2[4:]) / (12 * h)
     for i in range(2, n - 2, 97):
-        rec = recover_a1(cfg, a2[i], d_a2[i - 2], traj.phase[i])
+        rec = recover_a1(cfg, d_a2[i - 2], traj.phase[i])
         assert abs(rec - traj.a1[i]) < 1e-7, i
 
 

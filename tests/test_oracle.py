@@ -352,3 +352,16 @@ def test_oracle_imports_no_analytic_module():
     relative = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level > 0}
     assert relative == {"errors", "fields"}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # what one module needs from another is public (dunders such as
+    # __version__ are): shared algebra has one owner
+    found = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "twostate"):
+                found += [(path.name, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []

@@ -143,6 +143,17 @@ def test_beta_step_rejects_zero_p():
         beta_step(0.0, 1.0, 0.5)
 
 
+def test_inc_beta_and_beta_step_on_the_cover():
+    # k turns up the cover change only the factor z^p, by exp(2 pi i k p)
+    p, q, r, theta = 1.3 + 0.4j, 0.7 - 0.2j, 0.6, 0.9
+    for kernel in (inc_beta, beta_step):
+        principal = kernel(p, q, cmath.rect(r, theta))
+        for k in (-2, -1, 1, 2):
+            got = kernel(p, q, UnwoundPoint(r, theta + 2 * math.pi * k))
+            ref = cmath.exp(2j * math.pi * k * p) * principal
+            assert abs(got - ref) <= 1e-13 * abs(ref), (kernel.__name__, k)
+
+
 # ---------------------------------------------------------------- unwound powers
 
 def test_unwound_power_identity_point():
