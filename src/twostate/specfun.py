@@ -22,6 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, ParameterError
 
 # Tolerances shared between implementation, tests and docs.
@@ -32,6 +34,18 @@ MAX_TERMS = 10_000   # hard cap on hypergeometric series length
 _INT_TOL = 1e-12
 _FOLD_LEFTOVER_RTOL = 1e-10
 
+_LOG_EPS_SERIES = math.log(EPS_SERIES)
+# Term index n of each series slot, read-only and shared by every call: slot
+# k holds the ratio n = k - 1 that turns term k - 1 into term k.  Slot 0 of a
+# block carries a value from the block before instead of a ratio; in the
+# first block its n is 0, not -1, so that no ratio divides by n + 1 = 0.
+_SLOT_N = np.arange(-1.0, MAX_TERMS)
+_SLOT_N[0] = 0.0
+_SLOT_N_PLUS_1 = _SLOT_N + 1.0
+_SLOT_N.flags.writeable = _SLOT_N_PLUS_1.flags.writeable = False
+_running_product = np.multiply.accumulate   # np.cumprod minus its Python wrapper
+_running_sum = np.add.accumulate
+
 
 def _is_nonpositive_integer(w: complex) -> bool:
     w = complex(w)
@@ -41,12 +55,89 @@ def _is_nonpositive_integer(w: complex) -> bool:
     return r <= 0 and abs(w.real - r) <= _INT_TOL
 
 
+def _require_finite(name: str, z: complex, *params: complex) -> None:
+    """:class:`ParameterError` for a non-finite parameter, :class:`DomainError` for a non-finite ``z``."""
+    for w in params:
+        if not cmath.isfinite(w):
+            raise ParameterError(f"{name}: parameters must be finite, got {w}")
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name}: z must be finite, got {z}")
+
+
+def _first_block_length(az: float) -> int:
+    """Terms in the first series block at ``|z| = az``: ``1.25 ln EPS_SERIES / ln|z| + 4``.
+
+    The incomplete-Beta series with ``p2 = 2`` stops within 1.11 times
+    ``ln EPS_SERIES / ln|z|`` terms on the solvable model's orbits, so one
+    block covers it.
+    """
+    return min(int(1.25 * _LOG_EPS_SERIES / math.log(az)) + 4, MAX_TERMS)
+
+
+def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[complex, int]:
+    """Sum of the ``2F1`` power series and the number of terms after the leading 1.
+
+    Arguments are checked by the caller: finite, ``p3`` not a non-positive
+    integer, ``|z| < 1``.  Terms come in blocks: the ratio vector
+    ``(p1+n)(p2+n) z / ((p3+n)(n+1))`` over a run of ``n`` (real until the
+    factor ``z`` when the parameters are), its running product (the terms,
+    multiplied in the order a term-by-term loop would) and its running sum
+    (the partial sums).  The series stops at the first term that is exactly
+    zero, or at the second of two consecutive terms below ``EPS_SERIES`` times
+    the partial sum.  Each block is twice as long as the one before, the
+    first :func:`_first_block_length` terms.
+    """
+    az = abs(z)
+    if az == 0:
+        return 1.0 + 0j, 1
+    if not (p1.imag or p2.imag or p3.imag):
+        p1, p2, p3 = p1.real, p2.real, p3.real
+    length = _first_block_length(az)
+    start, term, total, small = 0, 1.0 + 0j, 1.0 + 0j, False
+    while start < MAX_TERMS:
+        stop = min(start + length, MAX_TERMS)
+        n = _SLOT_N[start:stop + 1]
+        t = p1 + n
+        t *= p2 + n
+        den = p3 + n
+        den *= _SLOT_N_PLUS_1[start:stop + 1]
+        t /= den
+        t = t * z
+        # slot 0 carries the last term, partial sum and "small" flag of the block before
+        t[0] = term
+        _running_product(t, out=t)      # t[k]: term number start + k
+        t[0] = total
+        s = _running_sum(t)             # s[k]: partial sum through that term
+        tol = abs(s)
+        tol *= EPS_SERIES
+        tiny = abs(t) < tol
+        tiny[0] = small
+        # two consecutive tiny terms, so an accidentally small factor
+        # (p1+n or p2+n near zero) cannot fake convergence
+        pair = tiny[1:] & tiny[:-1]
+        j = pair.argmax() + 1
+        if not pair[j - 1]:
+            j = len(t)
+        if t[-1] == 0:                  # a zero term ends the series: every later term is zero
+            j = min(j, (t == 0).argmax())
+        if j < len(t):
+            return complex(s[j]), start + int(j)
+        term, total, small = t[-1], s[-1], tiny[-1]
+        start = stop
+        length *= 2
+    raise ConvergenceError(f"hyp2f1: no convergence after {MAX_TERMS} terms at z={z}")
+
+
 def hyp2f1(p1: complex, p2: complex, p3: complex, z: complex) -> complex:
     """Gauss hypergeometric series sum for |z| < 1.
 
     Uses the defining power series with the term-ratio recurrence
     ``t_{n+1} = t_n (p1+n)(p2+n) z / ((p3+n)(n+1))``; terminates naturally
-    when ``p1`` or ``p2`` is a non-positive integer.
+    when ``p1`` or ``p2`` is a non-positive integer.  The recurrence runs in
+    numpy blocks of terms (a vector of ratios, its running product and its
+    running sum), sized from ``|z|`` so that one block usually holds the whole
+    series.  The stopping rule is the term-by-term one: the first zero term,
+    or two consecutive terms below ``EPS_SERIES`` times the partial sum.
 
     Verified domain: within ``EPS_CHECK * (1 + |F|)`` of a 30-digit reference
     for ``|z| <= 0.9`` in the incomplete-Beta shape ``p3 = p1 + 1`` (the only
@@ -59,54 +150,42 @@ def hyp2f1(p1: complex, p2: complex, p3: complex, z: complex) -> complex:
     Raises
     ------
     ParameterError
-        If ``p3`` is zero or a negative integer.
+        If a parameter is not finite, or ``p3`` is zero or a negative integer.
     DomainError
-        If ``|z| >= 1`` (no analytic continuation is attempted).
+        If ``z`` is not finite or ``|z| >= 1`` (no analytic continuation is
+        attempted).
     ConvergenceError
         If the series has not settled after ``MAX_TERMS`` terms.
     """
     p1, p2, p3, z = complex(p1), complex(p2), complex(p3), complex(z)
+    _require_finite("hyp2f1", z, p1, p2, p3)
     if _is_nonpositive_integer(p3):
         raise ParameterError(f"hyp2f1: p3={p3} is a non-positive integer")
     if abs(z) >= 1.0:
         raise DomainError(f"hyp2f1: series requires |z| < 1, got |z|={abs(z)}")
-
-    total = 1.0 + 0j
-    term = 1.0 + 0j
-    small_streak = 0
-    for n in range(MAX_TERMS):
-        term *= (p1 + n) * (p2 + n) / ((p3 + n) * (n + 1)) * z
-        total += term
-        if term == 0:
-            return total
-        # two consecutive tiny terms, so an accidentally small factor
-        # (p1+n or p2+n near zero) cannot fake convergence
-        if abs(term) < EPS_SERIES * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise ConvergenceError(f"hyp2f1: no convergence after {MAX_TERMS} terms at z={z}")
+    return _hyp2f1_series(p1, p2, p3, z)[0]
 
 
 def inc_beta(p: complex, q: complex, z) -> complex:
     """Incomplete Beta function ``B_z(p, q) = int_0^z t^(p-1) (1-t)^(q-1) dt``.
 
     Evaluated as ``(z^p / p) * 2F1(p, 1-q; p+1; z)``, which is valid for
-    |z| < 1 and any complex ``p, q`` with ``p`` not a non-positive integer
-    (``B_z(0, q)`` and its negative-integer neighbours do not exist).  ``z^p``
-    is taken on the universal cover for an :class:`UnwoundPoint` and on the
-    principal branch otherwise; the ``2F1`` factor is single-valued in the disc.
+    |z| < 1 and any finite complex ``p, q`` with ``p`` not a non-positive
+    integer (``B_z(0, q)`` and its negative-integer neighbours do not exist).
+    ``z^p`` is taken on the universal cover for an :class:`UnwoundPoint` and on
+    the principal branch otherwise; the ``2F1`` factor is single-valued in the
+    disc.
     """
     p, q, zc = complex(p), complex(q), as_complex(z)
+    _require_finite("inc_beta", zc, p, q)
     if p == 0 or _is_nonpositive_integer(p):
         raise ParameterError(f"inc_beta: p={p} is a non-positive integer")
     if abs(zc) >= 1.0:
         raise DomainError(f"inc_beta: series path requires |z| < 1, got |z|={abs(zc)}")
     if zc == 0:
         return 0.0 + 0j
-    return power(z, p) / p * hyp2f1(p, 1 - q, p + 1, zc)
+    # p + 1 is no non-positive integer because p is none
+    return power(z, p) / p * _hyp2f1_series(p, 1 - q, p + 1, zc)[0]
 
 
 def _beta_head(p: complex, q: complex, z, zc: complex) -> complex:
@@ -124,6 +203,7 @@ def beta_step(p: complex, q: complex, z) -> complex:
     without being evaluated, so the elementary head alone is exact.
     """
     p, q, zc = complex(p), complex(q), as_complex(z)
+    _require_finite("beta_step", zc, p, q)
     if p == 0:
         raise ParameterError("beta_step: p must be nonzero")
     if zc == 0:
@@ -142,10 +222,13 @@ def fold_beta_sum(coeffs, p0: complex, q: complex, z) -> complex:
     function again and again: the elementary heads accumulate and the Beta
     weight migrates to the top index.  The sum is elementary only if that
     leftover weight cancels, as it does for a terminated series:
-    :class:`DomainError` if it exceeds ``1e-10 max(1, max|coeffs|)``.
+    :class:`DomainError` if it exceeds ``1e-10 max(1, max|coeffs|)``, and
+    :class:`ParameterError` if ``coeffs`` is empty.
     """
     zc = as_complex(z)
     work = [complex(c) for c in coeffs]
+    if not work:
+        raise ParameterError("fold_beta_sum: coeffs must not be empty")
     total = 0.0 + 0j
     for n in range(len(work) - 1):
         p = p0 + n

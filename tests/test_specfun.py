@@ -2,23 +2,27 @@
 
 Oracles used here: elementary closed forms (logarithm, rational functions),
 adaptive quadrature of the defining integral, finite differences of the
-integral's derivative, and 30-digit mpmath values at hypothesis-drawn points.  Frozen constants are recorded next to the expression
-that produced them.
+integral's derivative, 30-digit mpmath values at hypothesis-drawn points, and
+a term-by-term loop for the block-summed series.  Frozen constants are
+recorded next to the expression that produced them.
 """
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from twostate.errors import DomainError, ParameterError
-from twostate.specfun import (EPS_CHECK, UnwoundPoint, beta_step, hyp2f1, inc_beta,
-                              unwound_power)
+import twostate
+from twostate.errors import ConvergenceError, DomainError, ParameterError
+from twostate.specfun import (EPS_CHECK, EPS_SERIES, MAX_TERMS, UnwoundPoint,
+                              _first_block_length, _hyp2f1_series, beta_step, fold_beta_sum,
+                              hyp2f1, inc_beta, unwound_power)
 
 
 def quad_inc_beta(p, q, z):
@@ -58,6 +62,123 @@ def test_hyp2f1_rejects_bad_arguments():
     for p3 in (0.0, -1.0, -2.0 + 0j):
         with pytest.raises(ParameterError):
             hyp2f1(1.0, 1.0, p3, 0.5)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 0.0))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_inputs_fail_before_the_series(bad):
+    # rejected before any series work: a nan term never passes the stopping rule
+    for args in ((bad, 2.0, 3.0), (1.0, bad, 3.0), (1.0, 2.0, bad)):
+        with pytest.raises(ParameterError):
+            hyp2f1(*args, 0.5)
+    with pytest.raises(DomainError):
+        hyp2f1(1.0, 2.0, 3.0, bad)
+    for kernel in (inc_beta, beta_step):
+        for args in ((bad, 2.0), (2.0, bad)):
+            with pytest.raises(ParameterError, match=kernel.__name__):
+                kernel(*args, 0.5)
+        with pytest.raises(DomainError, match=kernel.__name__):
+            kernel(2.0, 2.0, bad)
+
+
+# ---------------------------------------------------------------- hyp2f1 stopping rule
+# hyp2f1 sums its series in numpy blocks.  These tests hold it to a
+# term-by-term loop of the same recurrence, with stops and zero terms at
+# block edges.
+
+def loop_hyp2f1(p1, p2, p3, z):
+    """Term-by-term reference: the sum, the terms after the leading 1, and sum |t_n|."""
+    p1, p2, p3, z = complex(p1), complex(p2), complex(p3), complex(z)
+    total = term = 1.0 + 0j
+    scale = 1.0
+    small_streak = 0
+    for n in range(MAX_TERMS):
+        term *= (p1 + n) * (p2 + n) / ((p3 + n) * (n + 1)) * z
+        total += term
+        scale += abs(term)
+        if term == 0:
+            return total, n + 1, scale
+        if abs(term) < EPS_SERIES * abs(total):
+            small_streak += 1
+            if small_streak >= 2:
+                return total, n + 1, scale
+        else:
+            small_streak = 0
+    raise ConvergenceError("loop_hyp2f1: no convergence")
+
+
+def assert_matches_loop(p1, p2, p3, z):
+    """Same stop as the loop, and the same sum to 1e-14 of sum |t_n|; returns the term count.
+
+    numpy may round a complex product or quotient differently from Python
+    (a fused multiply-add), so the sums agree to the rounding of the largest
+    terms: 1e-14 relative wherever the terms do not cancel.
+    """
+    ref, terms, scale = loop_hyp2f1(p1, p2, p3, z)
+    assert _hyp2f1_series(complex(p1), complex(p2), complex(p3), complex(z))[1] == terms
+    got = hyp2f1(p1, p2, p3, z)
+    assert abs(got - ref) <= 1e-14 * scale, (p1, p2, p3, z, got, ref)
+    return terms
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-3, 0.22, 0.85, 0.99])
+def test_hyp2f1_blocks_match_loop_across_radii(radius):
+    terms = [assert_matches_loop(p1, p2, p1 + 1.0, cmath.rect(radius, theta))
+             for p1, p2 in ((3.3, 2.0), (3.3, 5.0), (1.7 - 0.4j, 0.5 + 1.2j))
+             for theta in (0.4, 2.0, -2.9)]
+    if radius == 0.99:
+        assert max(terms) > _first_block_length(radius)     # a sum ran over several blocks
+
+
+def test_hyp2f1_blocks_match_loop_at_domain_corners():
+    # corners of the mpmath property domain: Re p1 = 50, |Im p1| = 10, |p2| = 5
+    for p1 in (50.0 + 10.0j, 50.0 - 10.0j):
+        for p2 in (5.0, -5.0, 5.0j, -5.0j):
+            for z in (cmath.rect(0.5, 1.1), cmath.rect(0.9, -2.3)):
+                assert_matches_loop(p1, p2, p1 + 1.0, z)
+
+
+def test_hyp2f1_zero_term_inside_and_on_block_edges():
+    # p1 = -k makes term k + 1 the first zero: mid-block, last of the first
+    # block, first of the second.  Large p2 keeps every earlier term above the
+    # two-small-terms cutoff, so the zero term is what stops the series.
+    z = -0.22
+    edge = _first_block_length(abs(z))
+    for k in (edge // 2, edge - 1, edge):
+        assert assert_matches_loop(-k, 40.0, 0.5, z) == k + 1
+
+
+def test_hyp2f1_stop_straddling_a_block_edge():
+    # the first of the two small terms ends the first block, the second
+    # starts the next: the "small" flag must cross the edge
+    z = cmath.rect(0.22, 0.3)
+    edge = _first_block_length(abs(z))
+    p2 = next(p2 for p2 in np.arange(2.0, 20.0, 0.05)
+              if loop_hyp2f1(3.3, p2, 4.3, z)[1] == edge + 1)
+    assert assert_matches_loop(3.3, p2, 4.3, z) == edge + 1
+
+
+def test_hyp2f1_terminating_sum_is_exactly_zero():
+    # 1 + (-1)(2)/(1*1) * 0.5 = 0, then a zero term; the partial sum 0 is
+    # never "small" against itself, so only the zero term can stop it
+    assert hyp2f1(-1.0, 2.0, 1.0, 0.5) == 0
+
+
+def test_hyp2f1_still_raises_convergence_error():
+    with pytest.raises(ConvergenceError):
+        hyp2f1(1.0, 1.0, 2.0, 0.9999)
+
+
+def test_hyp2f1_no_warning_from_terms_past_the_stop():
+    # a block computes terms beyond the stop: here they underflow, follow a
+    # zero term, or pass a near-pole ratio (p3 + n ~ 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((2.5, 3.0, 3.5, 1e-300), (1.0, 1.0, 2.0, 1e-200 + 1e-200j),
+                     (-3.0, 2.0, 0.5, 0.9), (1.5, 2.0, -30.0 + 1e-9, 0.22)):
+            assert_matches_loop(*args)
 
 
 # ---------------------------------------------------------------- inc_beta
@@ -143,6 +264,13 @@ def test_beta_step_rejects_zero_p():
         beta_step(0.0, 1.0, 0.5)
 
 
+def test_fold_beta_sum_rejects_empty_coeffs():
+    for fold in (fold_beta_sum, twostate.fold_beta_sum):
+        for coeffs in ([], ()):
+            with pytest.raises(ParameterError):
+                fold(coeffs, 1.5, -1.0, 0.5)
+
+
 def test_inc_beta_and_beta_step_on_the_cover():
     # k turns up the cover change only the factor z^p, by exp(2 pi i k p)
     p, q, r, theta = 1.3 + 0.4j, 0.7 - 0.2j, 0.6, 0.9
@@ -212,7 +340,7 @@ def _disc(radius):
 BETA_P = _complex(-10.0, 50.0, 10.0)
 ONE_MINUS_Q = _disc(5.0)        # p2 = 1 - q of the 2F1 representation
 DISC_Z = _disc(0.9)
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+# example counts and seeding come from the loaded hypothesis profile (tests/conftest.py)
 
 
 def _off_poles(p):
@@ -225,7 +353,6 @@ def _in_range(p, z):
     return z == 0 or p.real * math.log(abs(z)) < 700.0
 
 
-@PROPERTY
 @given(BETA_P, ONE_MINUS_Q, DISC_Z)
 def test_hyp2f1_matches_mpmath(p, p2, z):
     assume(_off_poles(p + 1.0))
@@ -235,20 +362,24 @@ def test_hyp2f1_matches_mpmath(p, p2, z):
     assert abs(got - ref) <= EPS_CHECK * (1.0 + abs(ref)), (p, p2, z)
 
 
-@PROPERTY
 @given(BETA_P, ONE_MINUS_Q, DISC_Z)
 @example(1j, 0.0, 5e-324 + 5e-324j)     # subnormal z: power(z, 1j) inside inc_beta(1j, 1, z)
 @example(1j, 2.0, -5e-324 + 5e-324j)
+@example(1j, 0.0, complex(-5e-324, -0.0))   # below the cut: rect(5e-324, -pi)
 def test_inc_beta_and_beta_step_match_mpmath(p, p2, z):
     q = 1.0 - p2
     assume(_off_poles(p) and _off_poles(p + 1.0) and _in_range(p, z))
     with mpmath.workdps(30):
-        ref = complex(mpmath.betainc(p, q, 0, z))
+        if z.real < 0 and z.imag == 0 and math.copysign(1.0, z.imag) < 0:
+            # cmath puts imaginary part -0.0 below the cut of z^p; mpmath has
+            # no signed zero, so reflect: B(conj z; conj p, conj q) = conj B(z; p, q)
+            ref = complex(mpmath.betainc(p.conjugate(), q.conjugate(), 0, z.real)).conjugate()
+        else:
+            ref = complex(mpmath.betainc(p, q, 0, z))
     assert abs(inc_beta(p, q, z) - ref) <= EPS_CHECK * (1.0 + abs(ref)), (p, q, z)
     assert abs(beta_step(p, q, z) - ref) <= EPS_CHECK * (1.0 + abs(ref)), (p, q, z)
 
 
-@PROPERTY
 @given(st.floats(0.05, 20.0), st.floats(-8 * math.pi, 8 * math.pi), _complex(-10.0, 50.0, 10.0))
 def test_unwound_power_matches_mpmath(modulus, angle, mu):
     with mpmath.workdps(30):
