@@ -31,7 +31,6 @@ branches.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -115,9 +114,12 @@ def hg_three_beta(delta1: float, u0: float, z) -> complex:
     return fold_beta_sum(three_beta_coeffs(delta1, u0), generalized_rabi(u0, delta1), -1.0, z)
 
 
-def _amplitude_arrays(cfg: N2Config, sign: int, times) -> tuple[np.ndarray, np.ndarray]:
-    """Fundamental solution and its physical-time derivative on an array of times."""
-    if sign not in (+1, -1):
+def _amplitude_arrays(cfg: N2Config, sign, times) -> tuple[np.ndarray, np.ndarray]:
+    """Fundamental solution and its physical-time derivative on an array of times.
+
+    ``sign`` is +1 or -1, or an array of them that broadcasts against ``times``.
+    """
+    if not np.all(np.abs(sign) == 1):
         raise ParameterError(f"amplitude: sign must be +1 or -1, got {sign}")
     t = np.asarray(times, dtype=float)
     theta = cfg.delta * (t - cfg.t0) + _angle_offset(cfg)
@@ -162,22 +164,26 @@ def phase_n2(cfg: N2Config, t):
     return float(out) if np.isscalar(t) else out
 
 
-def recover_a1(cfg: N2Config, a2_derivative: complex, phase: float) -> complex:
-    """Companion amplitude: a1 = i * (da2/dt) * exp(-i phase) / U."""
+def recover_a1(cfg: N2Config, a2_derivative, phase):
+    """Companion amplitude: a1 = i * (da2/dt) * exp(-i phase) / U (scalar or array)."""
     u_phys = cfg.u0 * cfg.delta
-    return 1j * a2_derivative * cmath.exp(-1j * phase) / u_phys
+    # the factor has the shape of ``phase``: form it before it meets both solutions
+    return a2_derivative * (1j / u_phys * np.exp(-1j * phase))
+
+
+def _fundamental_pair(cfg: N2Config, times) -> tuple[np.ndarray, np.ndarray]:
+    """``(a1, a2)`` of the plus and minus fundamental solutions; axis 0 is the sign."""
+    a2, da2 = _amplitude_arrays(cfg, np.reshape((1.0, -1.0), (2,) + (1,) * np.ndim(times)), times)
+    return recover_a1(cfg, da2, phase_n2(cfg, times)), a2
 
 
 def match_initial(cfg: N2Config, state0: StateVector, t_start: float) -> tuple[complex, complex]:
     """Weights (C+, C-) of the fundamental pair matching ``state0`` at ``t_start``."""
     if abs(state0.norm - 1.0) > 1e-6:
         raise ParameterError(f"match_initial: state must be normalized, |state|^2 = {state0.norm}")
-    phi0 = phase_n2(cfg, t_start)
-    cols = []
-    for sign in (+1, -1):
-        v, d = map(complex, _amplitude_arrays(cfg, sign, t_start))
-        cols.append((recover_a1(cfg, d, phi0), v))
-    (a1p, vp), (a1m, vm) = cols
+    if not math.isfinite(t_start):
+        raise ParameterError(f"match_initial: t_start must be finite, got {t_start}")
+    (a1p, a1m), (vp, vm) = np.array(_fundamental_pair(cfg, t_start)).tolist()
     det = a1p * vm - a1m * vp
     scale = abs(a1p * vm) + abs(a1m * vp)
     if abs(det) <= 1e-12 * max(scale, 1e-300):
@@ -191,14 +197,8 @@ def closed_form_states(cfg: N2Config, state0: StateVector, t_start: float, times
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Matched analytic trajectory ``(a1(t), a2(t))`` on an array of times."""
     c_plus, c_minus = match_initial(cfg, state0, t_start)
-    vp, dp = _amplitude_arrays(cfg, +1, times)
-    vm, dm = _amplitude_arrays(cfg, -1, times)
-    a2 = c_plus * vp + c_minus * vm
-    da2 = c_plus * dp + c_minus * dm
-    phases = phase_n2(cfg, times)
-    u_phys = cfg.u0 * cfg.delta
-    a1 = 1j * da2 * np.exp(-1j * phases) / u_phys
-    return a1, a2
+    a1, a2 = _fundamental_pair(cfg, times)
+    return c_plus * a1[0] + c_minus * a1[1], c_plus * a2[0] + c_minus * a2[1]
 
 
 def floquet_analytic(cfg: N2Config) -> FloquetReport:

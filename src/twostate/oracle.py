@@ -82,13 +82,16 @@ class MonodromyResult:
 
 
 def _period_solve(owner: str, field: DriveField, t0: float, h: float, rtol: float,
-                  atol: float, t_eval=None, dense: bool = False):
+                  atol: float, dense: bool = False):
     """One DOP853 solve of ``[Y (row-major), delta]`` from ``[I, 0]`` over ``[t0, t0 + h]``.
 
     ``h`` is at most one period long, so ``Y(t0 + h)`` is the monodromy matrix
-    when ``|h| = T``; ``t_eval`` and ``dense`` are passed to ``solve_ivp``.
+    when ``|h| = T``; ``dense`` asks ``solve_ivp`` for dense output.
     """
-    # a non-finite tolerance makes solve_ivp step forever instead of failing
+    # a non-finite time or tolerance makes solve_ivp step forever instead of failing
+    if not (math.isfinite(t0) and math.isfinite(h) and h != 0.0):
+        raise ParameterError(f"{owner}: need a finite start time and a finite, nonzero "
+                             f"window, got t0={t0}, h={h}")
     if not (_MIN_RTOL <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 <= atol < inf, "
                              f"got rtol={rtol}, atol={atol}")
@@ -102,7 +105,7 @@ def _period_solve(owner: str, field: DriveField, t0: float, h: float, rtol: floa
         return [idt * y11 - iu * y21, idt * y12 - iu * y22, -iu * y11, -iu * y12, dt]
 
     sol = solve_ivp(rhs, (t0, t0 + h), np.array([1, 0, 0, 1, 0], dtype=complex),
-                    method="DOP853", t_eval=t_eval, dense_output=dense, rtol=rtol, atol=atol)
+                    method="DOP853", dense_output=dense, rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"{owner}: solver failed: {sol.message}")
     return sol
@@ -114,53 +117,47 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     """Amplitude-equation samples composed from one one-period solve (DOP853 8(5,3)).
 
     ``Y`` and ``delta`` are integrated from ``t_span[0]`` over
-    ``h = sign(span) min(|span|, T)`` only.  A sample ``k`` whole periods from
-    ``t_span[0]``, at offset ``s`` into its period, is ``c = Y(s) M^k c0`` with
-    ``c0 = (a1 exp(i delta0), a2)``, ``delta = delta0 + delta(s) + k Phi`` and
-    ``a1 = c1 exp(-i delta)``.  The cost therefore does not grow with the
-    number of periods, while the error grows like ``k eps_M``, ``eps_M`` being
-    the error of the one-period matrix.  ``nfev`` counts the calls of the one
-    solve.
+    ``h = sign(span) min(|span|, T)`` only, with dense output.  A sample ``k``
+    whole periods from ``t_span[0]``, at offset ``s`` into its period, is
+    ``c = Y(s) M^k c0`` with ``c0 = (a1 exp(i delta0), a2)``,
+    ``delta = delta0 + delta(s) + k Phi`` and ``a1 = c1 exp(-i delta)``, with
+    ``Y(s)`` and ``delta(s)`` read from the dense solution.  The cost therefore
+    does not grow with the number of periods, while the error grows like
+    ``k eps_M``, ``eps_M`` being the error of the one-period matrix.  ``nfev``
+    counts the calls of the one solve, dense-output stages included; neither it
+    nor any sample's value depends on ``t_eval``.
 
     ``state0.phase`` seeds the accumulated phase modulation at ``t_span[0]``;
     pass 0 when starting at the drive's time origin.  Backward integration
     (``t_span[1] < t_span[0]``) composes the backward one-period matrix.
-    ``t_eval`` must be strictly monotone within ``t_span``; without it the
-    samples are the solver's steps over one period, tiled over the span and cut
-    at ``t_span[1]``, with both end points included.
+    ``t_span`` must be finite and of nonzero length, and ``t_eval`` strictly
+    monotone within it; without ``t_eval`` the samples are the solver's steps
+    over one period, tiled over the span and cut at ``t_span[1]``, with both
+    end points included.
     """
     T = field.period
     t_start, t_end = float(t_span[0]), float(t_span[1])
     span = t_end - t_start
+    if not math.isfinite(span):
+        raise ParameterError(f"integrate: t_span must be finite, got {t_span}")
     sign = -1.0 if span < 0 else 1.0
-    multi = abs(span) > T
     h = sign * min(abs(span), T)
-    if t_eval is None:
-        sol = _period_solve("integrate", field, t_start, h, rtol, atol, dense=multi)
-        x = sign * (sol.t - t_start)
-        if multi:
-            x = (np.arange(math.ceil(abs(span) / T))[:, None] * T + x[:-1]).ravel()
-            x = np.append(x[x < abs(span)], abs(span))
-            times = np.append(t_start + sign * x[:-1], t_end)
-        else:
-            times = sol.t
-    else:
+    if t_eval is not None:
         times = np.array(t_eval, dtype=float)
         x = sign * (times - t_start)
-        if np.any(x < 0) or np.any(x > abs(span)) or np.any(np.diff(x) <= 0):
-            raise ParameterError("integrate: t_eval must be strictly monotone within t_span")
-    # whole periods before each sample; a window of at most one period reads
-    # every sample straight off the solve, so k = 0 there, also at x = T
-    k = np.floor(x / T).astype(int) if multi else np.zeros(len(x), dtype=int)
-    # each sample's time mapped into the solved period
-    at = t_start + sign * np.clip(x - k * T, 0.0, abs(h))
-    if t_eval is not None:
-        # solve_ivp wants a strictly monotone t_eval; the period end gives M and Phi
-        key, where = np.unique(sign * np.append(at, t_start + h), return_inverse=True)
-        sol = _period_solve("integrate", field, t_start, h, rtol, atol, t_eval=sign * key)
-        y = sol.y[:, where[:-1]]
-    else:
-        y = sol.sol(at) if multi else sol.y
+        # written so that a NaN sample fails every comparison
+        if not (x.size and np.all(x >= 0) and np.all(x <= abs(span)) and np.all(np.diff(x) > 0)):
+            raise ParameterError("integrate: t_eval must be non-empty, finite and strictly "
+                                 "monotone within t_span")
+    sol = _period_solve("integrate", field, t_start, h, rtol, atol, dense=True)
+    if t_eval is None:
+        x = sign * (sol.t[:-1] - t_start)
+        x = (np.arange(math.ceil(abs(span) / T))[:, None] * T + x).ravel()
+        x = np.append(x[x < abs(span)], abs(span))
+        times = np.append(t_start + sign * x[:-1], t_end)
+    # whole periods before each sample, then Y and delta at its offset into the period
+    k = np.floor(x / T).astype(int)
+    y = sol.sol(t_start + sign * np.clip(x - k * T, 0.0, abs(h)))
     m, phase_period = sol.y[:4, -1].reshape(2, 2), sol.y[4, -1].real
     powers = [np.array([state0.a1 * cmath.exp(1j * state0.phase), state0.a2], dtype=complex)]
     for _ in range(int(k.max())):

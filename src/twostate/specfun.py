@@ -85,17 +85,23 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     (the partial sums).  The series stops at the first term that is exactly
     zero, or at the second of two consecutive terms below ``EPS_SERIES`` times
     the partial sum.  Each block is twice as long as the one before, the
-    first :func:`_first_block_length` terms.
+    first :func:`_first_block_length` terms.  When ``p1`` or ``p2`` is a
+    non-positive integer ``-m``, term ``m + 1`` is the first zero and a block
+    ends there, so no term past it is computed (their ratios could overflow).
     """
     az = abs(z)
     if az == 0:
         return 1.0 + 0j, 1
+    last = MAX_TERMS
+    for p in (p1, p2):
+        if p.real <= 0 and not p.imag and p.real.is_integer():
+            last = min(last, 1 - int(p.real))
     if not (p1.imag or p2.imag or p3.imag):
         p1, p2, p3 = p1.real, p2.real, p3.real
     length = _first_block_length(az)
     start, term, total, small = 0, 1.0 + 0j, 1.0 + 0j, False
     while start < MAX_TERMS:
-        stop = min(start + length, MAX_TERMS)
+        stop = min(start + length, last)
         n = _SLOT_N[start:stop + 1]
         t = p1 + n
         t *= p2 + n

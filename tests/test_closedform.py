@@ -208,6 +208,16 @@ def test_match_requires_normalized_state():
         match_initial(N2Config(u0=1.0, delta1=2.0), StateVector(a1=1.0, a2=1.0), 0.0)
 
 
+def test_match_rejects_non_finite_start():
+    # a NaN determinant used to pass the conditioning check and give NaN weights
+    cfg, state0 = N2Config(u0=1.0, delta1=2.0), StateVector(a1=1.0, a2=0.0)
+    for t_start in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            match_initial(cfg, state0, t_start)
+        with pytest.raises(ParameterError):
+            closed_form_states(cfg, state0, t_start, np.linspace(0.0, 1.0, 5))
+
+
 def test_matched_solution_tracks_oracle():
     cfg = N2Config(u0=2.0, delta1=2.0)
     state0 = StateVector(a1=1.0, a2=0.0)

@@ -200,6 +200,48 @@ def test_integrate_rejects_t_eval_outside_span_or_unsorted():
             integrate(fld, GROUND, (0.0, 1.0), t_eval=t_eval)
 
 
+def _field_never_called():
+    """A drive whose every evaluation fails: an input check must stop the call first."""
+    def never(t):
+        raise AssertionError("the solver was started")
+    return DriveField(u=never, delta_t=never, period=2 * math.pi)
+
+
+# times that would make solve_ivp step forever, or fail with a bare Python or numpy error
+BAD_TIMES = {
+    "span-end-nan": lambda f: integrate(f, GROUND, (0.0, math.nan)),
+    "span-start-nan": lambda f: integrate(f, GROUND, (math.nan, 1.0)),
+    "span-end-inf": lambda f: integrate(f, GROUND, (0.0, math.inf)),
+    "t-eval-nan": lambda f: integrate(f, GROUND, (0.0, 1.0), t_eval=[0.0, math.nan]),
+    "t-eval-empty": lambda f: integrate(f, GROUND, (0.0, 1.0), t_eval=[]),
+    "zero-span-t-eval": lambda f: integrate(f, GROUND, (0.0, 0.0), t_eval=[0.0]),
+    "zero-span": lambda f: integrate(f, GROUND, (1.0, 1.0)),
+    "monodromy-t-ref-nan": lambda f: monodromy(f, t_ref=math.nan),
+    "monodromy-t-ref-inf": lambda f: monodromy(f, t_ref=math.inf),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TIMES)
+def test_non_finite_or_empty_times_raise_before_solving(case):
+    with pytest.raises(ParameterError):
+        BAD_TIMES[case](_field_never_called())
+
+
+def test_a_sample_does_not_depend_on_the_other_samples():
+    # every sample is read from the same dense one-period solution, so a
+    # subgrid gives the same bits at the same cost, and so does no grid
+    cfg = N2Config(u0=1.0, delta1=2.0)
+    fld = drive_field(cfg)
+    grid = np.linspace(0.0, 5 * cfg.period, 1001)
+    t_span = (0.0, float(grid[-1]))
+    full = integrate(fld, GROUND, t_span, t_eval=grid, rtol=1e-11, atol=1e-13)
+    coarse = integrate(fld, GROUND, t_span, t_eval=grid[::250], rtol=1e-11, atol=1e-13)
+    for name in ("a1", "a2", "phase"):
+        assert np.array_equal(getattr(full, name)[::250], getattr(coarse, name)), name
+    assert full.nfev == coarse.nfev == integrate(fld, GROUND, t_span, rtol=1e-11,
+                                                 atol=1e-13).nfev
+
+
 # ---------------------------------------------------------------- monodromy
 
 def test_monodromy_matches_analytic_quasi_energies():
@@ -288,8 +330,9 @@ def test_nfev_counts_rhs_calls():
 
 
 def test_rhs_call_budget_solvable_model():
-    # one composed one-period solve makes 1,154 calls here and the monodromy
-    # 1,202; DOP853 across all five periods made 4,493, RK45 11,150
+    # one composed one-period solve with dense output makes 1,157 calls here
+    # and the monodromy 1,202; DOP853 across all five periods made 4,493, RK45
+    # 11,150
     cfg = N2Config(u0=1.0, delta1=2.0)
     fld = drive_field(cfg)
     ts = np.linspace(0.0, 5 * cfg.period, 1001)

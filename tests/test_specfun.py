@@ -166,14 +166,23 @@ def test_hyp2f1_terminating_sum_is_exactly_zero():
     assert hyp2f1(-1.0, 2.0, 1.0, 0.5) == 0
 
 
+def test_hyp2f1_computes_no_term_past_a_zero_term():
+    # past the zero term the ratios (n - 1)(1e307 + n) overflow; the block
+    # ends at the zero term, so none is computed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _hyp2f1_series(-1 + 0j, 1e307 + 0j, 0.5 + 0j, 0.5 + 0j) == (-1e307, 2)
+        assert hyp2f1(-1.0, 1e307, 0.5, 0.5) == -1e307
+
+
 def test_hyp2f1_still_raises_convergence_error():
     with pytest.raises(ConvergenceError):
         hyp2f1(1.0, 1.0, 2.0, 0.9999)
 
 
 def test_hyp2f1_no_warning_from_terms_past_the_stop():
-    # a block computes terms beyond the stop: here they underflow, follow a
-    # zero term, or pass a near-pole ratio (p3 + n ~ 1e-9)
+    # a block computes terms beyond a two-small-terms stop: here they
+    # underflow or pass a near-pole ratio (p3 + n ~ 1e-9); it ends at a zero term
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for args in ((2.5, 3.0, 3.5, 1e-300), (1.0, 1.0, 2.0, 1e-200 + 1e-200j),
