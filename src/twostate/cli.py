@@ -239,12 +239,12 @@ def _cmd_heun_map(args) -> int:
     rows = {"sign": [], "gamma": [], "delta": [], "epsilon": [], "alpha": [],
             "beta": [], "q": [], "alpha1": [], "fuchs_residual": []}
     for sign, name in ((+1, "plus"), (-1, "minus")):
-        hp, pre = map_to_heun(cfg, sign)
+        hp, alpha1 = map_to_heun(cfg, sign)
         rows["sign"].append(name)
         for key, val in (("gamma", hp.gamma), ("delta", hp.delta), ("epsilon", hp.epsilon),
                          ("alpha", hp.alpha), ("beta", hp.beta), ("q", hp.q)):
             rows[key].append(float(complex(val).real))
-        rows["alpha1"].append(pre.alpha1)
+        rows["alpha1"].append(alpha1)
         rows["fuchs_residual"].append(hp.fuchs_residual())
     meta = _base_meta("heun-map")
     meta.update({"a": _fmt(cfg.a), "u0-scaled": _fmt(cfg.u0),

@@ -15,6 +15,9 @@ Depending on the parameter point the detuning crosses zero transversally,
 touches it tangentially ("glancing", a double root at an extremum of the
 modulation) or stays away from resonance altogether; :func:`classify_crossings`
 sorts a configuration into these classes and locates the crossing instants.
+Both families' detunings have the form c1 + c2 / (c3 + c4 sin^2(theta/2)),
+theta = Delta*(t - t0), so a crossing solves sin^2(theta/2) = s* in closed
+form: the level-crossing times are t0 + (2 pi k +- 2 arcsin(sqrt(s*))) / Delta.
 """
 
 from __future__ import annotations
@@ -24,15 +27,11 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
 
 TWO_PI = 2.0 * math.pi
 
-# crossing detection (see classify_crossings)
-SAMPLES_PER_PERIOD = 4096
-ROOT_XTOL = 1e-14          # brentq absolute tolerance on a crossing time
 GLANCING_TOL = 1e-9        # |delta_t| at a modulation extremum (where d delta_t/dt = 0)
 
 
@@ -279,66 +278,60 @@ def drive_field(cfg) -> DriveField:
     raise ParameterError(f"drive_field: unsupported config type {type(cfg)!r}")
 
 
-def grid_roots(f, xs: np.ndarray, fx: np.ndarray, xtol: float, merge_tol: float) -> list[float]:
-    """Sorted roots of the scalar function ``f`` on a grid ``xs`` with values ``fx = f(xs)``.
+def _crossing_phase(cfg) -> float:
+    """The phase ``theta*`` in (0, pi) where a detuning that changes sign vanishes.
 
-    Exact zeros on the grid are kept as they are; each sign change between
-    nonzero neighbours is refined with Brent's method to ``xtol``.  A bracket
-    whose endpoint signs do not repeat in scalar evaluation (a touch at
-    rounding level, e.g. a glancing extremum) is skipped.  A root within
-    ``merge_tol`` of the previous one is dropped.
+    The general family's denominator (sqrt(a) - 1)^2 + 4 sqrt(a) sin^2(theta/2)
+    = (sqrt(a) + 1)^2 - 4 sqrt(a) cos^2(theta/2) equals (a - 1) delta2 / delta1
+    there.  sin^2 and cos^2 are each solved from their own extremum, so a
+    crossing near either extremum keeps its relative accuracy.
     """
-    neg = fx < 0
-    roots = [float(x) for x in xs[fx == 0.0]]
-    for i in np.flatnonzero((neg[:-1] != neg[1:]) & (fx[:-1] != 0.0) & (fx[1:] != 0.0)):
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        if f(lo) * f(hi) <= 0.0:
-            roots.append(brentq(f, lo, hi, xtol=xtol))
-    merged = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > merge_tol:
-            merged.append(r)
-    return merged
+    half_shift = False
+    if isinstance(cfg, N2Config):
+        # its general-family member, half a period later for delta1 < -1
+        cfg, half_shift = cfg.as_general(), cfg.delta1 < 0
+    sqa = math.sqrt(cfg.a)
+    den = (cfg.a - 1.0) * cfg.delta2 / cfg.delta1
+    s, c = (den - (sqa - 1.0) ** 2) / (4.0 * sqa), ((sqa + 1.0) ** 2 - den) / (4.0 * sqa)
+    if half_shift:
+        s, c = c, s
+    # rounding leaves s or c below zero where GLANCING_TOL is below an ulp of delta1
+    return 2.0 * math.atan2(math.sqrt(max(s, 0.0)), math.sqrt(max(c, 0.0)))
 
 
 def classify_crossings(cfg, window: tuple[float, float]) -> CrossingReport:
     """Locate resonance crossings of the detuning inside ``window``.
 
-    Transversal roots are found by dense sampling (4096 points per period),
-    sign-change bracketing and Brent's method.  A tangential touch has no sign
-    change; it is detected at the modulation extrema ``theta = k pi``, where
+    The detuning is monotone in sin^2(theta/2), theta = delta (t - t0), between
+    the modulation extrema theta = k pi.  When it has opposite signs at theta =
+    0 and pi and glances at neither, it crosses resonance at theta = 2 pi k +-
+    theta*, in closed form (:func:`_crossing_phase`) and tiled over the window.
+    A tangential touch has no sign change; it is detected at the extrema, where
     the detuning derivative vanishes identically (so it is not evaluated: its
-    rounding noise grows with ``k``), by ``|delta_t| < 1e-9`` there.
-    Accepts either a :class:`FieldConfig` or an :class:`N2Config`.
+    rounding noise grows with ``k``), by ``|delta_t| < 1e-9`` there.  Accepts
+    either a :class:`FieldConfig` or an :class:`N2Config`.
     """
     f = drive_field(cfg).delta_t
-    period, t0, delta = cfg.period, cfg.t0, cfg.delta
+    t0, delta = cfg.t0, cfg.delta
 
     t_lo, t_hi = window
     if not t_hi > t_lo:
         raise ParameterError("classify_crossings: window must satisfy t_hi > t_lo")
 
-    n = max(SAMPLES_PER_PERIOD, int(math.ceil(SAMPLES_PER_PERIOD * (t_hi - t_lo) / period))) + 1
-    ts = np.linspace(t_lo, t_hi, n)
-    vals = f(ts)
-
-    roots = grid_roots(f, ts, vals, ROOT_XTOL, 1e-10 * period)
-
     # modulation extrema inside the window: theta = k*pi
-    glance = []
     k_lo = math.ceil((t_lo - t0) * delta / math.pi)
     k_hi = math.floor((t_hi - t0) * delta / math.pi)
-    for k in range(k_lo, k_hi + 1):
-        te = t0 + k * math.pi / delta
-        if abs(f(te)) < GLANCING_TOL:
-            glance.append(te)
+    extrema = (t0 + k * math.pi / delta for k in range(k_lo, k_hi + 1))
+    glance = [te for te in extrema if abs(f(te)) < GLANCING_TOL]
 
-    # drop bracketed roots that duplicate a glancing touch
-    clean = [r for r in roots if not any(abs(r - g) <= 1e-7 * period for g in glance)]
+    roots = []
+    d_0, d_pi = f(t0), f(t0 + math.pi / delta)
+    if min(abs(d_0), abs(d_pi)) >= GLANCING_TOL and (d_0 < 0.0) != (d_pi < 0.0):
+        theta = _crossing_phase(cfg)
+        cycles = TWO_PI * np.arange(math.floor((t_lo - t0) * delta / TWO_PI),
+                                    math.ceil((t_hi - t0) * delta / TWO_PI) + 1)
+        ts = t0 + np.concatenate((cycles - theta, cycles + theta)) / delta
+        roots = ts[(ts >= t_lo) & (ts <= t_hi)].tolist()
 
-    if clean:
-        times = tuple(sorted(clean + glance))
-        return CrossingReport("crossing", times)
-    if glance:
-        return CrossingReport("glancing", tuple(sorted(glance)))
-    return CrossingReport("non-crossing", ())
+    kind = "crossing" if roots else "glancing" if glance else "non-crossing"
+    return CrossingReport(kind, tuple(sorted(roots + glance)))

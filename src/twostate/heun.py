@@ -26,14 +26,15 @@ and classifies the termination hierarchy over N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
-from .fields import FieldConfig, grid_roots
+from .fields import FieldConfig
 from .specfun import UnwoundPoint, as_complex, fold_beta_sum, inc_beta, power
 
 TERMINATION_RTOL = 1e-12   # two consecutive coefficients below this (rel.) terminate
@@ -60,17 +61,6 @@ class HeunParams:
     def fuchs_residual(self) -> float:
         """|gamma + delta + epsilon - (alpha + beta + 1)|, zero for a valid set."""
         return abs(self.gamma + self.delta + self.epsilon - (self.alpha + self.beta + 1.0))
-
-
-@dataclass(frozen=True)
-class PrefactorExponents:
-    """Exponents of the elementary prefactor multiplying the series solution.
-
-    The prefactor is ``z**alpha1``: its powers of ``z - 1`` and ``z - a`` vanish
-    for this drive family.
-    """
-
-    alpha1: float
 
 
 @dataclass(frozen=True)
@@ -105,43 +95,43 @@ def generalized_rabi(u0: float, delta1: float) -> float:
     return math.sqrt(4.0 * u0 * u0 + delta1 * delta1)
 
 
-def map_to_heun(cfg: FieldConfig, sign: int) -> tuple[HeunParams, PrefactorExponents]:
+def map_to_heun(cfg: FieldConfig, sign: int) -> tuple[HeunParams, float]:
     """Map a drive configuration (scaled time, delta = 1) to ODE constants.
 
-    ``sign`` (+1 or -1) selects the fundamental-solution branch.  The exponent
-    at infinity is zero for every member of the family, which is what licenses
-    the incomplete-Beta expansion.
+    ``sign`` (+1 or -1) selects the fundamental-solution branch; ``alpha1`` is the
+    exponent of the series solution's prefactor ``z**alpha1``.  The exponent at
+    infinity is zero for every member of the family, which licenses the Beta expansion.
     """
     if sign not in (+1, -1):
         raise ParameterError(f"map_to_heun: sign must be +1 or -1, got {sign}")
     if cfg.delta != 1.0:
         raise ParameterError("map_to_heun: scaled configuration required (delta = 1); "
                              "use FieldConfig.scaled()")
-    return _heun_constants(cfg.u0, cfg.a, cfg.delta1, cfg.delta2, sign)
+    big_r = generalized_rabi(cfg.u0, cfg.delta1)
+    gamma, alpha1, q = _branch_constants(big_r, cfg.a, cfg.delta1, cfg.delta2, sign)
+    return HeunParams(a=cfg.a, q=q, alpha=0.0, beta=sign * big_r, gamma=gamma,
+                      delta=cfg.delta2, epsilon=-cfg.delta2), alpha1
 
 
-def _heun_constants(u0: float, a, delta1: float, delta2: float, sign: int
-                    ) -> tuple[HeunParams, PrefactorExponents]:
-    """:func:`map_to_heun` without its checks; an array ``a`` gives array ``a`` and ``q``."""
-    big_r = generalized_rabi(u0, delta1)
-    gamma = 1.0 + sign * big_r
-    beta = sign * big_r
+def _branch_constants(big_r, a, delta1: float, delta2: float, sign: int) -> tuple:
+    """``(gamma, alpha1, q)`` of branch ``sign``; elementwise over arrays ``big_r`` and ``a``."""
     alpha1 = 0.5 * (delta1 + sign * big_r)
-    q = (a - 1.0) * delta2 * alpha1
-    hp = HeunParams(a=a, q=q, alpha=0.0, beta=beta, gamma=gamma,
-                    delta=delta2, epsilon=-delta2)
-    return hp, PrefactorExponents(alpha1=alpha1)
+    return 1.0 + sign * big_r, alpha1, (a - 1.0) * delta2 * alpha1
 
 
 def recurrence_coeffs(hp: HeunParams, n: int) -> RecurrenceCoeffs:
     """Three-term recurrence coefficients at index ``n`` (gamma0 = 1 - gamma form)."""
     if n < 0:
         raise ParameterError(f"recurrence_coeffs: n must be >= 0, got {n}")
-    a, g, d, e, q = hp.a, hp.gamma, hp.delta, hp.epsilon, hp.q
+    return RecurrenceCoeffs(*_recurrence_terms(hp.a, hp.gamma, hp.delta, hp.epsilon, hp.q, n))
+
+
+def _recurrence_terms(a, g, d, e, q, n: int) -> tuple:
+    """``(R_n, Q_n, P_n)`` from the constants ``a, gamma, delta, epsilon, q`` as plain values."""
     rn = a * n * (n - g)
     qn = -a * n * (n + 1 - g - d) - (n + e) * (n + 1 - g) - q
     pn = (n + 2 - g - d) * (n + e)
-    return RecurrenceCoeffs(rn=rn, qn=qn, pn=pn)
+    return rn, qn, pn
 
 
 def expand(hp: HeunParams, max_terms: int = 40) -> BetaSeries:
@@ -183,20 +173,20 @@ def expand(hp: HeunParams, max_terms: int = 40) -> BetaSeries:
                       coeffs=np.array(coeffs, dtype=complex), n_term=n_term)
 
 
-def _continuant(hp: HeunParams, n_stop: int):
+def _continuant(a, g, d, e, q, n_stop: int):
     """``d_{N+1}`` of the division-free tridiagonal-determinant recursion.
 
     ``d_n = Q_{n-1} d_{n-1} - P_{n-2} R_{n-1} d_{n-2}`` from ``d_0 = 1``, every
-    coefficient taken from :func:`recurrence_coeffs`; ``d_{N+1} = 0`` is
-    equivalent to the vanishing of coefficient ``c_{N+1}``.  ``hp.q`` may be a
-    number, an array (with a matching array ``hp.a``) or the polynomial
-    variable (a :class:`numpy.polynomial.Polynomial`), and the result has the
-    same kind.
+    coefficient taken from :func:`_recurrence_terms` at the constants ``a,
+    gamma, delta, epsilon, q``; ``d_{N+1} = 0`` is equivalent to the vanishing
+    of coefficient ``c_{N+1}``.  The constants may be numbers, arrays that
+    broadcast together, or (``q`` only) the polynomial variable (a
+    :class:`numpy.polynomial.Polynomial`), and the result has the same kind.
     """
-    rc = [recurrence_coeffs(hp, n) for n in range(n_stop + 1)]
-    d_prev, d_cur = 1.0, rc[0].qn
+    rn, qn, pn = zip(*(_recurrence_terms(a, g, d, e, q, n) for n in range(n_stop + 1)))
+    d_prev, d_cur = 1.0, qn[0]
     for n in range(2, n_stop + 2):
-        d_prev, d_cur = d_cur, rc[n - 1].qn * d_cur - rc[n - 2].pn * rc[n - 1].rn * d_prev
+        d_prev, d_cur = d_cur, qn[n - 1] * d_cur - pn[n - 2] * rn[n - 1] * d_prev
     return d_cur
 
 
@@ -215,7 +205,7 @@ def q_polynomial(hp: HeunParams, n_stop: int) -> np.ndarray:
     if not (eps_ok or gd_ok):
         raise ParameterError("q_polynomial: termination precondition fails "
                              f"(epsilon = {hp.epsilon}, gamma+delta-2 = {hp.gamma + hp.delta - 2})")
-    return _continuant(replace(hp, q=Polynomial(np.array([0, 1], dtype=complex))), n_stop).coef
+    return _continuant(hp.a, hp.gamma, hp.delta, hp.epsilon, Polynomial([0j, 1.0]), n_stop).coef
 
 
 def q_polynomial_roots(poly: np.ndarray) -> np.ndarray:
@@ -261,14 +251,14 @@ def series_solution(cfg: FieldConfig, sign: int
     closed form of ``dB_z/dz`` so no numerical differentiation is involved.
     ``z`` stays an :class:`UnwoundPoint`: its powers must not branch-snap.
     """
-    hp, pre = map_to_heun(cfg, sign)
+    hp, alpha1 = map_to_heun(cfg, sign)
     bs = expand(hp)
     sqa = math.sqrt(cfg.a)
     active = bs.active_coeffs()
 
     def a2(t: float) -> complex:
         pt = UnwoundPoint(sqa, t - cfg.t0)
-        return power(pt, pre.alpha1) * eval_series(bs, pt)
+        return power(pt, alpha1) * eval_series(bs, pt)
 
     def da2_dt(t: float) -> complex:
         pt = UnwoundPoint(sqa, t - cfg.t0)
@@ -276,8 +266,7 @@ def series_solution(cfg: FieldConfig, sign: int
         zc = pt.value
         du = sum((c * power(pt, bs.gamma0 + n - 1) * (1.0 - zc) ** (bs.delta_n - 1.0)
                   for n, c in enumerate(active) if c != 0), 0j)
-        return 1j * (pre.alpha1 * power(pt, pre.alpha1) * u
-                     + power(pt, pre.alpha1 + 1.0) * du)
+        return 1j * (alpha1 * power(pt, alpha1) * u + power(pt, alpha1 + 1.0) * du)
 
     return a2, da2_dt
 
@@ -292,25 +281,36 @@ class TerminationRecord:
     drift: float                # max movement of matched roots across couplings
 
 
-def _constraint_determinant(u0: float, delta1: float, delta2: float, a, n_stop: int):
+def _constraint_determinant(u0, delta1: float, delta2: float, a, n_stop: int):
     """:func:`_continuant` at the physical ``q`` of the sign -1 branch.
 
     Elementwise over an array ``a``; it vanishes where the termination
-    constraint holds.
+    constraint holds.  A tuple ``u0`` of couplings gives one row per coupling,
+    bit for bit its value alone: their constants broadcast as (k, 1) columns.
     """
-    return _continuant(_heun_constants(u0, a, delta1, delta2, -1)[0], n_stop)
+    big_r = (np.array([[generalized_rabi(u, delta1)] for u in u0]) if isinstance(u0, tuple)
+             else generalized_rabi(u0, delta1))
+    gamma, _, q = _branch_constants(big_r, a, delta1, delta2, -1)
+    return _continuant(a, gamma, delta2, -delta2, q, n_stop)
 
 
-def _constraint_roots(u0: float, delta1: float, delta2: float, n_stop: int,
-                      a_range: tuple[float, float]) -> tuple[float, ...]:
-    avals, h = np.linspace(*a_range, _A_GRID, retstep=True)
-    f = lambda a: _constraint_determinant(u0, delta1, delta2, a, n_stop)
-    fvals = f(avals)
-    roots = []
-    # a = 1 is excluded from the family: bracket on either side of it only
-    for side in (avals < 1.0 - 0.5 * h, avals > 1.0 + 0.5 * h):
-        roots += grid_roots(f, avals[side], fvals[side], _ROOT_XTOL, 1e-8)
-    return tuple(roots)
+def grid_roots(f, xs: np.ndarray, fx: np.ndarray, xtol: float, merge_tol: float) -> list[float]:
+    """Sorted roots of the scalar function ``f`` on a grid ``xs`` with values ``fx = f(xs)``.
+
+    Exact zeros on the grid are kept as they are; each sign change between
+    nonzero neighbours is refined with Brent's method to ``xtol``, which
+    requires ``f`` to reproduce ``fx`` at the grid points.  A root within
+    ``merge_tol`` of the previous one is dropped.
+    """
+    neg = fx < 0
+    roots = [float(x) for x in xs[fx == 0.0]]
+    for i in np.flatnonzero((neg[:-1] != neg[1:]) & (fx[:-1] != 0.0) & (fx[1:] != 0.0)):
+        roots.append(brentq(f, float(xs[i]), float(xs[i + 1]), xtol=xtol))
+    merged = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > merge_tol:
+            merged.append(r)
+    return merged
 
 
 def termination_search(cfg: FieldConfig, n_max: int,
@@ -331,26 +331,33 @@ def termination_search(cfg: FieldConfig, n_max: int,
         raise ParameterError(f"termination_search: n_max must be >= 0, got {n_max}")
     if not 0.0 < a_range[0] < a_range[1] < math.inf:
         raise ParameterError(f"termination_search: need 0 < a_min < a_max < inf, got {a_range}")
-    records = []
-    for n_stop in range(n_max + 1):
-        if n_stop == 0:
-            # delta2 = 0 removes the modulation entirely; the constraint is
-            # vacuous and the field is the constant-detuning flopping model
-            records.append(TerminationRecord(0, "trivial", {}, 0.0))
-            continue
+    avals, h = np.linspace(*a_range, _A_GRID, retstep=True)
+    # a = 1 is excluded from the family: bracket on either side of it only
+    sides = (avals < 1.0 - 0.5 * h, avals > 1.0 + 0.5 * h)
+    # delta2 = 0 removes the modulation entirely; the constraint is vacuous
+    # and the field is the constant-detuning flopping model
+    records = [TerminationRecord(0, "trivial", {}, 0.0)]
+    for n_stop in range(1, n_max + 1):
         delta2 = float(n_stop)
-        roots_by_u0 = {u0: _constraint_roots(u0, cfg.delta1, delta2, n_stop, a_range)
-                       for u0 in _U0_PROBES}
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = _constraint_determinant(_U0_PROBES, cfg.delta1, delta2, avals, n_stop)
+        if not np.isfinite(grid).all():
+            raise DomainError(f"termination_search: the order-{n_stop} constraint overflows on "
+                              f"the a-grid up to {a_range[1]!r} at delta1 = {cfg.delta1!r}")
+        roots_by_u0 = {}
+        for u0, fvals in zip(_U0_PROBES, grid):
+            f = lambda a: _constraint_determinant(u0, cfg.delta1, delta2, a, n_stop)
+            roots_by_u0[u0] = tuple(r for side in sides for r in grid_roots(
+                f, avals[side], fvals[side], _ROOT_XTOL, 1e-8))
         sets = list(roots_by_u0.values())
         counts = {len(s) for s in sets}
         if counts == {0}:
-            records.append(TerminationRecord(n_stop, "trivial", roots_by_u0, 0.0))
-            continue
-        if len(counts) > 1:
-            records.append(TerminationRecord(n_stop, "conditional", roots_by_u0, float("inf")))
-            continue
-        stacked = np.array([sorted(s) for s in sets])
-        drift = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
-        status = "unconditional" if drift < _ROOT_MATCH_ATOL else "conditional"
+            status, drift = "trivial", 0.0
+        elif len(counts) > 1:
+            status, drift = "conditional", float("inf")
+        else:
+            stacked = np.array([sorted(s) for s in sets])
+            drift = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
+            status = "unconditional" if drift < _ROOT_MATCH_ATOL else "conditional"
         records.append(TerminationRecord(n_stop, status, roots_by_u0, drift))
     return records

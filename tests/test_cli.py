@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ def test_terminate_table(tmp_path):
     assert status == ["trivial", "trivial", "unconditional", "conditional"]
     roots2 = column(header, rows, "roots", as_float=False)[2]
     assert abs(float(roots2.split(";")[0]) - 3.0) < 1e-5
+
+
+def test_terminate_overflow_is_a_configuration_error(tmp_path, capsys):
+    # the constraint determinant overflows on such a-grids; it once exited 0
+    # with every order "trivial" and overflow RuntimeWarnings
+    for argv in (["--u0", "1", "--delta1", "2", "--a-max", "1e300"],
+                 ["--u0", "1", "--delta1", "1e300"]):
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["terminate", *argv, "-o", str(out)]) == 2, argv
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflows" in err, err
 
 
 def test_simulate_and_closed_form_agree(tmp_path):

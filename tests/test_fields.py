@@ -6,15 +6,17 @@ the adaptive-quadrature oracle; each frozen number carries its derivation.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from twostate.errors import DomainError, ParameterError
-from twostate.fields import (FieldConfig, N2Config, a_from_delta1, classify_crossings,
-                             detuning_general, detuning_n2, detuning_n3, drive_field,
-                             glancing_ratios, grid_roots, n3_general_config,
-                             n3_singular_point)
+from twostate.fields import (GLANCING_TOL, FieldConfig, N2Config, a_from_delta1,
+                             classify_crossings, detuning_general, detuning_n2, detuning_n3,
+                             drive_field, glancing_ratios, n3_general_config, n3_singular_point)
 
 # glancing member of the a=16 family: delta1/delta2 = 25/15 = (sqrt(16)+1)/(sqrt(16)-1)
 GLANCING_16 = dict(u0=1.0, a=16.0, delta1=-25.0 / 16.0, delta2=-15.0 / 16.0)
@@ -195,20 +197,6 @@ def test_glancing_vanishes_at_predicted_extremum():
 
 # ---------------------------------------------------------------- crossing census
 
-def test_grid_roots_zeros_brackets_and_merging():
-    xs = np.linspace(0.0, 2.0, 9)                 # exact binary grid points
-    # exact zeros on the grid (the last point included) are returned once
-    g = lambda x: (x - 0.5) * (x - 2.0)
-    assert grid_roots(g, xs, g(xs), 1e-15, 1e-8) == [0.5, 2.0]
-    h = lambda x: x - 0.3
-    assert grid_roots(h, xs, h(xs), 1e-15, 1e-8) == [pytest.approx(0.3, abs=1e-15)]
-    # two crossings 2e-10 apart straddle a grid point: one root unless merge_tol is finer
-    f = lambda x: (x - 0.5 + 1e-10) * (x - 0.5 - 1e-10)
-    assert grid_roots(f, xs, f(xs), 1e-15, 1e-8) == [pytest.approx(0.5 - 1e-10, abs=1e-14)]
-    assert grid_roots(f, xs, f(xs), 1e-15, 1e-12) == [pytest.approx(0.5 - 1e-10, abs=1e-14),
-                                                      pytest.approx(0.5 + 1e-10, abs=1e-14)]
-
-
 def test_classify_no_modulation_is_non_crossing():
     cfg = FieldConfig(u0=1.0, a=4.0, delta1=0.9, delta2=0.0)
     rep = classify_crossings(cfg, (0.0, cfg.period))
@@ -253,6 +241,67 @@ def test_classify_glancing():
 def test_classify_window_validation():
     with pytest.raises(ParameterError):
         classify_crossings(N2Config(u0=1.0, delta1=2.0), (1.0, 1.0))
+
+
+def _census_reference(detuning, t0, delta, window, edge_tol):
+    """Kind and times of the crossing census of a 30-digit ``detuning(theta)``.
+
+    The glancing rule at the extrema theta = k pi, and mpmath.findroot
+    bracketing the transversal root between theta = 0 and pi; no closed form.
+    An event within ``edge_tol`` of a window end is in or out by rounding, so
+    such windows are not drawn.
+    """
+    with mpmath.workdps(30):
+        t_lo, t_hi = (mpmath.mpf(t) for t in window)
+        d_0, d_pi = detuning(mpmath.mpf(0)), detuning(mpmath.pi)
+        k_lo = int(mpmath.floor((t_lo - t0) * delta / mpmath.pi))
+        k_hi = int(mpmath.ceil((t_hi - t0) * delta / mpmath.pi))
+        glance = [t0 + k * mpmath.pi / delta for k in range(k_lo, k_hi + 1)
+                  if abs(d_pi if k % 2 else d_0) < GLANCING_TOL]
+        roots = []
+        if min(abs(d_0), abs(d_pi)) >= GLANCING_TOL and (d_0 < 0) != (d_pi < 0):
+            theta = mpmath.findroot(detuning, (mpmath.mpf(0), mpmath.pi), solver="bisect")
+            roots = [t0 + (2 * k * mpmath.pi + side * theta) / delta
+                     for k in range(k_lo // 2 - 1, k_hi // 2 + 2) for side in (-1, 1)]
+        assume(all(abs(t - edge) > edge_tol for t in roots + glance for edge in (t_lo, t_hi)))
+        roots = [t for t in roots if t_lo <= t <= t_hi]
+        glance = [t for t in glance if t_lo <= t <= t_hi]
+        kind = "crossing" if roots else "glancing" if glance else "non-crossing"
+        return kind, sorted(float(t) for t in roots + glance)
+
+
+def _assert_census_matches(cfg, detuning, window):
+    rep = classify_crossings(cfg, window)
+    kind, times = _census_reference(detuning, cfg.t0, cfg.delta, window, 1e-13 * cfg.period)
+    assert (rep.kind, len(rep.times)) == (kind, len(times)), (cfg, window, rep, times)
+    assert all(abs(got - ref) <= 1e-13 * cfg.period for got, ref in zip(rep.times, times)), \
+        (cfg, window, rep.times, times)
+
+
+WINDOW_START, WINDOW_PERIODS = st.floats(-10.0, 10.0), st.floats(0.1, 3.0)
+
+
+@given(st.floats(1.0, 6.0, exclude_min=True), st.sampled_from((1.0, -1.0)),
+       st.floats(0.5, 3.0), st.floats(-2.0, 2.0), WINDOW_START, WINDOW_PERIODS)
+def test_census_n2_matches_mpmath_root(abs_delta1, sign, delta, t0, start, periods):
+    cfg = N2Config(u0=1.0, delta1=sign * abs_delta1, delta=delta, t0=t0)
+    d1 = mpmath.mpf(cfg.delta1)
+    b = mpmath.sqrt(d1 * d1 - 1)
+    _assert_census_matches(cfg, lambda th: delta * (d1 - 2 / (d1 - b * mpmath.cos(th))),
+                           (start, start + periods * cfg.period))
+
+
+@given(st.floats(0.05, 20.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+       st.floats(0.5, 3.0), st.floats(-2.0, 2.0), WINDOW_START, WINDOW_PERIODS)
+def test_census_general_matches_mpmath_root(a, delta1, delta2, delta, t0, start, periods):
+    assume(a != 1.0)
+    cfg = FieldConfig(u0=1.0, a=a, delta1=delta1, delta2=delta2, delta=delta, t0=t0)
+    sqa = mpmath.sqrt(a)
+    # the denominator written as a sum of non-negative terms: near a = 1 the
+    # form 1 + a - 2 sqrt(a) cos(theta) cancels beyond 30 digits
+    den = lambda th: (sqa - 1) ** 2 + 4 * sqa * mpmath.sin(th / 2) ** 2
+    _assert_census_matches(cfg, lambda th: delta1 + (1 - a) * delta2 / den(th),
+                           (start, start + periods * cfg.period))
 
 
 # ---------------------------------------------------------------- three-term model

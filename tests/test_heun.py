@@ -14,10 +14,10 @@ import pytest
 
 from twostate.errors import DomainError, ParameterError
 from twostate.fields import FieldConfig, a_from_delta1
-from twostate.heun import (BetaSeries, HeunParams, _constraint_determinant, eval_series,
-                           expand, generalized_rabi, map_to_heun, q_polynomial,
-                           q_polynomial_roots, recurrence_coeffs, series_solution,
-                           termination_search)
+from twostate.heun import (_U0_PROBES, BetaSeries, HeunParams, _constraint_determinant,
+                           eval_series, expand, generalized_rabi, grid_roots, map_to_heun,
+                           q_polynomial, q_polynomial_roots, recurrence_coeffs,
+                           series_solution, termination_search)
 from twostate.specfun import fold_beta_sum, inc_beta
 
 SQ2 = math.sqrt(2.0)
@@ -33,21 +33,21 @@ def test_map_example_plus_sign():
     # u0=1, delta1=2: sqrt(4+4) = 2 sqrt2; alpha1 = 1 + sqrt2;
     # q = (3-1)*2*(1+sqrt2) = 4 (1+sqrt2)
     cfg = FieldConfig(u0=1.0, a=3.0, delta1=2.0, delta2=2.0)
-    hp, pre = map_to_heun(cfg, +1)
+    hp, alpha1 = map_to_heun(cfg, +1)
     assert abs(hp.gamma - (1.0 + 2.0 * SQ2)) < 1e-14
     assert hp.delta == 2.0 and hp.epsilon == -2.0 and hp.alpha == 0.0
     assert abs(hp.beta - 2.0 * SQ2) < 1e-14
-    assert abs(pre.alpha1 - (1.0 + SQ2)) < 1e-14
+    assert abs(alpha1 - (1.0 + SQ2)) < 1e-14
     assert abs(hp.q - 4.0 * (1.0 + SQ2)) < 1e-13
     assert hp.fuchs_residual() < 1e-12
 
 
 def test_map_zero_coupling_degeneration():
     cfg = FieldConfig(u0=1e-15, a=3.0, delta1=2.0, delta2=1.0)
-    hp, pre = map_to_heun(cfg, +1)
+    hp, alpha1 = map_to_heun(cfg, +1)
     assert abs(hp.gamma - 3.0) < 1e-12          # 1 + delta1
     assert abs(hp.beta - 2.0) < 1e-12
-    assert abs(pre.alpha1 - 2.0) < 1e-12
+    assert abs(alpha1 - 2.0) < 1e-12
 
 
 def test_map_alpha_is_zero_and_fuchs_holds_both_signs():
@@ -65,11 +65,11 @@ def test_map_alpha_is_zero_and_fuchs_holds_both_signs():
 
 def test_map_sign_symmetry():
     cfg = FieldConfig(u0=1.3, a=2.2, delta1=1.7, delta2=0.9)
-    hp_p, pre_p = map_to_heun(cfg, +1)
-    hp_m, pre_m = map_to_heun(cfg, -1)
+    hp_p, alpha1_p = map_to_heun(cfg, +1)
+    hp_m, alpha1_m = map_to_heun(cfg, -1)
     assert abs(hp_m.gamma - (2.0 - hp_p.gamma)) < 1e-13
     assert abs(hp_m.beta + hp_p.beta) < 1e-13
-    assert abs((pre_p.alpha1 + pre_m.alpha1) - cfg.delta1) < 1e-13
+    assert abs((alpha1_p + alpha1_m) - cfg.delta1) < 1e-13
 
 
 def test_map_requires_scaled_config():
@@ -277,6 +277,16 @@ def test_constraint_determinant_vectorized_over_a():
     avals = np.array([0.3, 0.77, 1.6, 4.2])
     vec = _constraint_determinant(1.3, -2.5, 4.0, avals, 4)
     assert np.array_equal(vec, [_constraint_determinant(1.3, -2.5, 4.0, a, 4) for a in avals])
+    # the stacked probe grid of termination_search: every row is the scalar
+    # evaluation bit for bit, which is what lets grid_roots hand the grid
+    # values to Brent's method without re-evaluating the bracket ends
+    avals = np.linspace(1e-3, 8.0, 2001)
+    for d1, n_stop in ((-2.5, 4), (2.0, 3), (5.5, 8)):
+        stacked = _constraint_determinant(_U0_PROBES, d1, float(n_stop), avals, n_stop)
+        assert stacked.shape == (3, 2001)
+        for row, u0 in zip(stacked, _U0_PROBES):
+            assert np.array_equal(row, [_constraint_determinant(u0, d1, float(n_stop), float(a),
+                                                                n_stop) for a in avals])
 
 
 def test_q_polynomial_requires_termination_precondition():
@@ -375,6 +385,20 @@ def test_series_solution_fundamental_pair_independent():
 
 
 # ---------------------------------------------------------------- termination hierarchy
+
+def test_grid_roots_zeros_brackets_and_merging():
+    xs = np.linspace(0.0, 2.0, 9)                 # exact binary grid points
+    # exact zeros on the grid (the last point included) are returned once
+    g = lambda x: (x - 0.5) * (x - 2.0)
+    assert grid_roots(g, xs, g(xs), 1e-15, 1e-8) == [0.5, 2.0]
+    h = lambda x: x - 0.3
+    assert grid_roots(h, xs, h(xs), 1e-15, 1e-8) == [pytest.approx(0.3, abs=1e-15)]
+    # two crossings 2e-10 apart straddle a grid point: one root unless merge_tol is finer
+    f = lambda x: (x - 0.5 + 1e-10) * (x - 0.5 - 1e-10)
+    assert grid_roots(f, xs, f(xs), 1e-15, 1e-8) == [pytest.approx(0.5 - 1e-10, abs=1e-14)]
+    assert grid_roots(f, xs, f(xs), 1e-15, 1e-12) == [pytest.approx(0.5 - 1e-10, abs=1e-14),
+                                                      pytest.approx(0.5 + 1e-10, abs=1e-14)]
+
 
 def test_termination_search_classifies_hierarchy():
     base = FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0)
