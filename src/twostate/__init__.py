@@ -17,8 +17,8 @@ from .fields import (CrossingReport, DriveField, FieldConfig, N2Config, a_from_d
                      classify_crossings, detuning_general, detuning_n2, detuning_n3,
                      drive_field, glancing_ratios, n3_general_config, n3_singular_point)
 from .heun import (BetaSeries, HeunParams, RecurrenceCoeffs, TerminationRecord, eval_series,
-                   expand, generalized_rabi, map_to_heun, q_polynomial, q_polynomial_roots,
-                   recurrence_coeffs, series_solution, termination_search)
+                   expand, generalized_rabi, map_to_heun, q_polynomial, recurrence_coeffs,
+                   series_solution, termination_search)
 from .oracle import (MonodromyResult, Trajectory, integrate, mean_detuning, mod_distance,
                      monodromy, rabi_population, wrap_mod)
 from .specfun import (EPS_CHECK, EPS_SERIES, UnwoundPoint, beta_step, fold_beta_sum, hyp2f1,

@@ -384,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periods", type=int)
     p.add_argument("--samples-per-period", type=int)
     p.add_argument("--tol", type=float, help="verdict threshold on max |a2| deviation")
-    p.add_argument("--rtol", type=float)
+    p.add_argument("--rtol", type=float,
+                   help="oracle relative tolerance (default 1e-11); it bounds the one-period "
+                        "error, so the deviation k periods out grows like k*rtol")
     _add_common(p)
 
     return parser

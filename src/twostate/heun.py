@@ -21,6 +21,10 @@ consecutive coefficients vanish and the series collapses to a finite sum.
 This module builds the parameter map, runs the recurrence, assembles the
 accessory-parameter polynomial, evaluates the (finite or truncated) series,
 and classifies the termination hierarchy over N.
+
+``brentq`` is imported inside :func:`grid_roots`, its one caller, not at
+module level: :mod:`twostate.closedform` imports this module, and loading
+``scipy.optimize`` takes several times longer than a closed-form evaluation.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
 from .fields import FieldConfig
@@ -208,21 +211,6 @@ def q_polynomial(hp: HeunParams, n_stop: int) -> np.ndarray:
     return _continuant(hp.a, hp.gamma, hp.delta, hp.epsilon, Polynomial([0j, 1.0]), n_stop).coef
 
 
-def q_polynomial_roots(poly: np.ndarray) -> np.ndarray:
-    """Roots of an ascending-coefficient polynomial via companion-matrix eigenvalues.
-
-    Each root is polished with a couple of Newton steps.
-    """
-    roots = np.roots(poly[::-1]).astype(complex)
-    p1d = np.poly1d(poly[::-1])
-    dpoly = p1d.deriv()
-    for _ in range(2):
-        dv = dpoly(roots)
-        mask = np.abs(dv) > 0
-        roots[mask] = roots[mask] - p1d(roots[mask]) / dv[mask]
-    return roots
-
-
 def eval_series(bs: BetaSeries, z) -> complex:
     """Value of the expansion at ``z`` (plain complex or :class:`UnwoundPoint`).
 
@@ -302,6 +290,8 @@ def grid_roots(f, xs: np.ndarray, fx: np.ndarray, xtol: float, merge_tol: float)
     requires ``f`` to reproduce ``fx`` at the grid points.  A root within
     ``merge_tol`` of the previous one is dropped.
     """
+    from scipy.optimize import brentq
+
     neg = fx < 0
     roots = [float(x) for x in xs[fx == 0.0]]
     for i in np.flatnonzero((neg[:-1] != neg[1:]) & (fx[:-1] != 0.0) & (fx[1:] != 0.0)):

@@ -23,6 +23,11 @@ composition adds no truncation error of its own: the one-period error
 ``eps_M`` is carried coherently, so a sample ``k`` periods out is off by about
 ``k eps_M``.  Nothing here shares code with the analytic modules: agreement
 between the two is the package's core correctness check.
+
+``scipy.integrate`` is imported inside :func:`_period_solve` and
+:func:`mean_detuning`, the two functions that call it, not at module level:
+importing scipy takes several times longer than the closed-form commands
+themselves, and ``twostate.cli`` imports this module for every command.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import IntegrationError, ParameterError
 from .fields import DriveField, StateVector
@@ -103,6 +107,8 @@ def _period_solve(owner: str, field: DriveField, t0: float, h: float, rtol: floa
         dt = field.delta_t(t)
         idt = 1j * dt
         return [idt * y11 - iu * y21, idt * y12 - iu * y22, -iu * y11, -iu * y12, dt]
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(rhs, (t0, t0 + h), np.array([1, 0, 0, 1, 0], dtype=complex),
                     method="DOP853", dense_output=dense, rtol=rtol, atol=atol)
@@ -214,6 +220,8 @@ def exponent_pair_residual(analytic: tuple[float, float], measured: tuple[float,
 
 def mean_detuning(field: DriveField) -> float:
     """Period average of the detuning by adaptive quadrature."""
+    from scipy.integrate import quad
+
     val, _err = quad(field.delta_t, 0.0, field.period, epsabs=1e-12, epsrel=1e-12, limit=400)
     return val / field.period
 

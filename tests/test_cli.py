@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +286,41 @@ def test_partial_file_removed_on_failure(tmp_path):
     assert rc == 2
     assert not out.exists()
     assert not (tmp_path / "never.csv.partial").exists()
+
+
+# ---------------------------------------------------------------- import boundary
+
+# A fresh interpreter per case: this test process has scipy loaded already.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_RUN_AND_LIST_SCIPY = """
+import json, os, sys
+import twostate, twostate.cli
+codes = [twostate.cli.main(argv + ["-o", os.devnull]) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _fresh_cli_runs(*argvs):
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_SCIPY, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_commands_do_not_load_scipy():
+    out = _fresh_cli_runs(["closed-form", "--u0", "2", "--delta1", "2"],
+                          ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2"],
+                          ["heun-map", "--u0", "1", "--a", "2", "--delta1", "2", "--delta2", "1"])
+    assert out == {"codes": [0, 0, 0], "scipy": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--u0", "1", "--delta1", "2", "--periods", "1"],
+    ["floquet", "--u0", "1", "--delta1", "2"],
+    ["simulate", "--model", "n2", "--u0", "2", "--delta1", "2"],
+    ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"],
+], ids=lambda argv: argv[0])
+def test_scipy_commands_run_in_a_fresh_interpreter(argv):
+    assert _fresh_cli_runs(argv)["codes"] == [0]

@@ -16,8 +16,8 @@ from twostate.errors import DomainError, ParameterError
 from twostate.fields import FieldConfig, a_from_delta1
 from twostate.heun import (_U0_PROBES, BetaSeries, HeunParams, _constraint_determinant,
                            eval_series, expand, generalized_rabi, grid_roots, map_to_heun,
-                           q_polynomial, q_polynomial_roots, recurrence_coeffs,
-                           series_solution, termination_search)
+                           q_polynomial, recurrence_coeffs, series_solution,
+                           termination_search)
 from twostate.specfun import fold_beta_sum, inc_beta
 
 SQ2 = math.sqrt(2.0)
@@ -168,12 +168,12 @@ def test_expand_resonant_gamma_raises():
 # ---------------------------------------------------------------- accessory polynomial
 
 def test_q_polynomial_order_zero():
-    # degree-1 polynomial; its root is the q-free part of Q_0, i.e. c_1 = 0
-    # exactly at Q_0 = 0
+    # degree-1 polynomial c0 + c1 q; its root -c0/c1 is the q-free part of
+    # Q_0, i.e. c_1 = 0 exactly at Q_0 = 0
     hp = HeunParams(a=2.0, q=0.0, alpha=0.0, beta=1.0, gamma=2.0 - 1.0, delta=2.0, epsilon=0.0)
     poly = q_polynomial(hp, 0)
     assert len(poly) == 2
-    root = q_polynomial_roots(poly)[0]
+    root = -poly[0] / poly[1]
     hp_at_root = HeunParams(a=hp.a, q=root, alpha=0.0, beta=hp.beta, gamma=hp.gamma,
                             delta=hp.delta, epsilon=hp.epsilon)
     assert abs(recurrence_coeffs(hp_at_root, 0).qn) < 1e-12
@@ -197,7 +197,7 @@ def test_q_polynomial_solvable_model_root():
 
 
 def test_q_polynomial_degree_two_vs_grid_scan():
-    # N = 1: quadratic in q; brute-force sign-change scan against companion roots
+    # N = 1: quadratic in q; brute-force sign-change scan against its numpy roots
     cfg = FieldConfig(u0=1.1, a=2.6, delta1=1.9, delta2=1.0)
     hp, _ = map_to_heun(cfg, -1)
     poly = q_polynomial(hp, 1)
@@ -218,7 +218,7 @@ def test_q_polynomial_degree_two_vs_grid_scan():
                     lo, flo = mid, f(mid)
             scan_roots.append(0.5 * (lo + hi))
     assert len(scan_roots) == 2
-    companion = sorted(q_polynomial_roots(poly).real)
+    companion = sorted(np.roots(poly[::-1]).real)
     for s, c in zip(sorted(scan_roots), companion):
         assert abs(s - c) < 1e-8, (s, c)
 
