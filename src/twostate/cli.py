@@ -375,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u0", type=float)
     p.add_argument("--delta1", type=float)
     p.add_argument("--n-max", type=int)
-    p.add_argument("--a-max", type=float)
+    p.add_argument("--a-max", type=float,
+                   help="top of the shape-parameter grid (default 8); at most 50, because a "
+                        "2001-point grid from 1e-3 with a step above 0.025 loses roots")
     _add_common(p)
 
     p = sub.add_parser("compare", help="closed form vs oracle with pass/fail verdict")

@@ -133,6 +133,17 @@ def test_terminate_overflow_is_a_configuration_error(tmp_path, capsys):
         assert err.count("\n") == 1 and "overflows" in err, err
 
 
+def test_terminate_coarse_grid_is_a_configuration_error(tmp_path, capsys):
+    # a 2001-point grid up to 1e60 brackets no root; this once exited 0 with
+    # every order "trivial" though order 2 terminates at a = 3
+    out = tmp_path / "never.csv"
+    assert main(["terminate", "--u0", "1", "--delta1", "2", "--a-max", "1e60",
+                 "-o", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "step" in err, err
+
+
 def test_simulate_and_closed_form_agree(tmp_path):
     argv_tail = ["--u0", "1", "--delta1", "2", "--t-start", "0",
                  "--t-end", str(2 * math.pi), "--samples", "101"]
@@ -312,15 +323,15 @@ def _fresh_cli_runs(*argvs):
 def test_closed_form_commands_do_not_load_scipy():
     out = _fresh_cli_runs(["closed-form", "--u0", "2", "--delta1", "2"],
                           ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2"],
-                          ["heun-map", "--u0", "1", "--a", "2", "--delta1", "2", "--delta2", "1"])
-    assert out == {"codes": [0, 0, 0], "scipy": []}
+                          ["heun-map", "--u0", "1", "--a", "2", "--delta1", "2", "--delta2", "1"],
+                          ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"])
+    assert out == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 @pytest.mark.parametrize("argv", [
     ["compare", "--u0", "1", "--delta1", "2", "--periods", "1"],
     ["floquet", "--u0", "1", "--delta1", "2"],
     ["simulate", "--model", "n2", "--u0", "2", "--delta1", "2"],
-    ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"],
 ], ids=lambda argv: argv[0])
 def test_scipy_commands_run_in_a_fresh_interpreter(argv):
     assert _fresh_cli_runs(argv)["codes"] == [0]

@@ -11,8 +11,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from twostate.errors import DomainError, ParameterError
+from twostate.errors import ConvergenceError, DomainError, ParameterError
 from twostate.fields import FieldConfig, a_from_delta1
 from twostate.heun import (_U0_PROBES, BetaSeries, HeunParams, _constraint_determinant,
                            eval_series, expand, generalized_rabi, grid_roots, map_to_heun,
@@ -343,6 +345,43 @@ def test_eval_series_terminated_matches_beta_sum_inside_disc():
         assert abs(got - direct) < 1e-12 * (1.0 + abs(direct))
 
 
+def _terminated_beta_sum_40_digits(bs, z):
+    """``sum_n c_n B_z(gamma0 + n, delta_n)`` over the active terms, to 40 digits.
+
+    Each Beta function is ``z^p / p 2F1(p, 1 - q; p + 1; z)``.  The top
+    coefficient is recomputed so that the series terminates exactly: with the
+    rounded one, its Beta weight near a negative integer ``p`` would add an
+    error of its own.
+    """
+    with mp.workdps(40):
+        zm, p0, q = mp.mpc(z), mp.mpc(bs.gamma0), mp.mpc(bs.delta_n)
+        cs = [mp.mpc(c) for c in bs.active_coeffs()]
+        carried = mp.mpc(0)                 # the Beta weight folded up to the top index
+        for n in range(len(cs) - 1):
+            carried = (carried + cs[n]) * (q + p0 + n) / (p0 + n)
+        cs[-1] = -carried
+        return complex(mp.fsum(c * zm ** (p0 + n) / (p0 + n)
+                               * mp.hyp2f1(p0 + n, 1 - q, p0 + n + 1, zm)
+                               for n, c in enumerate(cs)))
+
+
+def test_eval_series_folds_terminated_series_inside_disc():
+    # +R branch of the two-parameter model with delta1 < -1: the circle lies in
+    # the unit disc and the Beta terms are ~1e3 times the sum, so summing them
+    # through inc_beta lost three digits (2.9e-11 here); the fold does not
+    rng = np.random.default_rng(4)
+    for _ in range(60):
+        d1, u0 = rng.uniform(-7.0, -1.05), rng.uniform(0.05, 5.0)
+        cfg = n2_scaled_config(u0, d1)
+        hp, _ = map_to_heun(cfg, +1)
+        three = expand(hp, max_terms=2)     # c_0..c_2; c_3 and c_4 vanish at delta2 = 2
+        bs = BetaSeries(gamma0=three.gamma0, delta_n=three.delta_n, coeffs=three.coeffs,
+                        n_term=2)
+        z = math.sqrt(cfg.a) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+        ref = _terminated_beta_sum_40_digits(bs, z)
+        assert abs(eval_series(bs, z) - ref) < 1e-12 * abs(ref), (d1, u0, z)
+
+
 def test_eval_series_outside_disc_requires_termination():
     cfg = FieldConfig(u0=0.9, a=3.0, delta1=1.2, delta2=0.8)
     hp, _ = map_to_heun(cfg, -1)
@@ -400,6 +439,90 @@ def test_grid_roots_zeros_brackets_and_merging():
                                                       pytest.approx(0.5 + 1e-10, abs=1e-14)]
 
 
+def _brentq_grid_roots(f, xs, fx, xtol, merge_tol):
+    """The reference: :func:`grid_roots` with each bracket refined by scipy's brentq."""
+    from scipy.optimize import brentq
+
+    roots = [float(x) for x in xs[fx == 0.0]]
+    for i in range(len(xs) - 1):
+        if fx[i] != 0.0 and fx[i + 1] != 0.0 and (fx[i] < 0) != (fx[i + 1] < 0):
+            roots.append(brentq(f, float(xs[i]), float(xs[i + 1]), xtol=xtol))
+    merged = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > merge_tol:
+            merged.append(r)
+    return merged
+
+
+@st.composite
+def _polynomial_brackets(draw):
+    """A grid and a polynomial c prod(x - r): exact grid zeros, close pairs, triple roots."""
+    lo = draw(st.floats(-5.0, 5.0))
+    xs = np.linspace(lo, lo + draw(st.floats(0.1, 10.0)), draw(st.integers(2, 40)))
+    roots = []
+    kinds = ["grid", "free", "pair", "triple"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
+        if kind == "grid":
+            roots.append(float(xs[draw(st.integers(0, len(xs) - 1))]))
+        else:
+            r = draw(st.floats(xs[0] - 1.0, xs[-1] + 1.0))
+            roots += [r] * (3 if kind == "triple" else 1)
+            if kind == "pair":
+                roots.append(r + draw(st.floats(1e-13, 1e-6)))
+    scale = draw(st.sampled_from([-1e3, -1.0, 1e-3, 1.0, 1e8]))
+    return xs, roots, scale
+
+
+@given(_polynomial_brackets(), st.sampled_from([1e-15, 1e-12, 1e-8]),
+       st.sampled_from([1e-12, 1e-8]))
+def test_grid_roots_is_brentq_bit_for_bit(bracket, xtol, merge_tol):
+    xs, roots, scale = bracket
+
+    def f(x):                              # the same operations on a float and on the grid
+        y = scale
+        for r in roots:
+            y = y * (x - r)
+        return y
+
+    fx = f(xs)
+    try:
+        expected = _brentq_grid_roots(f, xs, fx, xtol, merge_tol)
+    except RuntimeError:                   # brentq did not converge (a flat triple root)
+        with pytest.raises(ConvergenceError):
+            grid_roots(f, xs, fx, xtol, merge_tol)
+        return
+    assert grid_roots(f, xs, fx, xtol, merge_tol) == expected
+
+
+@pytest.mark.parametrize("u0, delta1, n_stop", [(5.141038753367041, 10.037068134735588, 6),
+                                                (1.8388067875218563, -9.689200223603034, 5),
+                                                (0.4500683314806528, 10.264236140718245, 5),
+                                                (1.0, 2.0, 3)])
+def test_grid_roots_is_brentq_bit_for_bit_on_constraint_grids(u0, delta1, n_stop):
+    # the first three meet Brent's step-length test (2|step| < 3|bisection| - tol)
+    # within the tolerance, which the polynomial brackets above hardly ever do
+    avals = np.linspace(1e-3, 8.0, 2001)
+    f = lambda a: _constraint_determinant(u0, delta1, float(n_stop), a, n_stop)
+    fx = _constraint_determinant(u0, delta1, float(n_stop), avals, n_stop)
+    assert grid_roots(f, avals, fx, 1e-15, 1e-8) == _brentq_grid_roots(f, avals, fx, 1e-15, 1e-8)
+
+
+def test_grid_roots_non_finite_inside_a_bracket_is_a_domain_error():
+    xs = np.array([0.0, 1.0])
+    f = lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan
+    with pytest.raises(DomainError):
+        grid_roots(f, xs, np.array([-0.3, 0.7]), 1e-15, 1e-8)
+
+
+def test_grid_roots_not_converged_is_a_convergence_error():
+    # the flat triple root takes Brent's method (scipy's brentq too) past 100
+    # iterations at this xtol
+    xs = np.array([0.0, 2.0])
+    f = lambda x: -1e3 * (x - 1.5) * (x - 1.5) * (x - 1.5)
+    with pytest.raises(ConvergenceError):
+        grid_roots(f, xs, f(xs), 1e-15, 1e-8)
+
+
 def test_termination_search_classifies_hierarchy():
     base = FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0)
     records = termination_search(base, 3)
@@ -441,3 +564,14 @@ def test_termination_search_validates_a_range():
     for a_range in ((1e-3, math.inf), (1e-3, math.nan), (1e-3, 1e-4), (0.0, 8.0)):
         with pytest.raises(ParameterError):
             termination_search(base, 3, a_range=a_range)
+
+
+def test_termination_search_rejects_a_coarse_grid():
+    # a step above 0.025 can hold two roots in one cell; (1e-3, 1e60) once
+    # returned every order "trivial" though order 2 terminates at a = 3
+    base = FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0)
+    for a_max in (1e60, 51.0):
+        with pytest.raises(DomainError, match="step"):
+            termination_search(base, 3, a_range=(1e-3, a_max))
+    roots = termination_search(base, 3, a_range=(1e-3, 50.0))[2].roots_by_u0
+    assert all(len(r) == 1 and abs(r[0] - 3.0) < 1e-9 for r in roots.values())
