@@ -332,6 +332,7 @@ def test_closed_form_commands_do_not_load_scipy():
     ["compare", "--u0", "1", "--delta1", "2", "--periods", "1"],
     ["floquet", "--u0", "1", "--delta1", "2"],
     ["simulate", "--model", "n2", "--u0", "2", "--delta1", "2"],
+    ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"],
 ], ids=lambda argv: argv[0])
 def test_scipy_commands_run_in_a_fresh_interpreter(argv):
     assert _fresh_cli_runs(argv)["codes"] == [0]
