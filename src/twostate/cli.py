@@ -50,17 +50,7 @@ def _render_csv(meta: dict, columns: dict) -> str:
 
 
 def _render_json(meta: dict, columns: dict) -> str:
-    def clean(v):
-        if isinstance(v, np.ndarray):
-            return [clean(x) for x in v.tolist()]
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        if isinstance(v, (np.floating, float)):
-            return float(v)
-        if isinstance(v, (np.integer, int)):
-            return int(v)
-        return v
-    payload = {"meta": clean(dict(meta)), "data": {k: clean(np.atleast_1d(v)) for k, v in columns.items()}}
+    payload = {"meta": meta, "data": {k: np.atleast_1d(v).tolist() for k, v in columns.items()}}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -374,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("terminate", help="termination hierarchy over the series order N")
     p.add_argument("--u0", type=float)
     p.add_argument("--delta1", type=float)
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-max", type=int,
+                   help="highest series order searched (default 3); above 6 the fixed a-grid "
+                        "can miss constraint roots near a = 1 at any --a-max")
     p.add_argument("--a-max", type=float,
                    help="top of the shape-parameter grid (default 8); at most 50, because a "
                         "2001-point grid from 1e-3 with a step above 0.025 loses roots")

@@ -114,37 +114,6 @@ def hg_three_beta(delta1: float, u0: float, z) -> complex:
     return fold_beta_sum(three_beta_coeffs(delta1, u0), generalized_rabi(u0, delta1), -1.0, z)
 
 
-def _amplitude_arrays(cfg: N2Config, sign, times) -> tuple[np.ndarray, np.ndarray]:
-    """Fundamental solution and its physical-time derivative on an array of times.
-
-    ``sign`` is +1 or -1, or an array of them that broadcasts against ``times``.
-    """
-    if not np.all(np.abs(sign) == 1):
-        raise ParameterError(f"amplitude: sign must be +1 or -1, got {sign}")
-    t = np.asarray(times, dtype=float)
-    theta = cfg.delta * (t - cfg.t0) + _angle_offset(cfg)
-    rs = sign * generalized_rabi(cfg.u0, cfg.delta1)
-    lam = 0.5 * (cfg.delta1 + rs)
-    zp = np.exp(1j * lam * theta)                        # z^lambda / sqrt(a)^lambda
-    z = math.sqrt(cfg.a) * np.exp(1j * theta)
-    dc, w = _bracket_weights(rs, cfg.delta1)
-    bracket = dc + w / (1.0 - z)
-    dbracket = w / (1.0 - z) ** 2                        # d/dz
-    return zp * bracket, 1j * cfg.delta * zp * (lam * bracket + z * dbracket)
-
-
-def amplitude_n2(cfg: N2Config, sign: int, t: float) -> complex:
-    """Un-normalized fundamental solution for the chosen sign of R at time ``t``."""
-    val, _ = _amplitude_arrays(cfg, sign, t)
-    return complex(val)
-
-
-def amplitude_n2_deriv(cfg: N2Config, sign: int, t: float) -> complex:
-    """Analytic time derivative of :func:`amplitude_n2`."""
-    _, dval = _amplitude_arrays(cfg, sign, t)
-    return complex(dval)
-
-
 def phase_n2(cfg: N2Config, t):
     """Accumulated phase modulation ``int_{t0}^{t} delta_t ds`` (scalar or array).
 
@@ -173,8 +142,17 @@ def recover_a1(cfg: N2Config, a2_derivative, phase):
 
 def _fundamental_pair(cfg: N2Config, times) -> tuple[np.ndarray, np.ndarray]:
     """``(a1, a2)`` of the plus and minus fundamental solutions; axis 0 is the sign."""
-    a2, da2 = _amplitude_arrays(cfg, np.reshape((1.0, -1.0), (2,) + (1,) * np.ndim(times)), times)
-    return recover_a1(cfg, da2, phase_n2(cfg, times)), a2
+    t = np.asarray(times, dtype=float)
+    theta = cfg.delta * (t - cfg.t0) + _angle_offset(cfg)
+    rs = np.reshape((1.0, -1.0), (2,) + (1,) * t.ndim) * generalized_rabi(cfg.u0, cfg.delta1)
+    lam = 0.5 * (cfg.delta1 + rs)
+    zp = np.exp(1j * lam * theta)                        # z^lambda / sqrt(a)^lambda
+    z = math.sqrt(cfg.a) * np.exp(1j * theta)
+    dc, w = _bracket_weights(rs, cfg.delta1)
+    bracket = dc + w / (1.0 - z)
+    dbracket = w / (1.0 - z) ** 2                        # d/dz
+    da2 = 1j * cfg.delta * zp * (lam * bracket + z * dbracket)
+    return recover_a1(cfg, da2, phase_n2(cfg, times)), zp * bracket
 
 
 def match_initial(cfg: N2Config, state0: StateVector, t_start: float) -> tuple[complex, complex]:

@@ -173,8 +173,7 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     a2 = y[2] * v[0] + y[3] * v[1]
     phase = state0.phase + y[4].real + k * phase_period
     a1 = c1 * np.exp(-1j * phase)
-    norm0 = abs(state0.a1) ** 2 + abs(state0.a2) ** 2
-    drift = float(np.max(np.abs(np.abs(a1) ** 2 + np.abs(a2) ** 2 - norm0)))
+    drift = float(np.max(np.abs(np.abs(a1) ** 2 + np.abs(a2) ** 2 - state0.norm)))
     return Trajectory(times=times, a1=a1, a2=a2, phase=phase, norm_drift=drift, nfev=sol.nfev)
 
 

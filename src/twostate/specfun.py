@@ -35,14 +35,10 @@ _INT_TOL = 1e-12
 _FOLD_LEFTOVER_RTOL = 1e-10
 
 _LOG_EPS_SERIES = math.log(EPS_SERIES)
-# Term index n of each series slot, read-only and shared by every call: slot
-# k holds the ratio n = k - 1 that turns term k - 1 into term k.  Slot 0 of a
-# block carries a value from the block before instead of a ratio; in the
-# first block its n is 0, not -1, so that no ratio divides by n + 1 = 0.
-_SLOT_N = np.arange(-1.0, MAX_TERMS)
-_SLOT_N[0] = 0.0
-_SLOT_N_PLUS_1 = _SLOT_N + 1.0
-_SLOT_N.flags.writeable = _SLOT_N_PLUS_1.flags.writeable = False
+# Index n of each term ratio, read-only and shared by every call
+_N = np.arange(float(MAX_TERMS))
+_N_PLUS_1 = _N + 1.0
+_N.flags.writeable = _N_PLUS_1.flags.writeable = False
 _running_product = np.multiply.accumulate   # np.cumprod minus its Python wrapper
 _running_sum = np.add.accumulate
 
@@ -84,10 +80,12 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     multiplied in the order a term-by-term loop would) and its running sum
     (the partial sums).  The series stops at the first term that is exactly
     zero, or at the second of two consecutive terms below ``EPS_SERIES`` times
-    the partial sum.  Each block is twice as long as the one before, the
-    first :func:`_first_block_length` terms.  When ``p1`` or ``p2`` is a
-    non-positive integer ``-m``, term ``m + 1`` is the first zero and a block
-    ends there, so no term past it is computed (their ratios could overflow).
+    the partial sum.  The first block holds :func:`_first_block_length` terms;
+    a series longer than its block is summed again from term 0 with a block
+    twice as long, which yields the same terms and partial sums.  When ``p1``
+    or ``p2`` is a non-positive integer ``-m``, term ``m + 1`` is the first
+    zero and a block ends there, so no term past it is computed (their ratios
+    could overflow).
     """
     az = abs(z)
     if az == 0:
@@ -99,25 +97,22 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     if not (p1.imag or p2.imag or p3.imag):
         p1, p2, p3 = p1.real, p2.real, p3.real
     length = _first_block_length(az)
-    start, term, total, small = 0, 1.0 + 0j, 1.0 + 0j, False
-    while start < MAX_TERMS:
-        stop = min(start + length, last)
-        n = _SLOT_N[start:stop + 1]
-        t = p1 + n
-        t *= p2 + n
+    while True:
+        stop = min(length, last)
+        n = _N[:stop]
+        r = p1 + n
+        r *= p2 + n
         den = p3 + n
-        den *= _SLOT_N_PLUS_1[start:stop + 1]
-        t /= den
-        t = t * z
-        # slot 0 carries the last term, partial sum and "small" flag of the block before
-        t[0] = term
-        _running_product(t, out=t)      # t[k]: term number start + k
-        t[0] = total
+        den *= _N_PLUS_1[:stop]
+        r /= den
+        t = np.empty(stop + 1, dtype=complex)
+        t[0] = 1.0
+        np.multiply(r, z, out=t[1:])
+        _running_product(t, out=t)      # t[k]: term number k
         s = _running_sum(t)             # s[k]: partial sum through that term
         tol = abs(s)
         tol *= EPS_SERIES
         tiny = abs(t) < tol
-        tiny[0] = small
         # two consecutive tiny terms, so an accidentally small factor
         # (p1+n or p2+n near zero) cannot fake convergence
         pair = tiny[1:] & tiny[:-1]
@@ -127,11 +122,10 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
         if t[-1] == 0:                  # a zero term ends the series: every later term is zero
             j = min(j, (t == 0).argmax())
         if j < len(t):
-            return complex(s[j]), start + int(j)
-        term, total, small = t[-1], s[-1], tiny[-1]
-        start = stop
+            return complex(s[j]), int(j)
+        if stop == last:
+            raise ConvergenceError(f"hyp2f1: no convergence after {stop} terms at z={z}")
         length *= 2
-    raise ConvergenceError(f"hyp2f1: no convergence after {MAX_TERMS} terms at z={z}")
 
 
 def hyp2f1(p1: complex, p2: complex, p3: complex, z: complex) -> complex:
@@ -142,7 +136,8 @@ def hyp2f1(p1: complex, p2: complex, p3: complex, z: complex) -> complex:
     when ``p1`` or ``p2`` is a non-positive integer.  The recurrence runs in
     numpy blocks of terms (a vector of ratios, its running product and its
     running sum), sized from ``|z|`` so that one block usually holds the whole
-    series.  The stopping rule is the term-by-term one: the first zero term,
+    series; a longer series is summed again from its first term in a block
+    twice as long.  The stopping rule is the term-by-term one: the first zero term,
     or two consecutive terms below ``EPS_SERIES`` times the partial sum.
 
     Verified domain: within ``EPS_CHECK * (1 + |F|)`` of a 30-digit reference

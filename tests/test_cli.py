@@ -240,6 +240,30 @@ def test_json_structure(tmp_path):
     assert len(payload["data"]["t"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"],
+    ["heun-map", "--u0", "1", "--a", "2", "--delta1", "2", "--delta2", "1"],
+], ids=["terminate", "heun-map"])
+def test_json_carries_the_csv_values(tmp_path, argv):
+    # string columns (status, roots, sign) stay strings; the other columns
+    # are the floats the CSV prints to 17 digits
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main([*argv, "-o", str(csv_out)]) == 0
+    assert main([*argv, "--format", "json", "-o", str(json_out)]) == 0
+    meta, header, rows = read_csv(csv_out)
+    payload = json.loads(json_out.read_text())
+    assert payload["meta"] == meta
+    assert list(payload["data"]) == header
+    for name, values in payload["data"].items():
+        texts = column(header, rows, name, as_float=False)
+        assert len(values) == len(texts), name
+        for got, text in zip(values, texts):
+            if isinstance(got, str):
+                assert got == text, name
+            else:
+                assert isinstance(got, float) and format(got, ".17g") == text, name
+
+
 def test_config_error_exit_codes(tmp_path):
     # missing required options
     assert main(["detuning", "--model", "n2", "-o", "-"]) == 2

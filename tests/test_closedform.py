@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twostate.closedform import (StateVector, amplitude_n2, amplitude_n2_deriv,
-                                 circle_point, closed_form_states, floquet_analytic,
-                                 harmonic_content, hg_quasipoly, hg_three_beta,
-                                 match_initial, phase_n2, recover_a1, three_beta_coeffs)
+from twostate.closedform import (StateVector, _fundamental_pair, circle_point,
+                                 closed_form_states, floquet_analytic, harmonic_content,
+                                 hg_quasipoly, hg_three_beta, match_initial, phase_n2,
+                                 recover_a1, three_beta_coeffs)
 from twostate.errors import DomainError, ParameterError
 from twostate.fields import N2Config, detuning_n2, drive_field
 from twostate.heun import generalized_rabi
@@ -92,6 +92,11 @@ def test_quasipoly_rejects_singular_point():
 
 # ---------------------------------------------------------------- fundamental solutions
 
+def fundamental_a2(cfg, sign, t):
+    """a2 at time ``t`` of the fundamental solution with sign ``sign`` (+1 or -1) of R."""
+    return complex(_fundamental_pair(cfg, t)[1][0 if sign > 0 else 1])
+
+
 def test_amplitude_floquet_ratio_is_constant():
     cfg = N2Config(u0=1.0, delta1=2.0)
     T = cfg.period
@@ -99,15 +104,15 @@ def test_amplitude_floquet_ratio_is_constant():
         lam = 0.5 * (cfg.delta1 + sign * generalized_rabi(cfg.u0, cfg.delta1))
         expected = cmath.exp(1j * lam * 2 * math.pi)
         for t in np.linspace(0.0, 2 * T, 20):
-            ratio = amplitude_n2(cfg, sign, t + T) / amplitude_n2(cfg, sign, t)
+            ratio = fundamental_a2(cfg, sign, t + T) / fundamental_a2(cfg, sign, t)
             assert abs(ratio - expected) < 1e-11, (sign, t)
 
 
 def test_amplitude_modulus_is_periodic():
     cfg = N2Config(u0=1.0, delta1=2.0)
     for t in np.linspace(0.0, cfg.period, 15):
-        m1 = abs(amplitude_n2(cfg, +1, t))
-        m2 = abs(amplitude_n2(cfg, +1, t + cfg.period))
+        m1 = abs(fundamental_a2(cfg, +1, t))
+        m2 = abs(fundamental_a2(cfg, +1, t + cfg.period))
         assert abs(m1 - m2) < 1e-11 * m1
 
 
@@ -115,7 +120,7 @@ def _fd_ode_residual(cfg, sign):
     """Max |a2'' - i delta_t a2' + u0^2 a2| over a period, 5-point stencils."""
     h = 1e-4 * cfg.period
     worst, scale = 0.0, 0.0
-    f = lambda t: amplitude_n2(cfg, sign, t)
+    f = lambda t: fundamental_a2(cfg, sign, t)
     u_phys = cfg.u0 * cfg.delta
     for t in np.linspace(0.0, cfg.period, 57):
         fm2, fm1, f0, fp1, fp2 = f(t - 2 * h), f(t - h), f(t), f(t + h), f(t + 2 * h)
@@ -133,11 +138,6 @@ def test_amplitude_satisfies_governing_equation(d1, u0):
     for sign in (+1, -1):
         worst, scale = _fd_ode_residual(cfg, sign)
         assert worst <= 1e-6 * scale, (d1, u0, sign, worst / scale)
-
-
-def test_amplitude_rejects_bad_sign():
-    with pytest.raises(ParameterError):
-        amplitude_n2(N2Config(u0=1.0, delta1=2.0), 0, 0.0)
 
 
 # ---------------------------------------------------------------- phases and recovery
@@ -190,8 +190,10 @@ def test_recover_a1_against_oracle():
 def test_match_ground_state_starts_dark():
     cfg = N2Config(u0=1.0, delta1=2.0)
     c_plus, c_minus = match_initial(cfg, StateVector(a1=1.0, a2=0.0), 0.0)
-    a2_0 = c_plus * amplitude_n2(cfg, +1, 0.0) + c_minus * amplitude_n2(cfg, -1, 0.0)
-    da2_0 = c_plus * amplitude_n2_deriv(cfg, +1, 0.0) + c_minus * amplitude_n2_deriv(cfg, -1, 0.0)
+    (a1p, a1m), (a2p, a2m) = _fundamental_pair(cfg, 0.0)
+    a2_0 = c_plus * a2p + c_minus * a2m
+    # a1 = i (da2/dt) exp(-i phase) / U, and the phase is 0 at t0 = 0
+    da2_0 = (c_plus * a1p + c_minus * a1m) * cfg.u0 * cfg.delta / 1j
     assert abs(a2_0) < 1e-12
     assert abs(da2_0) > 0.1 * cfg.u0          # transition starts with nonzero slope
 
@@ -199,7 +201,7 @@ def test_match_ground_state_starts_dark():
 def test_match_excited_state():
     cfg = N2Config(u0=0.7, delta1=3.0)
     c_plus, c_minus = match_initial(cfg, StateVector(a1=0.0, a2=1.0), 0.0)
-    a2_0 = c_plus * amplitude_n2(cfg, +1, 0.0) + c_minus * amplitude_n2(cfg, -1, 0.0)
+    a2_0 = c_plus * fundamental_a2(cfg, +1, 0.0) + c_minus * fundamental_a2(cfg, -1, 0.0)
     assert abs(a2_0 - 1.0) < 1e-12
 
 
@@ -274,8 +276,8 @@ def test_full_state_floquet_return():
     lam2 = floquet_analytic(cfg).lambda2
     grid = np.array([T])
     a1c, a2c = closed_form_states(cfg, state0, 0.0, grid)
-    rebuilt_a2 = (c_plus * cmath.exp(2j * math.pi * lam2) * amplitude_n2(cfg, +1, 0.0)
-                  + c_minus * cmath.exp(2j * math.pi * lam1) * amplitude_n2(cfg, -1, 0.0))
+    rebuilt_a2 = (c_plus * cmath.exp(2j * math.pi * lam2) * fundamental_a2(cfg, +1, 0.0)
+                  + c_minus * cmath.exp(2j * math.pi * lam1) * fundamental_a2(cfg, -1, 0.0))
     assert abs(a2c[0] - rebuilt_a2) < 1e-11
 
 
@@ -312,7 +314,7 @@ def _fft_bracket(cfg, n_fft=4096):
     lam2 = floquet_analytic(cfg).lambda2
     ts = np.arange(n_fft) * cfg.period / n_fft
     # the fundamental solution carries z^lam2 / sqrt(a)^lam2
-    g = np.array([amplitude_n2(cfg, +1, t) * math.sqrt(cfg.a) ** lam2
+    g = np.array([fundamental_a2(cfg, +1, t) * math.sqrt(cfg.a) ** lam2
                   / unwound_power(circle_point(cfg, t), lam2) for t in ts])
     return np.fft.fft(g) / n_fft
 

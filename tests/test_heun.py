@@ -6,6 +6,7 @@ polynomial, and a finite-difference residual of the underlying ODE for the
 series evaluation.
 """
 
+import cmath
 import math
 
 import mpmath as mp
@@ -17,9 +18,8 @@ from hypothesis import strategies as st
 from twostate.errors import ConvergenceError, DomainError, ParameterError
 from twostate.fields import FieldConfig, a_from_delta1
 from twostate.heun import (_U0_PROBES, BetaSeries, HeunParams, _constraint_determinant,
-                           eval_series, expand, generalized_rabi, grid_roots, map_to_heun,
-                           q_polynomial, recurrence_coeffs, series_solution,
-                           termination_search)
+                           _recurrence_terms, eval_series, expand, generalized_rabi, grid_roots,
+                           map_to_heun, q_polynomial, series_solution, termination_search)
 from twostate.specfun import fold_beta_sum, inc_beta
 
 SQ2 = math.sqrt(2.0)
@@ -84,15 +84,20 @@ def test_map_requires_scaled_config():
 
 # ---------------------------------------------------------------- recurrence
 
+def recurrence_terms(hp, n):
+    """``(R_n, Q_n, P_n)`` of the recurrence at index ``n`` for the constants ``hp``."""
+    return _recurrence_terms(hp.a, hp.gamma, hp.delta, hp.epsilon, hp.q, n)
+
+
 def test_recurrence_r0_vanishes():
     hp, _ = map_to_heun(n2_scaled_config(1.0, 2.0), -1)
-    assert recurrence_coeffs(hp, 0).rn == 0.0
+    assert recurrence_terms(hp, 0)[0] == 0.0
 
 
 def test_recurrence_p_vanishes_at_termination_index():
     # with epsilon = -2 the factor (n + epsilon) kills P at n = 2
     hp, _ = map_to_heun(n2_scaled_config(1.0, 2.0), -1)
-    assert abs(recurrence_coeffs(hp, 2).pn) == 0.0
+    assert abs(recurrence_terms(hp, 2)[2]) == 0.0
 
 
 def test_recurrence_q1_frozen_hand_value():
@@ -104,13 +109,7 @@ def test_recurrence_q1_frozen_hand_value():
     # sum = 0 exactly.
     cfg = FieldConfig(u0=1.0, a=3.0, delta1=2.0, delta2=2.0)
     hp, _ = map_to_heun(cfg, +1)
-    assert abs(recurrence_coeffs(hp, 1).qn) < 1e-13
-
-
-def test_recurrence_rejects_negative_index():
-    hp, _ = map_to_heun(n2_scaled_config(1.0, 2.0), -1)
-    with pytest.raises(ParameterError):
-        recurrence_coeffs(hp, -1)
+    assert abs(recurrence_terms(hp, 1)[1]) < 1e-13
 
 
 # ---------------------------------------------------------------- expansion
@@ -125,6 +124,27 @@ def test_expand_terminates_for_solvable_model(u0, delta1):
     assert abs(bs.coeffs[3]) <= 1e-12 * cmax
     assert abs(bs.coeffs[4]) <= 1e-12 * cmax
     assert bs.coeffs[0] == 1.0
+
+
+def test_expand_terminates_where_p_vanishes():
+    # P_2 = 0 (epsilon = -2) makes c_4 = -Q_3 c_3 / R_4, so c_3 alone decides;
+    # here c_3 ~ 2e-12 is rounding, but c_4 amplifies it past the cutoff and
+    # the two-small-coefficients rule once left the series unterminated
+    d1, u0 = -1.0557960001725712, 1.347626641140448
+    hp, _ = map_to_heun(n2_scaled_config(u0, d1), +1)
+    bs = expand(hp)
+    assert bs.n_term == 2
+    z = math.sqrt(hp.a) * cmath.exp(0.3j)
+    with mp.workdps(40):
+        consts = [mp.mpmathify(x) for x in (hp.a, hp.gamma, hp.delta, hp.epsilon, hp.q)]
+        (_, q0, p0), (r1, q1, _), (r2, _, _) = (_recurrence_terms(*consts, n) for n in range(3))
+        c1 = -q0 / r1
+        c2 = -(q1 * c1 + p0) / r2
+        zm, g0 = mp.mpc(z), 1 - consts[1]
+        # B_z(p, 1 - delta) = z^p / p 2F1(p, delta; p + 1; z)
+        ref = complex(sum(c * zm**p / p * mp.hyp2f1(p, consts[2], p + 1, zm)
+                          for c, p in ((1, g0), (c1, g0 + 1), (c2, g0 + 2))))
+    assert abs(eval_series(bs, z) - ref) <= 1e-12 * abs(ref)
 
 
 def test_expand_termination_needs_the_constraint():
@@ -178,7 +198,7 @@ def test_q_polynomial_order_zero():
     root = -poly[0] / poly[1]
     hp_at_root = HeunParams(a=hp.a, q=root, alpha=0.0, beta=hp.beta, gamma=hp.gamma,
                             delta=hp.delta, epsilon=hp.epsilon)
-    assert abs(recurrence_coeffs(hp_at_root, 0).qn) < 1e-12
+    assert abs(recurrence_terms(hp_at_root, 0)[1]) < 1e-12
 
 
 def test_q_polynomial_solvable_model_root():

@@ -151,8 +151,8 @@ def test_hyp2f1_zero_term_inside_and_on_block_edges():
 
 
 def test_hyp2f1_stop_straddling_a_block_edge():
-    # the first of the two small terms ends the first block, the second
-    # starts the next: the "small" flag must cross the edge
+    # the first of the two small terms ends the first block, the second lies
+    # past it: the longer block summed again from term 0 must find the pair
     z = cmath.rect(0.22, 0.3)
     edge = _first_block_length(abs(z))
     p2 = next(p2 for p2 in np.arange(2.0, 20.0, 0.05)
@@ -178,6 +178,10 @@ def test_hyp2f1_computes_no_term_past_a_zero_term():
 def test_hyp2f1_still_raises_convergence_error():
     with pytest.raises(ConvergenceError):
         hyp2f1(1.0, 1.0, 2.0, 0.9999)
+    # a terminating series whose first term overflows: the zero term is NaN
+    with warnings.catch_warnings(), pytest.raises(ConvergenceError):
+        warnings.simplefilter("ignore")
+        hyp2f1(-1.0, 1e308, 0.5, 0.9)
 
 
 def test_hyp2f1_no_warning_from_terms_past_the_stop():
