@@ -93,11 +93,12 @@ def _meta_window(ts) -> dict:
 
 
 def _parse_init(text: str) -> StateVector:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise ParameterError("--init expects 're_a1,im_a1,re_a2,im_a2'")
-    state = StateVector(a1=parts[0] + 1j * parts[1], a2=parts[2] + 1j * parts[3])
-    if abs(state.norm - 1.0) > 1e-9:
+    try:
+        re_a1, im_a1, re_a2, im_a2 = (float(x) for x in text.split(","))
+    except ValueError:
+        raise ParameterError(f"--init expects 're_a1,im_a1,re_a2,im_a2', got {text!r}") from None
+    state = StateVector(a1=re_a1 + 1j * im_a1, a2=re_a2 + 1j * im_a2)
+    if not abs(state.norm - 1.0) <= 1e-9:     # NaN fails too
         raise ParameterError(f"--init state must be normalized, |state|^2 = {state.norm}")
     return state
 
@@ -110,47 +111,40 @@ def _require(args, names) -> None:
 
 def _n2_config(args) -> N2Config:
     _require(args, ["u0", "delta1"])
-    delta = args.delta if args.delta is not None else 1.0
-    t0 = args.t0 if args.t0 is not None else 0.0
     # physical inputs; the analytic core works in drive-scaled units
-    return N2Config(u0=args.u0 / delta, delta1=args.delta1 / delta, delta=delta, t0=t0)
+    return N2Config(u0=args.u0 / args.delta, delta1=args.delta1 / args.delta,
+                    delta=args.delta, t0=args.t0)
 
 
 def _general_config(args) -> FieldConfig:
     _require(args, ["u0", "a", "delta1", "delta2"])
-    delta = args.delta if args.delta is not None else 1.0
-    t0 = args.t0 if args.t0 is not None else 0.0
     return FieldConfig(u0=args.u0, a=args.a, delta1=args.delta1, delta2=args.delta2,
-                       delta=delta, t0=t0)
+                       delta=args.delta, t0=args.t0)
 
 
 def _window(args, t0: float, period: float, default_periods: float) -> np.ndarray:
     t_start = args.t_start if args.t_start is not None else t0
     t_end = args.t_end if args.t_end is not None else t_start + default_periods * period
-    samples = args.samples if args.samples is not None else 1001
-    if samples < 2:
+    if args.samples < 2:
         raise ParameterError("--samples must be >= 2")
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
         raise ParameterError("time window must be finite and satisfy t-end > t-start")
-    return np.linspace(t_start, t_end, samples)
+    return np.linspace(t_start, t_end, args.samples)
 
 
 def _cmd_detuning(args) -> int:
-    model = args.model or "general"
     meta = _base_meta("detuning")
-    if model == "n2":
+    if args.model == "n2":
         cfg = _n2_config(args)
         ts = _window(args, cfg.t0, cfg.period, 1.0)
         vals = detuning_n2(cfg, ts)
         meta.update(_meta_n2(cfg))
-    elif model == "n3":
+    elif args.model == "n3":
         _require(args, ["u0", "delta1"])
-        branch = +1 if (args.branch or "plus") == "plus" else -1
-        t0 = args.t0 if args.t0 is not None else 0.0
-        ts = _window(args, t0, 2.0 * math.pi, 1.0)
-        vals = detuning_n3(args.u0, args.delta1, branch, ts)
+        ts = _window(args, args.t0, 2.0 * math.pi, 1.0)
+        vals = detuning_n3(args.u0, args.delta1, +1 if args.branch == "plus" else -1, ts)
         meta.update({"model": "n3", "u0": _fmt(args.u0), "delta1": _fmt(args.delta1),
-                     "branch": "plus" if branch > 0 else "minus", "t0": _fmt(t0)})
+                     "branch": args.branch, "t0": _fmt(args.t0)})
     else:
         cfg = _general_config(args)
         ts = _window(args, cfg.t0, cfg.period, 1.0)
@@ -162,23 +156,20 @@ def _cmd_detuning(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model = args.model or "n2"
-    if model == "n2":
+    if args.model == "n2":
         cfg = _n2_config(args)
         field_meta = _meta_n2(cfg)
     else:
         cfg = _general_config(args)
         field_meta = _meta_general(cfg)
-    state0 = _parse_init(args.init or "1,0,0,0")
+    state0 = _parse_init(args.init)
     ts = _window(args, cfg.t0, cfg.period, 5.0)
-    rtol = args.rtol if args.rtol is not None else 1e-10
-    atol = args.atol if args.atol is not None else 1e-12
     traj = integrate(drive_field(cfg), state0, (float(ts[0]), float(ts[-1])),
-                     t_eval=ts, rtol=rtol, atol=atol)
+                     t_eval=ts, rtol=args.rtol, atol=args.atol)
     meta = _base_meta("simulate")
     meta.update(field_meta)
     meta.update(_meta_window(ts))
-    meta.update({"init": args.init or "1,0,0,0", "rtol": _fmt(rtol), "atol": _fmt(atol),
+    meta.update({"init": args.init, "rtol": _fmt(args.rtol), "atol": _fmt(args.atol),
                  "norm-drift": _fmt(traj.norm_drift)})
     _emit(args.output, args.format, meta, {
         "t": traj.times,
@@ -191,14 +182,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     cfg = _n2_config(args)
-    state0 = _parse_init(args.init or "1,0,0,0")
+    state0 = _parse_init(args.init)
     ts = _window(args, cfg.t0, cfg.period, 5.0)
-    t_start = float(ts[0])
-    a1, a2 = closed_form_states(cfg, state0, t_start, ts)
+    a1, a2 = closed_form_states(cfg, state0, float(ts[0]), ts)
     meta = _base_meta("closed-form")
     meta.update(_meta_n2(cfg))
     meta.update(_meta_window(ts))
-    meta.update({"init": args.init or "1,0,0,0"})
+    meta.update({"init": args.init})
     _emit(args.output, args.format, meta, {
         "t": ts, "re_a2": a2.real, "im_a2": a2.imag, "pop2": np.abs(a2) ** 2,
     })
@@ -207,15 +197,14 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_floquet(args) -> int:
     cfg = _n2_config(args)
-    rtol = args.rtol if args.rtol is not None else 1e-11
     rep = floquet_analytic(cfg)
-    mono = monodromy(drive_field(cfg), t_ref=cfg.t0, rtol=rtol, atol=1e-13)
+    mono = monodromy(drive_field(cfg), t_ref=cfg.t0, rtol=args.rtol, atol=1e-13)
     lam_phys = (rep.lambda1 * cfg.delta, rep.lambda2 * cfg.delta)
     residual = exponent_pair_residual(lam_phys, mono.exponents, cfg.delta)
     eig_mod_err = max(abs(abs(ev) - 1.0) for ev in mono.eigenvalues)
     meta = _base_meta("floquet")
     meta.update(_meta_n2(cfg))
-    meta.update({"rtol": _fmt(rtol)})
+    meta.update({"rtol": _fmt(args.rtol)})
     _emit(args.output, args.format, meta, {
         "lambda1": [rep.lambda1], "lambda2": [rep.lambda2],
         "mono_exp1": [mono.exponents[0]], "mono_exp2": [mono.exponents[1]],
@@ -245,13 +234,11 @@ def _cmd_heun_map(args) -> int:
 
 def _cmd_terminate(args) -> int:
     _require(args, ["u0", "delta1"])
-    n_max = args.n_max if args.n_max is not None else 3
-    a_max = args.a_max if args.a_max is not None else 8.0
     base = FieldConfig(u0=args.u0, a=2.0, delta1=args.delta1, delta2=1.0)
-    records = termination_search(base, n_max, a_range=(1e-3, a_max))
+    records = termination_search(base, args.n_max, a_range=(1e-3, args.a_max))
     meta = _base_meta("terminate")
     meta.update({"u0": _fmt(args.u0), "delta1": _fmt(args.delta1),
-                 "n-max": str(n_max), "a-max": _fmt(a_max)})
+                 "n-max": str(args.n_max), "a-max": _fmt(args.a_max)})
     cols = {"n": [], "status": [], "drift": [], "roots": []}
     for rec in records:
         cols["n"].append(float(rec.n))
@@ -265,23 +252,20 @@ def _cmd_terminate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _n2_config(args)
-    state0 = _parse_init(args.init or "1,0,0,0")
-    periods = args.periods if args.periods is not None else 5
-    spp = args.samples_per_period if args.samples_per_period is not None else 200
-    tol = args.tol if args.tol is not None else 1e-8
-    rtol = args.rtol if args.rtol is not None else 1e-11
+    state0 = _parse_init(args.init)
+    periods, spp, tol = args.periods, args.samples_per_period, args.tol
     if periods < 1 or spp < 1 or not math.isfinite(tol):
         raise ParameterError("need --periods >= 1, --samples-per-period >= 1 and a finite --tol")
     ts = np.linspace(cfg.t0, cfg.t0 + periods * cfg.period, int(periods * spp) + 1)
     a1c, a2c = closed_form_states(cfg, state0, float(ts[0]), ts)
     traj = integrate(drive_field(cfg), state0, (float(ts[0]), float(ts[-1])),
-                     t_eval=ts, rtol=rtol, atol=1e-13)
+                     t_eval=ts, rtol=args.rtol, atol=1e-13)
     deviation = float(np.max(np.abs(a2c - traj.a2)))
     verdict = "PASS" if deviation <= tol else "FAIL"
     meta = _base_meta("compare")
     meta.update(_meta_n2(cfg))
-    meta.update({"init": args.init or "1,0,0,0", "periods": str(periods),
-                 "samples-per-period": str(spp), "rtol": _fmt(rtol)})
+    meta.update({"init": args.init, "periods": str(periods),
+                 "samples-per-period": str(spp), "rtol": _fmt(args.rtol)})
     _emit(args.output, args.format, meta, {
         "max_deviation": [deviation], "tolerance": [tol], "verdict": [verdict],
     })
@@ -301,127 +285,123 @@ _COMMANDS = {
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default option values (flags override)")
-    p.add_argument("--output", "-o", default=None, help="output path ('-' for stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.add_argument("--output", "-o", help="output path ('-' for stdout)")
+    p.add_argument("--format", choices=["csv", "json"], default="csv", help="(default %(default)s)")
 
 
 def _add_field_options(p: argparse.ArgumentParser, general: bool = False, n3: bool = False) -> None:
     p.add_argument("--u0", type=float, help="Rabi frequency (physical units)")
     p.add_argument("--delta1", type=float, help="carrier detuning (physical units)")
-    p.add_argument("--delta", type=float, help="drive angular frequency (default 1)")
-    p.add_argument("--t0", type=float, help="time offset (default 0)")
+    p.add_argument("--delta", type=float, default=1.0,
+                   help="drive angular frequency (default %(default)g)")
+    p.add_argument("--t0", type=float, default=0.0, help="time offset (default %(default)g)")
     if general:
         p.add_argument("--a", type=float, help="modulation shape parameter")
         p.add_argument("--delta2", type=float, help="modulation strength")
     if n3:
-        p.add_argument("--branch", choices=["plus", "minus"], help="auxiliary-root sign")
+        p.add_argument("--branch", choices=["plus", "minus"], default="plus",
+                       help="auxiliary-root sign (default %(default)s)")
 
 
 def _add_window(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-start", type=float)
     p.add_argument("--t-end", type=float)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, default=1001, help="(default %(default)s)")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(prog="twostate",
+    parser = argparse.ArgumentParser(prog="twostate", exit_on_error=False,
                                      description="Periodically driven two-state systems: "
                                                  "drives, exact solutions, oracle comparisons")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, exit_on_error=False)
 
-    p = sub.add_parser("detuning", help="sample a detuning modulation curve")
-    p.add_argument("--model", choices=["general", "n2", "n3"])
+    p = command("detuning", help="sample a detuning modulation curve")
+    p.add_argument("--model", choices=["general", "n2", "n3"], default="general",
+                   help="(default %(default)s)")
     _add_field_options(p, general=True, n3=True)
     _add_window(p)
     _add_common(p)
 
-    p = sub.add_parser("simulate", help="numerically integrate the amplitude equations")
-    p.add_argument("--model", choices=["general", "n2"])
+    p = command("simulate", help="numerically integrate the amplitude equations")
+    p.add_argument("--model", choices=["general", "n2"], default="n2", help="(default %(default)s)")
     _add_field_options(p, general=True)
     _add_window(p)
-    p.add_argument("--init", help="initial state 're_a1,im_a1,re_a2,im_a2' (default 1,0,0,0)")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
+    p.add_argument("--init", default="1,0,0,0",
+                   help="initial state 're_a1,im_a1,re_a2,im_a2' (default %(default)s)")
+    p.add_argument("--rtol", type=float, default=1e-10, help="(default %(default)g)")
+    p.add_argument("--atol", type=float, default=1e-12, help="(default %(default)g)")
     _add_common(p)
 
-    p = sub.add_parser("closed-form", help="matched analytic amplitude of the solvable model")
+    p = command("closed-form", help="matched analytic amplitude of the solvable model")
     _add_field_options(p)
     _add_window(p)
-    p.add_argument("--init", help="initial state (default ground state 1,0,0,0)")
+    p.add_argument("--init", default="1,0,0,0",
+                   help="initial state (default ground state %(default)s)")
     _add_common(p)
 
-    p = sub.add_parser("floquet", help="quasi-energies: analytic vs monodromy")
+    p = command("floquet", help="quasi-energies: analytic vs monodromy")
     _add_field_options(p)
-    p.add_argument("--rtol", type=float)
+    p.add_argument("--rtol", type=float, default=1e-11, help="(default %(default)g)")
     _add_common(p)
 
-    p = sub.add_parser("heun-map", help="ODE constants of a drive configuration, both branches")
+    p = command("heun-map", help="ODE constants of a drive configuration, both branches")
     _add_field_options(p, general=True)
     _add_common(p)
 
-    p = sub.add_parser("terminate", help="termination hierarchy over the series order N")
+    p = command("terminate", help="termination hierarchy over the series order N")
     p.add_argument("--u0", type=float)
     p.add_argument("--delta1", type=float)
-    p.add_argument("--n-max", type=int,
-                   help="highest series order searched (default 3); above 6 the fixed a-grid "
-                        "can miss constraint roots near a = 1 at any --a-max")
-    p.add_argument("--a-max", type=float,
-                   help="top of the shape-parameter grid (default 8); at most 50, because a "
-                        "2001-point grid from 1e-3 with a step above 0.025 loses roots")
+    p.add_argument("--n-max", type=int, default=3,
+                   help="highest series order searched (default %(default)s); above 6 the "
+                        "fixed a-grid can miss constraint roots near a = 1 at any --a-max")
+    p.add_argument("--a-max", type=float, default=8.0,
+                   help="top of the shape-parameter grid (default %(default)g); at most 50, "
+                        "because a 2001-point grid from 1e-3 with a step above 0.025 loses roots")
     _add_common(p)
 
-    p = sub.add_parser("compare", help="closed form vs oracle with pass/fail verdict")
+    p = command("compare", help="closed form vs oracle with pass/fail verdict")
     _add_field_options(p)
-    p.add_argument("--init", help="initial state (default ground state 1,0,0,0)")
-    p.add_argument("--periods", type=int)
-    p.add_argument("--samples-per-period", type=int)
-    p.add_argument("--tol", type=float, help="verdict threshold on max |a2| deviation")
-    p.add_argument("--rtol", type=float,
-                   help="oracle relative tolerance (default 1e-11); it bounds the one-period "
-                        "error, so the deviation k periods out grows like k*rtol")
+    p.add_argument("--init", default="1,0,0,0",
+                   help="initial state (default ground state %(default)s)")
+    p.add_argument("--periods", type=int, default=5, help="(default %(default)s)")
+    p.add_argument("--samples-per-period", type=int, default=200, help="(default %(default)s)")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="verdict threshold on max |a2| deviation (default %(default)g)")
+    p.add_argument("--rtol", type=float, default=1e-11,
+                   help="oracle relative tolerance (default %(default)g); it bounds the "
+                        "one-period error, so the deviation k periods out grows like k*rtol")
     _add_common(p)
 
     return parser
 
 
-def _config_value(key: str, action: argparse.Action, val):
-    """A config-file value converted and checked as if given on the command line."""
-    text = str(val)
-    try:
-        out = action.type(text) if action.type else text
-    except (TypeError, ValueError):
-        raise ParameterError(f"--config: invalid value for {key}: {val!r}") from None
-    if action.choices is not None and out not in action.choices:
-        raise ParameterError(f"--config: {key} must be one of {list(action.choices)}, got {val!r}")
-    return out
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
+def _parse(argv) -> argparse.Namespace:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    if args.config is None:
+        return args
     with open(args.config, "r", encoding="utf-8") as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ParameterError("--config file must contain a JSON object")
-    commands = next(a for a in parser._actions if a.dest == "command").choices
-    options = {a.dest: a for a in commands[args.command]._actions if hasattr(args, a.dest)}
-    for key, val in values.items():
-        attr = key.replace("-", "_")
-        if attr in options and getattr(args, attr) is None and val is not None:
-            setattr(args, attr, _config_value(key, options[attr], val))
+    # the --config file's values become flags before the command line's own, which
+    # win as the later ones; keys naming no option of this command are ignored
+    options = vars(args).keys() - {"command"}
+    flags = [f"--{key.replace('_', '-')}={val}" for key, val in values.items()
+             if val is not None and key.replace("-", "_") in options]
+    at = argv.index(args.command) + 1
+    return build_parser().parse_args([*argv[:at], *flags, *argv[at:]])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config_file(parser, args)
-        if args.format is None:
-            args.format = "csv"
+        args = _parse(argv)
         return _COMMANDS[args.command](args)
-    except (ParameterError, DomainError, OSError, json.JSONDecodeError) as exc:
+    except (argparse.ArgumentError, ParameterError, DomainError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"twostate: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, ConvergenceError, SingularSystemError, ArithmeticError) as exc:

@@ -157,14 +157,14 @@ def _fundamental_pair(cfg: N2Config, times) -> tuple[np.ndarray, np.ndarray]:
 
 def match_initial(cfg: N2Config, state0: StateVector, t_start: float) -> tuple[complex, complex]:
     """Weights (C+, C-) of the fundamental pair matching ``state0`` at ``t_start``."""
-    if abs(state0.norm - 1.0) > 1e-6:
+    if not abs(state0.norm - 1.0) <= 1e-6:     # NaN fails the checks written this way
         raise ParameterError(f"match_initial: state must be normalized, |state|^2 = {state0.norm}")
     if not math.isfinite(t_start):
         raise ParameterError(f"match_initial: t_start must be finite, got {t_start}")
     (a1p, a1m), (vp, vm) = np.array(_fundamental_pair(cfg, t_start)).tolist()
     det = a1p * vm - a1m * vp
     scale = abs(a1p * vm) + abs(a1m * vp)
-    if abs(det) <= 1e-12 * max(scale, 1e-300):
+    if not abs(det) > 1e-12 * max(scale, 1e-300):
         raise SingularSystemError("match_initial: fundamental solutions are numerically dependent")
     c_plus = (state0.a1 * vm - state0.a2 * a1m) / det
     c_minus = (state0.a2 * a1p - state0.a1 * vp) / det

@@ -96,7 +96,11 @@ class BetaSeries:
 
 def generalized_rabi(u0: float, delta1: float) -> float:
     """Constant-field flopping frequency sqrt(4 u0^2 + delta1^2)."""
-    return math.sqrt(4.0 * u0 * u0 + delta1 * delta1)
+    big_r = math.sqrt(4.0 * u0 * u0 + delta1 * delta1)
+    if not math.isfinite(big_r):
+        raise DomainError(f"generalized_rabi: sqrt(4 u0^2 + delta1^2) overflows or is NaN at "
+                          f"u0 = {u0}, delta1 = {delta1}")
+    return big_r
 
 
 def map_to_heun(cfg: FieldConfig, sign: int) -> tuple[HeunParams, float]:

@@ -292,10 +292,50 @@ def test_bad_numeric_inputs_exit_2(tmp_path):
                  ["compare", "--u0", "1", "--delta1", "2", "--tol", "nan"],
                  ["compare", "--u0", "1", "--delta1", "2", "--periods", "0"],
                  ["simulate", "--model", "n2", "--u0", "1", "--delta1", "2", "--atol", "nan"],
-                 ["floquet", "--u0", "1", "--delta1", "2", "--rtol", "inf"]):
+                 ["floquet", "--u0", "1", "--delta1", "2", "--rtol", "inf"],
+                 # a NaN norm fails the normalization check; text is not a number
+                 ["closed-form", "--u0", "1", "--delta1", "2", "--init", "nan,0,0,0"],
+                 ["simulate", "--u0", "1", "--delta1", "2", "--init", "nan,0,0,0"],
+                 ["compare", "--u0", "1", "--delta1", "2", "--init", "1,0,nan,0"],
+                 ["closed-form", "--u0", "1", "--delta1", "2", "--init", "a,b,c,d"],
+                 # sqrt(4 u0^2 + delta1^2) overflows
+                 ["closed-form", "--u0", "1e200", "--delta1", "2"],
+                 ["heun-map", "--u0", "1e200", "--a", "2", "--delta1", "2", "--delta2", "1"],
+                 ["floquet", "--u0", "1e200", "--delta1", "2"],
+                 ["compare", "--u0", "1e200", "--delta1", "2"],
+                 # wrongly typed flags are reported, not raised as SystemExit
+                 ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--samples", "abc"],
+                 ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "2.5"]):
         out = tmp_path / "never.csv"
-        assert main([*argv, "-o", str(out)]) == 2, argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "-o", str(out)]) == 2, argv
         assert not out.exists()
+
+
+def test_defaults_with_only_required_options(tmp_path):
+    field = ["--u0", "1", "--delta1", "2"]
+    general = [*field, "--a", "2", "--delta2", "1"]
+    expected = {
+        ("simulate", *field): {"model": "n2", "rtol": "1e-10", "atol": "9.9999999999999998e-13",
+                               "init": "1,0,0,0", "samples": "1001"},
+        ("closed-form", *field): {"init": "1,0,0,0", "samples": "1001"},
+        ("floquet", *field): {"rtol": "9.9999999999999994e-12"},
+        ("compare", *field): {"periods": "5", "samples-per-period": "200"},
+        ("terminate", *field): {"n-max": "3", "a-max": "8"},
+        ("heun-map", *general): {},
+        ("detuning", *general): {"model": "general", "delta": "1", "t0": "0"},
+        ("detuning", "--model", "n3", "--u0", "1", "--delta1", "-2"): {"branch": "plus",
+                                                                         "t0": "0"},
+    }
+    for argv, want in expected.items():
+        out = tmp_path / "out.csv"
+        assert main([*argv, "-o", str(out)]) == 0, argv
+        assert out.read_text().startswith("# tool = twostate\n"), argv   # CSV
+        meta, header, rows = read_csv(out)
+        assert {k: meta[k] for k in want} == want, argv
+        if argv[0] == "compare":
+            assert column(header, rows, "tolerance", as_float=False) == ["1e-08"]
 
 
 def test_config_file_values_typed_like_flags(tmp_path):

@@ -206,8 +206,17 @@ def test_match_excited_state():
 
 
 def test_match_requires_normalized_state():
-    with pytest.raises(ParameterError):
-        match_initial(N2Config(u0=1.0, delta1=2.0), StateVector(a1=1.0, a2=1.0), 0.0)
+    # a NaN norm once passed the normalization check and gave NaN weights
+    for state0 in (StateVector(a1=1.0, a2=1.0), StateVector(a1=math.nan, a2=0.0)):
+        with pytest.raises(ParameterError):
+            match_initial(N2Config(u0=1.0, delta1=2.0), state0, 0.0)
+
+
+def test_generalized_rabi_overflow_is_a_domain_error():
+    assert generalized_rabi(1.0, 2.0) == math.sqrt(8.0)
+    for u0, d1 in ((1e200, 2.0), (1.0, 1e300)):
+        with pytest.raises(DomainError, match="overflows"):
+            generalized_rabi(u0, d1)
 
 
 def test_match_rejects_non_finite_start():
