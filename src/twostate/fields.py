@@ -33,6 +33,8 @@ from .errors import DomainError, ParameterError
 TWO_PI = 2.0 * math.pi
 
 GLANCING_TOL = 1e-9        # |delta_t| at a modulation extremum (where d delta_t/dt = 0)
+# least scaled coupling of the two-parameter model, relative to |delta1|^5
+U0_FLOOR = 1e-307
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,12 @@ class N2Config:
     ``|delta1| > 1``.  The derived shape parameter is
     ``a = (delta1 + 1)/(delta1 - 1)``; it exceeds 1 for ``delta1 > 1`` and
     lies in (0, 1) for ``delta1 < -1``.
+
+    The coupling has a floor, ``u0 >= U0_FLOOR * |delta1|^5`` with
+    ``U0_FLOOR = 1e-307``.  Below about a twentieth of it the closed form's
+    fundamental pair overflows a double: the companion amplitude of its plus
+    solution grows like ``R^3 / u0`` and their matching determinant like
+    ``R^5 / u0``.
     """
 
     u0: float
@@ -103,6 +111,10 @@ class N2Config:
             raise ParameterError(f"N2Config: u0 must be > 0, got {self.u0}")
         if not abs(self.delta1) > 1:
             raise ParameterError(f"N2Config: need |delta1| > 1, got {self.delta1}")
+        # in logs, so that the floor of a huge delta1 does not overflow
+        if not math.log(self.u0) >= math.log(U0_FLOOR) + 5.0 * math.log(abs(self.delta1)):
+            raise ParameterError(f"N2Config: need u0 >= {U0_FLOOR} * |delta1|^5, "
+                                 f"got u0 = {self.u0}, delta1 = {self.delta1}")
         if not self.delta > 0:
             raise ParameterError(f"N2Config: delta must be > 0, got {self.delta}")
 
@@ -137,14 +149,24 @@ class CrossingReport:
 class DriveField:
     """Callable view of a drive, the only interface the numerical oracle uses.
 
-    Contract: ``u`` and ``delta_t`` are ``period``-periodic.  The oracle relies
-    on it to compose every period of a window from one one-period solve.  The
-    n2, general and printed n3 drives and a constant drive all satisfy it.
+    Contract: ``u`` and ``delta_t`` are ``period``-periodic and even about
+    ``center``: ``f(center - s) = f(center + s)``.  The oracle relies on both
+    to compose every time of a window from one solve over half a period,
+    ``[center, center + period/2]``.  The n2 and general drives (centred on
+    their ``t0``), the printed n3 field and a constant drive (centred on 0)
+    all satisfy it.
     """
 
     u: Callable[[float], float]
     delta_t: Callable[[float], float]
     period: float
+    center: float = 0.0
+
+    def __post_init__(self):
+        # the oracle's solve spans [center, center + period/2]
+        if not (0.0 < self.period < math.inf and math.isfinite(self.center)):
+            raise ParameterError(f"DriveField: need a finite, positive period and a finite "
+                                 f"center, got period={self.period}, center={self.center}")
 
 
 @dataclass(frozen=True)
@@ -270,11 +292,11 @@ def drive_field(cfg) -> DriveField:
         u_phys = cfg.u0 * cfg.delta
         return DriveField(u=lambda t: u_phys,
                           delta_t=lambda t: detuning_n2(cfg, t),
-                          period=cfg.period)
+                          period=cfg.period, center=cfg.t0)
     if isinstance(cfg, FieldConfig):
         return DriveField(u=lambda t: cfg.u0,
                           delta_t=lambda t: detuning_general(cfg, t),
-                          period=cfg.period)
+                          period=cfg.period, center=cfg.t0)
     raise ParameterError(f"drive_field: unsupported config type {type(cfg)!r}")
 
 

@@ -7,24 +7,29 @@ Solves the raw coupled amplitude equations
 
 with the phase modulation ``delta(t)``, ``delta' = delta_t``, co-integrated.
 In the co-rotating variable ``c1 = a1 exp(+i delta(t))`` they read
-``c' = A(t) c`` with ``A = [[i delta_t, -i U], [-i U, 0]]``, whose
-coefficients are ``period``-periodic (the :class:`~twostate.fields.DriveField`
-contract).  By Floquet's theorem the fundamental matrix ``Y`` (``Y(t0) = I``)
-and the phase then satisfy
+``c' = A(t) c`` with ``A = [[i delta_t, -i U], [-i U, 0]]``.  The
+:class:`~twostate.fields.DriveField` contract makes ``A`` ``period``-periodic
+and even about the drive's symmetry centre ``c``, and ``A`` is complex
+symmetric (``A^T = A``).  The fundamental matrix ``Y`` (``Y(c) = I``) and the
+phase then satisfy
 
-    Y(t0 + s + k T) = Y(t0 + s) M^k,    delta(t0 + s + k T) = delta(t0 + s) + k Phi,
+    Y(c - s) = Y(c + s)^{-T},           delta(c - s) = -delta(c + s),
+    Y(c + s + k T) = Y(c + s) M^k,      delta(c + s + k T) = delta(c + s) + k Phi,
 
-with the monodromy matrix ``M = Y(t0 + T)`` and ``Phi`` the phase gained over
-one period.  So one adaptive solve of ``[Y, delta]`` over a single period gives
-every sample of any window through 2x2 products, and its end point is the
-monodromy matrix, which is unitary and whose eigenvalue arguments are the
-quasi-energies of the amplitude equation modulo the drive frequency.  The
-composition adds no truncation error of its own: the one-period error
+the first line by reflection (``Y(c - s)`` and ``Y(c + s)^{-T}`` solve the
+same equation in ``s`` from ``I``), the second by Floquet's theorem.  With
+``Y_h = Y(c + T/2)`` the monodromy matrix is ``M = Y(c - T/2)^{-1} Y_h =
+Y_h^T Y_h``, exactly complex symmetric, and ``Phi = 2 delta(c + T/2)``.  So
+one adaptive solve of ``[Y, delta]`` over half a period, ``[c, c + T/2]``,
+gives every sample of any window through 2x2 products, and its end point
+gives the monodromy matrix, which is unitary and whose eigenvalue arguments
+are the quasi-energies of the amplitude equation modulo the drive frequency.
+The composition adds no truncation error of its own: the one-period error
 ``eps_M`` is carried coherently, so a sample ``k`` periods out is off by about
 ``k eps_M``.  Nothing here shares code with the analytic modules: agreement
 between the two is the package's core correctness check.
 
-``scipy.integrate`` is imported inside :func:`_period_solve` and
+``scipy.integrate`` is imported inside :func:`_half_period_solve` and
 :func:`mean_detuning`, the two functions that call it, not at module level:
 importing scipy takes several times longer than the closed-form commands
 themselves, and ``twostate.cli`` imports this module for every command.
@@ -85,17 +90,12 @@ class MonodromyResult:
         return float(abs(np.linalg.det(self.matrix)))
 
 
-def _period_solve(owner: str, field: DriveField, t0: float, h: float, rtol: float,
-                  atol: float, dense: bool = False):
-    """One DOP853 solve of ``[Y (row-major), delta]`` from ``[I, 0]`` over ``[t0, t0 + h]``.
+def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float, dense: bool):
+    """One DOP853 solve of ``[Y (row-major), delta]`` from ``[I, 0]`` over ``[c, c + T/2]``.
 
-    ``h`` is at most one period long, so ``Y(t0 + h)`` is the monodromy matrix
-    when ``|h| = T``; ``dense`` asks ``solve_ivp`` for dense output.
+    ``c`` is the drive's symmetry centre; ``dense`` asks ``solve_ivp`` for dense output.
     """
-    # a non-finite time or tolerance makes solve_ivp step forever instead of failing
-    if not (math.isfinite(t0) and math.isfinite(h) and h != 0.0):
-        raise ParameterError(f"{owner}: need a finite start time and a finite, nonzero "
-                             f"window, got t0={t0}, h={h}")
+    # a non-finite tolerance makes solve_ivp step forever instead of failing
     if not (_MIN_RTOL <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 <= atol < inf, "
                              f"got rtol={rtol}, atol={atol}")
@@ -110,44 +110,71 @@ def _period_solve(owner: str, field: DriveField, t0: float, h: float, rtol: floa
 
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(rhs, (t0, t0 + h), np.array([1, 0, 0, 1, 0], dtype=complex),
+    c = field.center
+    sol = solve_ivp(rhs, (c, c + 0.5 * field.period), np.array([1, 0, 0, 1, 0], dtype=complex),
                     method="DOP853", dense_output=dense, rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"{owner}: solver failed: {sol.message}")
     return sol
 
 
+def _reflect(sol, s) -> np.ndarray:
+    """``[Y (row-major), delta]`` at ``c + s`` for ``|s| <= T/2``, one column per offset.
+
+    Read from the dense half-period solution at ``c + |s|``; for ``s < 0``
+    ``Y(c - |s|) = Y(c + |s|)^{-T}`` and ``delta(c - |s|) = -delta(c + |s|)``.
+    """
+    y = sol.sol(sol.t[0] + np.abs(s))
+    det = y[0] * y[3] - y[1] * y[2]
+    inv_t = np.array([y[3], -y[2], -y[1], y[0]]) / det
+    return np.where(s < 0, np.vstack((inv_t, -y[4])), y)
+
+
+def _lattice(field: DriveField, t) -> tuple[np.ndarray, np.ndarray]:
+    """Periods ``k`` and offsets ``s`` in ``[-T/2, T/2]`` with ``t = c + k T + s``."""
+    T, x = field.period, np.asarray(t, dtype=float) - field.center
+    k = np.round(x / T)
+    return k.astype(int), np.clip(x - k * T, -0.5 * T, 0.5 * T)
+
+
+def _monodromy_at_centre(sol) -> tuple[np.ndarray, float]:
+    """``M(c) = Y_h^T Y_h`` with ``Y_h = Y(c + T/2)``, and the phase gained over one period."""
+    y_h = sol.y[:4, -1].reshape(2, 2)
+    return y_h.T @ y_h, 2.0 * sol.y[4, -1].real
+
+
 def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float],
               t_eval=None, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
               ) -> Trajectory:
-    """Amplitude-equation samples composed from one one-period solve (DOP853 8(5,3)).
+    """Amplitude-equation samples composed from one half-period solve (DOP853 8(5,3)).
 
-    ``Y`` and ``delta`` are integrated from ``t_span[0]`` over
-    ``h = sign(span) min(|span|, T)`` only, with dense output.  A sample ``k``
-    whole periods from ``t_span[0]``, at offset ``s`` into its period, is
-    ``c = Y(s) M^k c0`` with ``c0 = (a1 exp(i delta0), a2)``,
-    ``delta = delta0 + delta(s) + k Phi`` and ``a1 = c1 exp(-i delta)``, with
-    ``Y(s)`` and ``delta(s)`` read from the dense solution.  The cost therefore
-    does not grow with the number of periods, while the error grows like
-    ``k eps_M``, ``eps_M`` being the error of the one-period matrix.  ``nfev``
-    counts the calls of the one solve, dense-output stages included; neither it
-    nor any sample's value depends on ``t_eval``.
+    ``Y`` and ``delta`` are integrated with dense output over ``[c, c + T/2]``
+    only, ``c`` being the drive's symmetry centre.  A time ``t = c + k T + s``
+    with ``|s| <= T/2`` has ``Y(t) = Y(c + s) M^k`` and
+    ``delta(t) = delta(c + s) + k Phi``, ``Y(c + s)`` for ``s < 0`` coming from
+    reflection (module docstring).  The transfer matrix of any window, forward
+    or backward, is ``U(t, t_start) = Y(t) Y(t_start)^{-1}``, applied to
+    ``c0 = (a1 exp(i delta0), a2)``; then
+    ``delta = delta0 + delta(t) - delta(t_start)`` and ``a1 = c1 exp(-i delta)``.
+    The cost therefore does not grow with the number of periods, while the
+    error grows like ``k eps_M``, ``eps_M`` being the error of the one-period
+    matrix.  ``nfev`` counts the calls of the one solve, dense-output stages
+    included; neither it nor any sample's value depends on ``t_eval``.
 
     ``state0.phase`` seeds the accumulated phase modulation at ``t_span[0]``;
-    pass 0 when starting at the drive's time origin.  Backward integration
-    (``t_span[1] < t_span[0]``) composes the backward one-period matrix.
-    ``t_span`` must be finite and of nonzero length, and ``t_eval`` strictly
-    monotone within it; without ``t_eval`` the samples are the solver's steps
-    over one period, tiled over the span and cut at ``t_span[1]``, with both
-    end points included.
+    pass 0 when starting at the drive's time origin.  ``t_span`` may run
+    backward (``t_span[1] < t_span[0]``); it must be finite and of nonzero
+    length, and ``t_eval`` strictly monotone within it.  Without ``t_eval`` the
+    samples are the solver's half-period steps, reflected about ``c`` and tiled
+    over the span, cut at its ends, with both end points included.
     """
-    T = field.period
+    T, c = field.period, field.center
     t_start, t_end = float(t_span[0]), float(t_span[1])
     span = t_end - t_start
-    if not math.isfinite(span):
-        raise ParameterError(f"integrate: t_span must be finite, got {t_span}")
+    if not (math.isfinite(span) and span != 0.0):
+        raise ParameterError(f"integrate: t_span must be finite and of nonzero length, "
+                             f"got {t_span}")
     sign = -1.0 if span < 0 else 1.0
-    h = sign * min(abs(span), T)
     if t_eval is not None:
         times = np.array(t_eval, dtype=float)
         x = sign * (times - t_start)
@@ -155,23 +182,35 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
         if not (x.size and np.all(x >= 0) and np.all(x <= abs(span)) and np.all(np.diff(x) > 0)):
             raise ParameterError("integrate: t_eval must be non-empty, finite and strictly "
                                  "monotone within t_span")
-    sol = _period_solve("integrate", field, t_start, h, rtol, atol, dense=True)
+    sol = _half_period_solve("integrate", field, rtol, atol, dense=True)
     if t_eval is None:
-        x = sign * (sol.t[:-1] - t_start)
-        x = (np.arange(math.ceil(abs(span) / T))[:, None] * T + x).ravel()
-        x = np.append(x[x < abs(span)], abs(span))
-        times = np.append(t_start + sign * x[:-1], t_end)
-    # whole periods before each sample, then Y and delta at its offset into the period
-    k = np.floor(x / T).astype(int)
-    y = sol.sol(t_start + sign * np.clip(x - k * T, 0.0, abs(h)))
-    m, phase_period = sol.y[:4, -1].reshape(2, 2), sol.y[4, -1].real
-    powers = [np.array([state0.a1 * cmath.exp(1j * state0.phase), state0.a2], dtype=complex)]
-    for _ in range(int(k.max())):
-        powers.append(m @ powers[-1])
-    v = np.array(powers)[k].T                                  # M^k c0 per sample
+        steps = sol.t - c                                        # [0, T/2]
+        cell = np.concatenate((-steps[:0:-1], steps[:-1]))       # [-T/2, T/2)
+        lo, hi = min(t_start, t_end), max(t_start, t_end)
+        ks = np.arange(math.floor((lo - c) / T) - 1, math.ceil((hi - c) / T) + 2)
+        grid = (c + ks[:, None] * T + cell).ravel()
+        inner = grid[(grid > lo) & (grid < hi)][::int(sign)]
+        times = np.concatenate(([t_start], inner, [t_end]))
+    m, phase_period = _monodromy_at_centre(sol)
+    k, s = _lattice(field, times)
+    k0, s0 = _lattice(field, t_start)
+    y = _reflect(sol, s)
+    y0 = _reflect(sol, np.array([s0]))[:, 0]
+    # M^j v0 for the whole periods j = k - k0 from t_start, v0 = Y(t_start)^-1 c0
+    c0 = np.array([state0.a1 * cmath.exp(1j * state0.phase), state0.a2], dtype=complex)
+    j = k - k0
+    j_lo, j_hi = min(int(j.min()), 0), max(int(j.max()), 0)
+    forward = [np.linalg.solve(y0[:4].reshape(2, 2), c0)]
+    backward = forward[:]
+    for _ in range(j_hi):
+        forward.append(m @ forward[-1])
+    m_inv = np.linalg.inv(m)
+    for _ in range(-j_lo):
+        backward.append(m_inv @ backward[-1])
+    v = np.array(backward[:0:-1] + forward)[j - j_lo].T
     c1 = y[0] * v[0] + y[1] * v[1]
     a2 = y[2] * v[0] + y[3] * v[1]
-    phase = state0.phase + y[4].real + k * phase_period
+    phase = state0.phase + (y[4].real - y0[4].real) + j * phase_period
     a1 = c1 * np.exp(-1j * phase)
     drift = float(np.max(np.abs(np.abs(a1) ** 2 + np.abs(a2) ** 2 - state0.norm)))
     return Trajectory(times=times, a1=a1, a2=a2, phase=phase, norm_drift=drift, nfev=sol.nfev)
@@ -181,14 +220,24 @@ def monodromy(field: DriveField, t_ref: float = 0.0,
               rtol: float = 1e-11, atol: float = 1e-13) -> MonodromyResult:
     """One-period transfer matrix and Floquet exponents of the drive.
 
-    The matrix is ``Y(t_ref + T)``, the end point of the one-period solve that
-    :func:`integrate` composes its samples from; eigenvalue arguments divided by
-    the period give the exponents, folded into ``[-Delta/2, Delta/2)`` with
-    ``Delta = 2 pi / T``.
+    At the symmetry centre the matrix is ``M(c) = Y_h^T Y_h``, from the end
+    point ``Y_h = Y(c + T/2)`` of the half-period solve that :func:`integrate`
+    composes its samples from, and so exactly complex symmetric.  At any other
+    reference time it is ``M(t_ref) = Y(t_ref) M(c) Y(t_ref)^{-1}``; only a
+    ``t_ref`` off the lattice ``c + k T`` needs the solve's dense output.
+    Eigenvalue arguments divided by the period give the exponents, folded into
+    ``[-Delta/2, Delta/2)`` with ``Delta = 2 pi / T``.
     """
+    if not math.isfinite(t_ref):
+        raise ParameterError(f"monodromy: t_ref must be finite, got {t_ref}")
     T = field.period
-    sol = _period_solve("monodromy", field, t_ref, T, rtol, atol)
-    m = sol.y[:4, -1].reshape(2, 2)
+    _, s = _lattice(field, t_ref)
+    off_lattice = bool(s != 0.0)
+    sol = _half_period_solve("monodromy", field, rtol, atol, dense=off_lattice)
+    m, _ = _monodromy_at_centre(sol)
+    if off_lattice:
+        y = _reflect(sol, np.array([s]))[:4, 0].reshape(2, 2)
+        m = y @ m @ np.linalg.inv(y)
     eig = np.linalg.eigvals(m)
     delta = 2.0 * math.pi / T
     exps = tuple(wrap_mod(float(np.angle(ev)) / T, delta) for ev in eig)

@@ -303,6 +303,10 @@ def test_bad_numeric_inputs_exit_2(tmp_path):
                  ["heun-map", "--u0", "1e200", "--a", "2", "--delta1", "2", "--delta2", "1"],
                  ["floquet", "--u0", "1e200", "--delta1", "2"],
                  ["compare", "--u0", "1e200", "--delta1", "2"],
+                 # below the coupling floor the closed form's fundamental pair overflows
+                 ["closed-form", "--u0", "5e-324", "--delta1", "2"],
+                 ["closed-form", "--u0", "3e-308", "--delta1", "2"],
+                 ["closed-form", "--u0", "1e-307", "--delta1", "2"],
                  # wrongly typed flags are reported, not raised as SystemExit
                  ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--samples", "abc"],
                  ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "2.5"]):

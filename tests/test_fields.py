@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from twostate.errors import DomainError, ParameterError
-from twostate.fields import (GLANCING_TOL, FieldConfig, N2Config, a_from_delta1,
+from twostate.fields import (GLANCING_TOL, U0_FLOOR, FieldConfig, N2Config, a_from_delta1,
                              classify_crossings, detuning_general, detuning_n2, detuning_n3,
                              drive_field, glancing_ratios, n3_general_config, n3_singular_point)
 
@@ -156,6 +156,20 @@ def test_n2_config_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterError):
                 N2Config(**{**good, key: bad})
+
+
+def test_n2_config_coupling_floor():
+    # u0 >= U0_FLOOR |delta1|^5, also where |delta1|^5 itself would overflow a double
+    for d1 in (2.0, -6.0, 1e3, 1e100):
+        floor = math.exp(math.log(U0_FLOOR) + 5.0 * math.log(abs(d1)))
+        if floor < 1.0:
+            N2Config(u0=1.001 * floor, delta1=d1)
+        with pytest.raises(ParameterError):
+            N2Config(u0=min(0.999 * floor, 1e300), delta1=d1)
+    for u0 in (5e-324, 3e-308, 1e-307):
+        with pytest.raises(ParameterError):
+            N2Config(u0=u0, delta1=2.0)
+    N2Config(u0=1e-305, delta1=2.0)
 
 
 # ---------------------------------------------------------------- shape parameter map

@@ -54,18 +54,41 @@ def brute_force(field, state0, t_span, t_eval):
     return sol.y[0], sol.y[1], sol.y[2].real
 
 
-# every in-repo drive family, each `period`-periodic: n2 with both carrier
-# signs, the general drive (generic and the a = 16 glancing case), the printed
-# n3 field and the constant drive
+# every in-repo drive family, each `period`-periodic and even about its
+# `center`: n2 with both carrier signs, the general drive (generic and the
+# a = 16 glancing case), each also centred off the time origin, the printed n3
+# field and the constant drive
 DRIVES = {
     "n2+": lambda: drive_field(N2Config(u0=1.0, delta1=2.0)),
     "n2-": lambda: drive_field(N2Config(u0=0.7, delta1=-3.0)),
+    "n2-off-centre": lambda: drive_field(N2Config(u0=0.8, delta1=-2.5, delta=1.7, t0=0.4)),
     "general": lambda: drive_field(FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0)),
+    "general-off-centre": lambda: drive_field(FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0,
+                                                          delta=1.3, t0=-0.9)),
     "glancing": lambda: drive_field(FieldConfig(u0=0.9, a=16.0, delta1=-25.0 / 16.0,
                                                 delta2=-15.0 / 16.0)),
     "n3-printed": printed_n3_drive,
     "constant": lambda: constant_drive(0.8, 1.3),
 }
+
+
+@pytest.mark.parametrize("name", DRIVES)
+def test_drive_field_contract(name):
+    # u and delta_t are even about the centre and period-periodic, the two
+    # facts the half-period oracle composes every sample from
+    fld = DRIVES[name]()
+    c, T = fld.center, fld.period
+    for s in np.linspace(0.0, T, 41):
+        for f in (fld.u, fld.delta_t):
+            assert f(c - s) == pytest.approx(f(c + s), rel=1e-12, abs=1e-12), (name, s)
+            assert f(c + s + T) == pytest.approx(f(c + s), rel=1e-12, abs=1e-12), (name, s)
+
+
+def test_drive_field_rejects_a_bad_period_or_centre():
+    for period, center in ((math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (-1.0, 0.0),
+                           (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(ParameterError):
+            DriveField(u=lambda t: 1.0, delta_t=lambda t: 1.0, period=period, center=center)
 
 
 # ---------------------------------------------------------------- basic integration
@@ -171,7 +194,7 @@ def test_composed_integrate_matches_brute_force(name, periods):
     assert np.max(np.abs(traj.a1 - a1)) < 1e-9, name
     assert np.max(np.abs(traj.a2 - a2)) < 1e-9, name
     assert np.max(np.abs(traj.phase - phase)) < 1e-9, name
-    # without t_eval: the one-period steps tiled over the window, checked there too
+    # without t_eval: the half-period steps, reflected and tiled over the window
     steps = integrate(fld, state0, t_span, rtol=1e-11, atol=1e-13)
     assert steps.times[0] == t_span[0] and steps.times[-1] == t_span[1]
     assert np.all(np.sign(periods) * np.diff(steps.times) > 0)
@@ -228,7 +251,7 @@ def test_non_finite_or_empty_times_raise_before_solving(case):
 
 
 def test_a_sample_does_not_depend_on_the_other_samples():
-    # every sample is read from the same dense one-period solution, so a
+    # every sample is read from the same dense half-period solution, so a
     # subgrid gives the same bits at the same cost, and so does no grid
     cfg = N2Config(u0=1.0, delta1=2.0)
     fld = drive_field(cfg)
@@ -240,6 +263,13 @@ def test_a_sample_does_not_depend_on_the_other_samples():
         assert np.array_equal(getattr(full, name)[::250], getattr(coarse, name)), name
     assert full.nfev == coarse.nfev == integrate(fld, GROUND, t_span, rtol=1e-11,
                                                  atol=1e-13).nfev
+    # samples periods away from t_start, forward and backward
+    tail = integrate(fld, GROUND, t_span, t_eval=grid[600:], rtol=1e-11, atol=1e-13)
+    assert np.array_equal(full.a2[600:], tail.a2)
+    back_span = t_span[::-1]
+    back = integrate(fld, GROUND, back_span, t_eval=grid[::-1], rtol=1e-11, atol=1e-13)
+    back_tail = integrate(fld, GROUND, back_span, t_eval=grid[400::-1], rtol=1e-11, atol=1e-13)
+    assert np.array_equal(back.a2[600:], back_tail.a2)
 
 
 # ---------------------------------------------------------------- monodromy
@@ -284,19 +314,30 @@ def test_monodromy_general_drive_unit_circle():
     N2Config(u0=1.0, delta1=2.0),
     N2Config(u0=0.7, delta1=-3.0),
     FieldConfig(u0=0.9, a=16.0, delta1=-25.0 / 16.0, delta2=-15.0 / 16.0),   # glancing
+    N2Config(u0=0.8, delta1=-2.5, delta=1.7, t0=0.4),
 ])
 def test_monodromy_columns_match_integrate(cfg):
     # column j is basis state j after one period, in co-rotating variables
     # (a1 exp(i phase), a2), with the phase seeded at 0 at t_ref; the columns
     # come from the brute-force reference, since integrate composes its
-    # samples from the same one-period solve as monodromy
-    fld, t_ref = drive_field(cfg), 0.3
-    m = monodromy(fld, t_ref=t_ref).matrix
-    t_end = t_ref + fld.period
-    for j, state0 in enumerate((StateVector(a1=1.0, a2=0.0), StateVector(a1=0.0, a2=1.0))):
-        a1, a2, phase = brute_force(fld, state0, (t_ref, t_end), [t_end])
-        col = [a1[0] * np.exp(1j * phase[0]), a2[0]]
-        assert np.max(np.abs(m[:, j] - col)) < 1e-9, (cfg, j)
+    # samples from the same half-period solve as monodromy; t_ref at the
+    # centre reads the solve's end point, off it the dense output
+    fld = drive_field(cfg)
+    for t_ref in (0.3, fld.center):
+        m = monodromy(fld, t_ref=t_ref).matrix
+        t_end = t_ref + fld.period
+        for j, state0 in enumerate((StateVector(a1=1.0, a2=0.0), StateVector(a1=0.0, a2=1.0))):
+            a1, a2, phase = brute_force(fld, state0, (t_ref, t_end), [t_end])
+            col = [a1[0] * np.exp(1j * phase[0]), a2[0]]
+            assert np.max(np.abs(m[:, j] - col)) < 1e-9, (cfg, t_ref, j)
+
+
+@pytest.mark.parametrize("name", DRIVES)
+def test_monodromy_at_centre_is_complex_symmetric(name):
+    # A(t) is complex symmetric and even about the centre, so M(c) = Y_h^T Y_h
+    fld = DRIVES[name]()
+    m = monodromy(fld, t_ref=fld.center).matrix
+    assert np.array_equal(m, m.T), name
 
 
 def test_monodromy_unitarity_error_floquet_grid():
@@ -315,7 +356,7 @@ def _counting_field(fld):
     def delta_t(t):
         calls[0] += 1
         return fld.delta_t(t)
-    return calls, DriveField(u=fld.u, delta_t=delta_t, period=fld.period)
+    return calls, DriveField(u=fld.u, delta_t=delta_t, period=fld.period, center=fld.center)
 
 
 def test_nfev_counts_rhs_calls():
@@ -330,15 +371,15 @@ def test_nfev_counts_rhs_calls():
 
 
 def test_rhs_call_budget_solvable_model():
-    # one composed one-period solve with dense output makes 1,157 calls here
-    # and the monodromy 1,202; DOP853 across all five periods made 4,493, RK45
-    # 11,150
+    # one half-period solve with dense output makes 617 calls here and the
+    # monodromy at the centre, without it, 626; a one-period solve made 1,157
+    # and 1,202, DOP853 across all five periods 4,493, RK45 11,150
     cfg = N2Config(u0=1.0, delta1=2.0)
     fld = drive_field(cfg)
     ts = np.linspace(0.0, 5 * cfg.period, 1001)
     traj = integrate(fld, GROUND, (0.0, float(ts[-1])), t_eval=ts, rtol=1e-11, atol=1e-13)
-    assert traj.nfev <= 1500
-    assert monodromy(fld, rtol=1e-12, atol=1e-13).nfev <= 1500
+    assert traj.nfev <= 800
+    assert monodromy(fld, rtol=1e-12, atol=1e-13).nfev <= 800
 
 
 def test_integrate_cost_independent_of_periods():
