@@ -90,7 +90,10 @@ class N2Config:
     scaled time onto physical time.  The detuning is real only for
     ``|delta1| > 1``.  The derived shape parameter is
     ``a = (delta1 + 1)/(delta1 - 1)``; it exceeds 1 for ``delta1 > 1`` and
-    lies in (0, 1) for ``delta1 < -1``.
+    lies in (0, 1) for ``delta1 < -1``.  Its square root must differ from 1
+    in floating point, which fails for some ``|delta1|`` from about 6e15 and
+    for every one above about 1.8e16: the closed form divides by
+    ``1 - sqrt(a)`` at ``t0``, and at ``a = 1`` the drive leaves the family.
 
     The coupling has a floor, ``u0 >= U0_FLOOR * |delta1|^5`` with
     ``U0_FLOOR = 1e-307``.  Below about a twentieth of it the closed form's
@@ -111,6 +114,9 @@ class N2Config:
             raise ParameterError(f"N2Config: u0 must be > 0, got {self.u0}")
         if not abs(self.delta1) > 1:
             raise ParameterError(f"N2Config: need |delta1| > 1, got {self.delta1}")
+        if math.sqrt(self.a) == 1.0:
+            raise ParameterError(f"N2Config: a = (delta1 + 1)/(delta1 - 1) has sqrt(a) = 1 "
+                                 f"in floating point, got delta1 = {self.delta1}")
         # in logs, so that the floor of a huge delta1 does not overflow
         if not math.log(self.u0) >= math.log(U0_FLOOR) + 5.0 * math.log(abs(self.delta1)):
             raise ParameterError(f"N2Config: need u0 >= {U0_FLOOR} * |delta1|^5, "

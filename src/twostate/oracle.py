@@ -29,15 +29,23 @@ The composition adds no truncation error of its own: the one-period error
 ``k eps_M``.  Nothing here shares code with the analytic modules: agreement
 between the two is the package's core correctness check.
 
-``scipy.integrate`` is imported inside :func:`_half_period_solve` and
-:func:`mean_detuning`, the two functions that call it, not at module level:
-importing scipy takes several times longer than the closed-form commands
-themselves, and ``twostate.cli`` imports this module for every command.
+The half-period solve is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, Sec. II.10) in the oracle's own step loop: a
+step-for-step port of ``scipy.integrate.DOP853`` specialised to the five
+components ``[Y, delta]``, with scipy's tableau, error norm and step
+controller, so the same steps and right-hand-side calls, run on Python
+complex scalars instead of scipy's per-step array machinery.  The tableau is
+read once from ``scipy.integrate.DOP853`` and :func:`mean_detuning` calls
+``scipy.integrate.quad``; both import scipy inside the function, not at
+module level: importing scipy takes several times longer than the
+closed-form commands themselves, and ``twostate.cli`` imports this module
+for every command.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +57,9 @@ from .fields import DriveField, StateVector
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 _MIN_RTOL = 1e-13
+# work bound of one half-period solve: a dense solve at rtol 1e-11 makes about
+# 180 |delta1| right-hand-side calls, so this admits |delta1| up to ~1,100
+_MAX_RHS_CALLS = 200_000
 
 
 @dataclass(frozen=True)
@@ -90,32 +101,199 @@ class MonodromyResult:
         return float(abs(np.linalg.det(self.matrix)))
 
 
-def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float, dense: bool):
+@functools.cache
+def _dop853():
+    """The tableau of ``scipy.integrate.DOP853`` as Python floats, each zero dropped.
+
+    Returns ``(nodes, a, b, e5, e3, nodes_extra, a_extra, d)``.  ``a``
+    (stages 1..11) and ``a_extra`` (the three dense-output stages) hold one
+    tuple of ``(j, a_sj)`` pairs per stage and ``nodes`` and ``nodes_extra``
+    their times as fractions of the step; ``b``, ``e5`` and ``e3`` are the
+    ``(j, w_j)`` pairs of the solution and of the two error estimators, and
+    ``d`` maps the 16 stages to the four higher interpolant rows.
+    """
+    from scipy.integrate import DOP853 as rk
+
+    def nonzero(row):
+        return tuple((j, float(x)) for j, x in enumerate(row) if x != 0.0)
+
+    n = rk.n_stages
+    d = np.array(rk.D, dtype=float)
+    d.flags.writeable = False              # shared by every caller of the cache
+    return (tuple(map(float, rk.C[1:])),
+            tuple(nonzero(row[:s]) for s, row in enumerate(rk.A) if s > 0),
+            nonzero(rk.B), nonzero(rk.E5), nonzero(rk.E3),
+            tuple(map(float, rk.C_EXTRA)),
+            tuple(nonzero(row[:n + 1 + i]) for i, row in enumerate(rk.A_EXTRA)), d)
+
+
+def _stage_state(y, h, terms, ks):
+    """``Y + h sum_j a_j k_j`` over the four ``Y`` components: the right-hand side
+    never reads the phase, so a stage's argument skips it."""
+    s0 = s1 = s2 = s3 = 0.0
+    for j, a in terms:
+        k0, k1, k2, k3, _ = ks[j]
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+    return y[0] + h * s0, y[1] + h * s1, y[2] + h * s2, y[3] + h * s3
+
+
+def _weighted(terms, ks):
+    """``sum_j w_j k_j`` over all five components."""
+    s0 = s1 = s2 = s3 = s4 = 0.0
+    for j, w in terms:
+        k0, k1, k2, k3, k4 = ks[j]
+        s0 += w * k0
+        s1 += w * k1
+        s2 += w * k2
+        s3 += w * k3
+        s4 += w * k4
+    return s0, s1, s2, s3, s4
+
+
+def _rms(x, scale) -> float:
+    return math.sqrt(sum(abs(xi / si) ** 2 for xi, si in zip(x, scale)) / len(x))
+
+
+@dataclass(frozen=True)
+class _HalfPeriod:
+    """The accepted steps of one half-period solve and, if dense, their interpolants."""
+
+    t: np.ndarray                          # step times, c .. c + T/2
+    y: np.ndarray                          # (5, steps + 1): [Y (row-major), delta] at each
+    nfev: int                              # right-hand-side evaluations
+    rows: np.ndarray | None                # (steps, 7, 5) DOP853 interpolant rows, if dense
+
+    def __call__(self, t) -> np.ndarray:
+        """Dense ``[Y, delta]`` at the times ``t``, one column each.
+
+        The step is chosen as scipy's ``OdeSolution`` chooses it: a time on a
+        step boundary belongs to the step that ends there.
+        """
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, len(self.rows) - 1)
+        t_old = self.t[seg]
+        x = ((t - t_old) / (self.t[seg + 1] - t_old))[:, None]
+        rows = self.rows[seg]
+        y = np.zeros((len(t), 5), dtype=complex)
+        for i in range(6, -1, -1):
+            y += rows[:, i]
+            y *= x if i % 2 == 0 else 1.0 - x
+        return y.T + self.y[:, seg]
+
+
+def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
+                       dense: bool) -> _HalfPeriod:
     """One DOP853 solve of ``[Y (row-major), delta]`` from ``[I, 0]`` over ``[c, c + T/2]``.
 
-    ``c`` is the drive's symmetry centre; ``dense`` asks ``solve_ivp`` for dense output.
+    ``c`` is the drive's symmetry centre.  A step-for-step port of scipy's
+    ``DOP853`` over the same span (module docstring), as
+    :func:`twostate.heun._brent` is of ``brentq``: scipy's initial-step
+    selection for an error estimator of order 7, its RMS error norm over all
+    five components, its controller (safety 0.9, step factor in [0.2, 10],
+    exponent -1/8, no growth right after a rejection) and its failure below
+    ten spacings of floating-point numbers at the current time.  ``nfev``
+    counts as scipy counts: two calls to start, 12 per attempted step and,
+    with ``dense``, 3 per accepted step for the interpolant, whose rows are
+    built for all steps at once after the loop.  A solve that needs more than
+    ``_MAX_RHS_CALLS`` calls raises :class:`IntegrationError`.
     """
-    # a non-finite tolerance makes solve_ivp step forever instead of failing
+    # a non-finite tolerance would make the solver step forever
     if not (_MIN_RTOL <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 <= atol < inf, "
                              f"got rtol={rtol}, atol={atol}")
+    nodes, a, b, e5, e3, nodes_extra, a_extra, d = _dop853()
+    u, delta_t = field.u, field.delta_t
 
     def rhs(t, y):
         # A(t) @ Y with A = [[i delta_t, -i U], [-i U, 0]], then delta' = delta_t
-        y11, y12, y21, y22, _ = y.tolist()
-        iu = 1j * field.u(t)
-        dt = field.delta_t(t)
+        y11, y12, y21, y22 = y
+        iu = 1j * u(t)
+        dt = delta_t(t)
         idt = 1j * dt
-        return [idt * y11 - iu * y21, idt * y12 - iu * y22, -iu * y11, -iu * y12, dt]
+        return idt * y11 - iu * y21, idt * y12 - iu * y22, -iu * y11, -iu * y12, dt
 
-    from scipy.integrate import solve_ivp
+    too_small = (f"{owner}: solver failed: Required step size is less than spacing "
+                 f"between numbers.")
+    t = c = field.center
+    t_end = c + 0.5 * field.period
+    if not t_end > c:                      # half a period rounds away at the centre
+        raise IntegrationError(too_small)
+    y = (1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0)
+    f = rhs(t, y[:4])
 
-    c = field.center
-    sol = solve_ivp(rhs, (c, c + 0.5 * field.period), np.array([1, 0, 0, 1, 0], dtype=complex),
-                    method="DOP853", dense_output=dense, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(f"{owner}: solver failed: {sol.message}")
-    return sol
+    # the initial step, as scipy's select_initial_step
+    length = t_end - t
+    scale0 = [atol + abs(yi) * rtol for yi in y]
+    d0, d1 = _rms(y, scale0), _rms(f, scale0)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    f1 = rhs(t + h0, [yi + h0 * fi for yi, fi in zip(y[:4], f)])
+    d2 = _rms([p - q for p, q in zip(f1, f)], scale0) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, length)
+    nfev = 2
+
+    ts, ys, stages = [t], [y], []
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(too_small)
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            ks = [f]
+            for c_s, a_s in zip(nodes, a):
+                ks.append(rhs(t + c_s * h, _stage_state(y, h, a_s, ks)))
+            y_new = tuple(yi + h * si for yi, si in zip(y, _weighted(b, ks)))
+            f_new = rhs(t_new, y_new[:4])
+            ks.append(f_new)
+            nfev += 12
+            if nfev > _MAX_RHS_CALLS:
+                raise IntegrationError(f"{owner}: more than {_MAX_RHS_CALLS} right-hand-side "
+                                       f"calls over half a period; the drive varies too fast "
+                                       f"for the oracle")
+            err5 = err3 = 0.0
+            for p, q, r5, r3 in zip(y, y_new, _weighted(e5, ks), _weighted(e3, ks)):
+                scale = atol + max(abs(p), abs(q)) * rtol
+                err5 += abs(r5 / scale) ** 2
+                err3 += abs(r3 / scale) ** 2
+            error_norm = 0.0 if err5 == 0 and err3 == 0 else (
+                h * err5 / math.sqrt((err5 + 0.01 * err3) * 5))
+            if error_norm < 1:
+                factor = 10.0 if error_norm == 0 else min(10.0, 0.9 * error_norm ** (-1 / 8))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** (-1 / 8))
+            rejected = True
+        if dense:
+            for c_s, a_s in zip(nodes_extra, a_extra):
+                ks.append(rhs(t + c_s * h, _stage_state(y, h, a_s, ks)))
+            nfev += 3
+            stages.append(ks)
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+
+    t_arr, y_arr = np.array(ts), np.array(ys, dtype=complex)
+    rows = None
+    if dense:
+        k = np.array(stages, dtype=complex)                    # (steps, 16, 5)
+        h = np.diff(t_arr)[:, None]
+        dy = y_arr[1:] - y_arr[:-1]
+        # scipy's Dop853DenseOutput rows; stage 12 is the derivative at the step's end
+        rows = np.empty((len(k), 7, 5), dtype=complex)
+        rows[:, 0] = dy
+        rows[:, 1] = h * k[:, 0] - dy
+        rows[:, 2] = 2 * dy - h * (k[:, 12] + k[:, 0])
+        rows[:, 3:] = h[:, None] * np.einsum("ij,sjc->sic", d, k)
+    return _HalfPeriod(t=t_arr, y=y_arr.T, nfev=nfev, rows=rows)
 
 
 def _reflect(sol, s) -> np.ndarray:
@@ -124,7 +302,7 @@ def _reflect(sol, s) -> np.ndarray:
     Read from the dense half-period solution at ``c + |s|``; for ``s < 0``
     ``Y(c - |s|) = Y(c + |s|)^{-T}`` and ``delta(c - |s|) = -delta(c + |s|)``.
     """
-    y = sol.sol(sol.t[0] + np.abs(s))
+    y = sol(sol.t[0] + np.abs(s))
     det = y[0] * y[3] - y[1] * y[2]
     inv_t = np.array([y[3], -y[2], -y[1], y[0]]) / det
     return np.where(s < 0, np.vstack((inv_t, -y[4])), y)

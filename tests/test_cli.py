@@ -133,6 +133,18 @@ def test_terminate_overflow_is_a_configuration_error(tmp_path, capsys):
         assert err.count("\n") == 1 and "overflows" in err, err
 
 
+def test_oracle_work_bound_is_a_numerical_failure(tmp_path, capsys):
+    # the oracle's cost grows like |delta1|; past its bound on right-hand-side
+    # calls it stops within about two seconds, where it once ran unbounded
+    out = tmp_path / "never.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["floquet", "--u0", "1", "--delta1", "1e5", "-o", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "right-hand-side calls" in err, err
+
+
 def test_terminate_coarse_grid_is_a_configuration_error(tmp_path, capsys):
     # a 2001-point grid up to 1e60 brackets no root; this once exited 0 with
     # every order "trivial" though order 2 terminates at a = 3
@@ -307,6 +319,13 @@ def test_bad_numeric_inputs_exit_2(tmp_path):
                  ["closed-form", "--u0", "5e-324", "--delta1", "2"],
                  ["closed-form", "--u0", "3e-308", "--delta1", "2"],
                  ["closed-form", "--u0", "1e-307", "--delta1", "2"],
+                 # sqrt(a), a = (delta1 + 1)/(delta1 - 1), rounds to 1: the closed
+                 # form divided by zero (a = 1 leaves the family)
+                 ["closed-form", "--u0", "1", "--delta1", "1e16"],
+                 ["closed-form", "--u0", "1", "--delta1", "1e17"],
+                 ["closed-form", "--u0", "1", "--delta1=-1e16"],
+                 ["closed-form", "--u0", "1", "--delta1", "9007199254740992"],
+                 ["floquet", "--u0", "1", "--delta1", "1e16"],
                  # wrongly typed flags are reported, not raised as SystemExit
                  ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--samples", "abc"],
                  ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "2.5"]):
