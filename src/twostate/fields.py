@@ -61,8 +61,11 @@ class FieldConfig:
             raise ParameterError(f"FieldConfig: parameters must be finite, got {self}")
         if not self.u0 > 0:
             raise ParameterError(f"FieldConfig: u0 must be > 0, got {self.u0}")
-        if not self.a > 0 or self.a == 1.0:
-            raise ParameterError(f"FieldConfig: need a > 0 and a != 1, got {self.a}")
+        # the detuning's denominator (sqrt(a) - 1)^2 + ... vanishes at t0 where
+        # sqrt(a) rounds to 1, and at a = 1 the drive leaves the family
+        if not self.a > 0 or math.sqrt(self.a) == 1.0:
+            raise ParameterError(f"FieldConfig: need a > 0 and sqrt(a) != 1 in floating point, "
+                                 f"got a = {self.a}")
         if not self.delta > 0:
             raise ParameterError(f"FieldConfig: delta must be > 0, got {self.delta}")
 
@@ -193,8 +196,11 @@ def _time_arg(t):
 
     Each detuning formula is written once against the returned module: the
     oracle calls it once per right-hand-side evaluation with a scalar, where
-    ``math`` costs a fraction of a NumPy ufunc call, and gets a Python float.
+    ``math`` costs a fraction of a NumPy ufunc call; it always passes a Python
+    float, which is returned as it is, before the costlier ``np.isscalar``.
     """
+    if type(t) is float:
+        return math, t
     if np.isscalar(t):
         return math, float(t)
     return np, np.asarray(t, dtype=float)

@@ -35,11 +35,12 @@ step-for-step port of ``scipy.integrate.DOP853`` specialised to the five
 components ``[Y, delta]``, with scipy's tableau, error norm and step
 controller, so the same steps and right-hand-side calls, run on Python
 complex scalars instead of scipy's per-step array machinery.  The tableau is
-read once from ``scipy.integrate.DOP853`` and :func:`mean_detuning` calls
-``scipy.integrate.quad``; both import scipy inside the function, not at
-module level: importing scipy takes several times longer than the
-closed-form commands themselves, and ``twostate.cli`` imports this module
-for every command.
+written out in this module, and each attempted step runs as one
+straight-line function generated from it at the first solve.  The module
+imports no scipy: only :func:`mean_detuning` calls ``scipy.integrate.quad``,
+and it imports scipy inside the function, because importing scipy takes
+longer than a whole run of most CLI commands and ``twostate.cli`` imports
+this module for every command.
 """
 
 from __future__ import annotations
@@ -101,56 +102,164 @@ class MonodromyResult:
         return float(abs(np.linalg.det(self.matrix)))
 
 
+# The DOP853 tableau: Dormand and Prince's 8(5,3) pair with Hairer's
+# seventh-order dense output, as in Hairer's dop853.f.  The values are the
+# doubles of scipy's integrate/_ivp/dop853_coefficients.py (BSD-3-Clause,
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), which gives
+# E3 as B minus three corrections; E3 holds the doubles that subtraction gives.
+# Only nonzero entries are kept, as (j, w_j) pairs over the stages j.
+_NODES = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+          0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+          0.8571428571428571, 1.0)
+_A = (
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+)
+_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+      (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+      (10, 0.20136540080403034), (11, 0.04471061572777259))
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+       (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+       (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
+_NODES_EXTRA = (0.1, 0.2, 0.7777777777777778)
+_A_EXTRA = (
+    ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+     (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+     (11, 0.007567897660545699), (12, -0.008298)),
+    ((0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+     (7, -0.05492374857139099), (10, -0.00010834732869724932), (11, 0.0003825710908356584),
+     (12, -0.00034046500868740456), (13, 0.1413124436746325)),
+    ((0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
+     (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
+     (13, 2.9475147891527724), (14, -9.15095847217987)),
+)
+_D = (
+    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
+)
+
+
 @functools.cache
 def _dop853():
-    """The tableau of ``scipy.integrate.DOP853`` as Python floats, each zero dropped.
+    """The DOP853 tableau above, with ``D`` as a dense array.
 
     Returns ``(nodes, a, b, e5, e3, nodes_extra, a_extra, d)``.  ``a``
     (stages 1..11) and ``a_extra`` (the three dense-output stages) hold one
     tuple of ``(j, a_sj)`` pairs per stage and ``nodes`` and ``nodes_extra``
     their times as fractions of the step; ``b``, ``e5`` and ``e3`` are the
     ``(j, w_j)`` pairs of the solution and of the two error estimators, and
-    ``d`` maps the 16 stages to the four higher interpolant rows.
+    ``d`` (4 x 16, read-only) maps the 16 stages to the four higher
+    interpolant rows.
     """
-    from scipy.integrate import DOP853 as rk
-
-    def nonzero(row):
-        return tuple((j, float(x)) for j, x in enumerate(row) if x != 0.0)
-
-    n = rk.n_stages
-    d = np.array(rk.D, dtype=float)
+    d = np.zeros((4, 16))
+    for row, terms in zip(d, _D):
+        for j, x in terms:
+            row[j] = x
     d.flags.writeable = False              # shared by every caller of the cache
-    return (tuple(map(float, rk.C[1:])),
-            tuple(nonzero(row[:s]) for s, row in enumerate(rk.A) if s > 0),
-            nonzero(rk.B), nonzero(rk.E5), nonzero(rk.E3),
-            tuple(map(float, rk.C_EXTRA)),
-            tuple(nonzero(row[:n + 1 + i]) for i, row in enumerate(rk.A_EXTRA)), d)
+    return _NODES, _A, _B, _E5, _E3, _NODES_EXTRA, _A_EXTRA, d
 
 
-def _stage_state(y, h, terms, ks):
-    """``Y + h sum_j a_j k_j`` over the four ``Y`` components: the right-hand side
-    never reads the phase, so a stage's argument skips it."""
-    s0 = s1 = s2 = s3 = 0.0
-    for j, a in terms:
-        k0, k1, k2, k3, _ = ks[j]
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-        s3 += a * k3
-    return y[0] + h * s0, y[1] + h * s1, y[2] + h * s2, y[3] + h * s3
+# A(t) @ Y with A = [[i delta_t, -i U], [-i U, 0]], then delta' = delta_t: the
+# right-hand side at time {t} of the state {y}0..{y}3 (the phase is never read)
+# into {k}0..{k}4, as the lines of a generated function
+_RHS = """\
+    iu = 1j * u({t})
+    {k}4 = delta_t({t})
+    idt = 1j * {k}4
+    {k}0 = idt * {y}0 - iu * {y}2
+    {k}1 = idt * {y}1 - iu * {y}3
+    {k}2 = -iu * {y}0
+    {k}3 = -iu * {y}1"""
 
 
-def _weighted(terms, ks):
-    """``sum_j w_j k_j`` over all five components."""
-    s0 = s1 = s2 = s3 = s4 = 0.0
-    for j, w in terms:
-        k0, k1, k2, k3, k4 = ks[j]
-        s0 += w * k0
-        s1 += w * k1
-        s2 += w * k2
-        s3 += w * k3
-        s4 += w * k4
-    return s0, s1, s2, s3, s4
+@functools.cache
+def _dop853_step():
+    """Straight-line DOP853 functions, generated from the tableau and compiled once.
+
+    ``rhs(u, delta_t, t, y)`` is the right-hand side at ``t`` of the four
+    ``Y`` components ``y``.  ``attempt(u, delta_t, t, h, t_new, y, f)`` is one
+    attempted step from ``(t, y)`` with ``f`` the derivative there: it returns
+    ``y_new``, ``f_new`` (the derivative at ``t_new``), the E5 and E3 sums
+    and the 13 stages, ``f`` first and ``f_new`` last.  ``extra(u, delta_t,
+    t, h, y, ks)`` returns the three dense-output stages of an accepted step.
+    Each sum ``sum_j w_j k_j`` is written out as ``w_0*k_0 + w_1*k_1 + ...``,
+    from left to right, and ``u`` and ``delta_t`` are called once per stage,
+    in stage order.
+    """
+    nodes, a, b, e5, e3, nodes_extra, a_extra, _ = _dop853()
+
+    def total(terms, c):
+        return " + ".join(f"{w!r} * k{j}_{c}" for j, w in terms)
+
+    def stage(s, node, terms):
+        # Y + h sum_j a_sj k_j, then the right-hand side at t + c_s h
+        return ([f"    x{c} = y{c} + h * ({total(terms, c)})" for c in range(4)]
+                + [f"    ts = t + {node!r} * h", _RHS.format(t="ts", y="x", k=f"k{s}_")])
+
+    def components(name):
+        return "(" + ", ".join(f"{name}{c}" for c in range(5)) + ")"
+
+    source = ["def rhs(u, delta_t, t, y):",
+              "    y0, y1, y2, y3 = y",
+              _RHS.format(t="t", y="y", k="k"),
+              f"    return {components('k')}",
+              "",
+              "def attempt(u, delta_t, t, h, t_new, y, f):",
+              f"    {components('y')} = y",
+              f"    {components('k0_')} = f"]
+    for s, (node, terms) in enumerate(zip(nodes, a), start=1):
+        source += stage(s, node, terms)
+    source += [f"    n{c} = y{c} + h * ({total(b, c)})" for c in range(5)]
+    source += [_RHS.format(t="t_new", y="n", k="k12_"),
+               f"    f_new = {components('k12_')}",
+               f"    r5 = ({', '.join(total(e5, c) for c in range(5))})",
+               f"    r3 = ({', '.join(total(e3, c) for c in range(5))})",
+               f"    return ({components('n')}, f_new, r5, r3, (f, "
+               + ", ".join(components(f"k{s}_") for s in range(1, 12)) + ", f_new))",
+               "",
+               "def extra(u, delta_t, t, h, y, ks):",
+               f"    {components('y')} = y",
+               f"    {', '.join(components(f'k{s}_') for s in range(13))} = ks"]
+    for s, (node, terms) in enumerate(zip(nodes_extra, a_extra), start=13):
+        source += stage(s, node, terms)
+    source.append(f"    return {', '.join(components(f'k{s}_') for s in range(13, 16))}")
+    namespace = {}
+    exec(compile("\n".join(source), "<dop853 step>", "exec"), namespace)
+    return namespace["rhs"], namespace["attempt"], namespace["extra"]
 
 
 def _rms(x, scale) -> float:
@@ -204,16 +313,8 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     if not (_MIN_RTOL <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 <= atol < inf, "
                              f"got rtol={rtol}, atol={atol}")
-    nodes, a, b, e5, e3, nodes_extra, a_extra, d = _dop853()
+    rhs, attempt, extra = _dop853_step()
     u, delta_t = field.u, field.delta_t
-
-    def rhs(t, y):
-        # A(t) @ Y with A = [[i delta_t, -i U], [-i U, 0]], then delta' = delta_t
-        y11, y12, y21, y22 = y
-        iu = 1j * u(t)
-        dt = delta_t(t)
-        idt = 1j * dt
-        return idt * y11 - iu * y21, idt * y12 - iu * y22, -iu * y11, -iu * y12, dt
 
     too_small = (f"{owner}: solver failed: Required step size is less than spacing "
                  f"between numbers.")
@@ -222,14 +323,14 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     if not t_end > c:                      # half a period rounds away at the centre
         raise IntegrationError(too_small)
     y = (1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0)
-    f = rhs(t, y[:4])
+    f = rhs(u, delta_t, t, y[:4])
 
     # the initial step, as scipy's select_initial_step
     length = t_end - t
     scale0 = [atol + abs(yi) * rtol for yi in y]
     d0, d1 = _rms(y, scale0), _rms(f, scale0)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1 = rhs(t + h0, [yi + h0 * fi for yi, fi in zip(y[:4], f)])
+    f1 = rhs(u, delta_t, t + h0, [yi + h0 * fi for yi, fi in zip(y[:4], f)])
     d2 = _rms([p - q for p, q in zip(f1, f)], scale0) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -248,22 +349,17 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
                 raise IntegrationError(too_small)
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            ks = [f]
-            for c_s, a_s in zip(nodes, a):
-                ks.append(rhs(t + c_s * h, _stage_state(y, h, a_s, ks)))
-            y_new = tuple(yi + h * si for yi, si in zip(y, _weighted(b, ks)))
-            f_new = rhs(t_new, y_new[:4])
-            ks.append(f_new)
+            y_new, f_new, r5, r3, ks = attempt(u, delta_t, t, h, t_new, y, f)
             nfev += 12
             if nfev > _MAX_RHS_CALLS:
                 raise IntegrationError(f"{owner}: more than {_MAX_RHS_CALLS} right-hand-side "
                                        f"calls over half a period; the drive varies too fast "
                                        f"for the oracle")
             err5 = err3 = 0.0
-            for p, q, r5, r3 in zip(y, y_new, _weighted(e5, ks), _weighted(e3, ks)):
+            for p, q, e, g in zip(y, y_new, r5, r3):
                 scale = atol + max(abs(p), abs(q)) * rtol
-                err5 += abs(r5 / scale) ** 2
-                err3 += abs(r3 / scale) ** 2
+                err5 += abs(e / scale) ** 2
+                err3 += abs(g / scale) ** 2
             error_norm = 0.0 if err5 == 0 and err3 == 0 else (
                 h * err5 / math.sqrt((err5 + 0.01 * err3) * 5))
             if error_norm < 1:
@@ -273,10 +369,8 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
             h_abs *= max(0.2, 0.9 * error_norm ** (-1 / 8))
             rejected = True
         if dense:
-            for c_s, a_s in zip(nodes_extra, a_extra):
-                ks.append(rhs(t + c_s * h, _stage_state(y, h, a_s, ks)))
+            stages.append(ks + extra(u, delta_t, t, h, y, ks))
             nfev += 3
-            stages.append(ks)
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
@@ -292,6 +386,7 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
         rows[:, 0] = dy
         rows[:, 1] = h * k[:, 0] - dy
         rows[:, 2] = 2 * dy - h * (k[:, 12] + k[:, 0])
+        d = _dop853()[-1]                                      # (4, 16)
         rows[:, 3:] = h[:, None] * np.einsum("ij,sjc->sic", d, k)
     return _HalfPeriod(t=t_arr, y=y_arr.T, nfev=nfev, rows=rows)
 
@@ -308,10 +403,17 @@ def _reflect(sol, s) -> np.ndarray:
     return np.where(s < 0, np.vstack((inv_t, -y[4])), y)
 
 
-def _lattice(field: DriveField, t) -> tuple[np.ndarray, np.ndarray]:
-    """Periods ``k`` and offsets ``s`` in ``[-T/2, T/2]`` with ``t = c + k T + s``."""
+def _lattice(owner: str, field: DriveField, t) -> tuple[np.ndarray, np.ndarray]:
+    """Periods ``k`` and offsets ``s`` in ``[-T/2, T/2]`` with ``t = c + k T + s``.
+
+    From ``2**53`` periods out the offset is lost to rounding, so a time that
+    far from the centre raises :class:`ParameterError`.
+    """
     T, x = field.period, np.asarray(t, dtype=float) - field.center
     k = np.round(x / T)
+    if not np.all(np.abs(k) < 2.0**53):
+        raise ParameterError(f"{owner}: a time lies 2**53 or more periods from the drive's "
+                             f"centre {field.center}, where its offset is not resolved")
     return k.astype(int), np.clip(x - k * T, -0.5 * T, 0.5 * T)
 
 
@@ -360,6 +462,9 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
         if not (x.size and np.all(x >= 0) and np.all(x <= abs(span)) and np.all(np.diff(x) > 0)):
             raise ParameterError("integrate: t_eval must be non-empty, finite and strictly "
                                  "monotone within t_span")
+    # both ends resolve, so every time between them does
+    k0, s0 = _lattice("integrate", field, t_start)
+    _lattice("integrate", field, t_end)
     sol = _half_period_solve("integrate", field, rtol, atol, dense=True)
     if t_eval is None:
         steps = sol.t - c                                        # [0, T/2]
@@ -370,8 +475,7 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
         inner = grid[(grid > lo) & (grid < hi)][::int(sign)]
         times = np.concatenate(([t_start], inner, [t_end]))
     m, phase_period = _monodromy_at_centre(sol)
-    k, s = _lattice(field, times)
-    k0, s0 = _lattice(field, t_start)
+    k, s = _lattice("integrate", field, times)
     y = _reflect(sol, s)
     y0 = _reflect(sol, np.array([s0]))[:, 0]
     # M^j v0 for the whole periods j = k - k0 from t_start, v0 = Y(t_start)^-1 c0
@@ -409,7 +513,7 @@ def monodromy(field: DriveField, t_ref: float = 0.0,
     if not math.isfinite(t_ref):
         raise ParameterError(f"monodromy: t_ref must be finite, got {t_ref}")
     T = field.period
-    _, s = _lattice(field, t_ref)
+    _, s = _lattice("monodromy", field, t_ref)
     off_lattice = bool(s != 0.0)
     sol = _half_period_solve("monodromy", field, rtol, atol, dense=off_lattice)
     m, _ = _monodromy_at_centre(sol)

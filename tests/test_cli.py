@@ -326,6 +326,11 @@ def test_bad_numeric_inputs_exit_2(tmp_path):
                  ["closed-form", "--u0", "1", "--delta1=-1e16"],
                  ["closed-form", "--u0", "1", "--delta1", "9007199254740992"],
                  ["floquet", "--u0", "1", "--delta1", "1e16"],
+                 # the general drive's sqrt(a) rounds to 1: its detuning divided by zero
+                 ["detuning", "--model", "general", "--u0", "1", "--a", "1.0000000000000002",
+                  "--delta1", "2", "--delta2", "1"],
+                 ["simulate", "--model", "general", "--u0", "1", "--a", "1.0000000000000002",
+                  "--delta1", "2", "--delta2", "1"],
                  # wrongly typed flags are reported, not raised as SystemExit
                  ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--samples", "abc"],
                  ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "2.5"]):
@@ -407,12 +412,19 @@ def _fresh_cli_runs(*argvs):
     return json.loads(proc.stdout)
 
 
-def test_closed_form_commands_do_not_load_scipy():
+def test_no_command_loads_scipy():
+    # the oracle's DOP853 tableau is written out in oracle.py; only
+    # mean_detuning, which no command calls, imports scipy
     out = _fresh_cli_runs(["closed-form", "--u0", "2", "--delta1", "2"],
                           ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2"],
                           ["heun-map", "--u0", "1", "--a", "2", "--delta1", "2", "--delta2", "1"],
-                          ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"])
-    assert out == {"codes": [0, 0, 0, 0], "scipy": []}
+                          ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"],
+                          ["compare", "--u0", "1", "--delta1", "2", "--periods", "1"],
+                          ["floquet", "--u0", "1", "--delta1", "2"],
+                          ["simulate", "--model", "n2", "--u0", "2", "--delta1", "2"],
+                          ["simulate", "--model", "general", "--u0", "1", "--a", "2",
+                           "--delta1", "2", "--delta2", "1"])
+    assert out == {"codes": [0] * 8, "scipy": []}
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,9 @@ solve written here, which shares no code with the Floquet composition.
 """
 
 import ast
+import functools
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +252,45 @@ def test_non_finite_or_empty_times_raise_before_solving(case):
         BAD_TIMES[case](_field_never_called())
 
 
+def test_times_too_many_periods_from_the_centre_raise_before_solving():
+    # from 2**53 periods out t - c - k T is lost to rounding (and beyond 2**63
+    # the period count overflowed its integer cast)
+    never = _field_never_called()
+    far = DriveField(u=never.u, delta_t=never.delta_t, period=1.0, center=1e20)
+    for call in (lambda: monodromy(far),
+                 lambda: integrate(far, GROUND, (0.0, 1.0)),
+                 lambda: monodromy(never, t_ref=2.0**60),
+                 lambda: integrate(never, GROUND, (0.0, 2.0**60)),
+                 lambda: integrate(never, GROUND, (2.0**60, 2.0**60 + 2.0**20))):
+        with pytest.raises(ParameterError, match="periods from the drive's centre"):
+            call()
+
+
+def test_embedded_dop853_tableau_is_scipys():
+    # every stored coefficient is scipy's double, and nothing scipy has is left out
+    from scipy.integrate import DOP853
+
+    nodes, a, b, e5, e3, nodes_extra, a_extra, d = oracle._dop853()
+
+    def scatter(rows, width):
+        out = np.zeros((len(rows), width))
+        for row, terms in zip(out, rows):
+            for j, x in terms:
+                row[j] = x
+        return out
+
+    n = DOP853.n_stages
+    assert np.array_equal(np.concatenate(([0.0], nodes)), DOP853.C)
+    assert np.array_equal(scatter(((),) + a, n), DOP853.A)
+    assert np.array_equal(scatter((b,), n)[0], DOP853.B)
+    assert np.array_equal(scatter((e5,), n + 1)[0], DOP853.E5)
+    assert np.array_equal(scatter((e3,), n + 1)[0], DOP853.E3)
+    assert np.array_equal(nodes_extra, DOP853.C_EXTRA)
+    assert np.array_equal(scatter(a_extra, n + 4), DOP853.A_EXTRA)
+    assert np.array_equal(d, DOP853.D)
+    assert all(x != 0.0 for rows in (a, (b, e5, e3), a_extra) for row in rows for _, x in row)
+
+
 @pytest.mark.parametrize("name", DRIVES)
 @pytest.mark.parametrize("rtol, atol", [(1e-11, 1e-13), (1e-13, 1e-15)])
 @pytest.mark.parametrize("dense", (False, True))
@@ -274,6 +315,40 @@ def test_half_period_solve_is_solve_ivp_step_for_step(name, rtol, atol, dense):
     if dense:
         ts = np.linspace(c, ref.t[-1], 501)
         assert np.max(np.abs(sol(ts) - ref.sol(ts))) < 1e-13, name
+
+
+def test_generated_step_is_the_tableau_summed_in_loops():
+    # the straight-line functions against the same step written as loops over
+    # the tableau, each sum taken from left to right: equal values, stage for stage
+    nodes, a, b, e5, e3, nodes_extra, a_extra, _ = oracle._dop853()
+    rhs, attempt, extra = oracle._dop853_step()
+    fld = DRIVES["n2-off-centre"]()
+    u, delta_t = fld.u, fld.delta_t
+
+    def rhs_loop(t, x):
+        iu, dt = 1j * u(t), delta_t(t)
+        idt = 1j * dt
+        return idt * x[0] - iu * x[2], idt * x[1] - iu * x[3], -iu * x[0], -iu * x[1], dt
+
+    def total(terms, ks, c):
+        return functools.reduce(operator.add, [w * ks[j][c] for j, w in terms])
+
+    def stage(t, h, y, node, terms, ks):
+        return rhs_loop(t + node * h, [y[c] + h * total(terms, ks, c) for c in range(4)])
+
+    t, h = fld.center + 0.1, 0.05
+    y = (0.6 + 0.1j, 0.2j, -0.3j, 0.7 - 0.2j, 0.4)
+    ks = [rhs_loop(t, y)]
+    assert rhs(u, delta_t, t, y[:4]) == ks[0]
+    for node, terms in zip(nodes, a):
+        ks.append(stage(t, h, y, node, terms, ks))
+    y_new = tuple(y[c] + h * total(b, ks, c) for c in range(5))
+    ks.append(rhs_loop(t + h, y_new))
+    r5, r3 = (tuple(total(e, ks, c) for c in range(5)) for e in (e5, e3))
+    assert attempt(u, delta_t, t, h, t + h, y, ks[0]) == (y_new, ks[12], r5, r3, tuple(ks))
+    for node, terms in zip(nodes_extra, a_extra):
+        ks.append(stage(t, h, y, node, terms, ks))
+    assert extra(u, delta_t, t, h, y, tuple(ks[:13])) == tuple(ks[13:])
 
 
 def test_a_sample_does_not_depend_on_the_other_samples():
