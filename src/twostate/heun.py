@@ -315,13 +315,17 @@ def grid_roots(f, xs: np.ndarray, fx: np.ndarray, xtol: float, merge_tol: float)
     return merged
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
     """Root of ``f`` in ``[xa, xb]``, where ``fa = f(xa)`` and ``fb = f(xb)`` differ in sign.
 
     Brent's method as scipy's ``brentq`` runs it, step for step: the same
     interpolate, extrapolate and bisect choices, tolerance ``xtol +
     _BRENT_RTOL |x|`` and ``_BRENT_MAXITER`` iterations, so it returns the
-    same float.  The bracket ends are not re-evaluated.
+    same float.  The bracket ends are not re-evaluated.  The iterates are
+    numpy scalars, so a trial step that overflows or divides by zero is inf
+    or nan without a warning, fails the acceptance test and bisects, as in
+    scipy's C code.
     """
     xpre, xcur, fpre, fcur = xa, xb, fa, fb
     xblk = fblk = spre = scur = 0.0

@@ -36,11 +36,10 @@ components ``[Y, delta]``, with scipy's tableau, error norm and step
 controller, so the same steps and right-hand-side calls, run on Python
 complex scalars instead of scipy's per-step array machinery.  The tableau is
 written out in this module, and each attempted step runs as one
-straight-line function generated from it at the first solve.  The module
-imports no scipy: only :func:`mean_detuning` calls ``scipy.integrate.quad``,
-and it imports scipy inside the function, because importing scipy takes
-longer than a whole run of most CLI commands and ``twostate.cli`` imports
-this module for every command.
+straight-line function generated from it at the first solve.  The period
+average of the detuning, :func:`mean_detuning`, is ``Phi / T`` from the same
+solve.  So the module needs numpy only, and no module of the package imports
+scipy, whose import takes longer than a whole run of most CLI commands.
 """
 
 from __future__ import annotations
@@ -107,7 +106,8 @@ class MonodromyResult:
 # doubles of scipy's integrate/_ivp/dop853_coefficients.py (BSD-3-Clause,
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), which gives
 # E3 as B minus three corrections; E3 holds the doubles that subtraction gives.
-# Only nonzero entries are kept, as (j, w_j) pairs over the stages j.
+# Each stage and weight row keeps only its nonzero entries, as (j, w_j) pairs
+# over the stages j: those sums are written out term by term.
 _NODES = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
           0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
           0.8571428571428571, 1.0)
@@ -153,44 +153,27 @@ _A_EXTRA = (
      (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
      (13, 2.9475147891527724), (14, -9.15095847217987)),
 )
-_D = (
-    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
-     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
-     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
-     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
-    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
-     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
-     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
-     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
-    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
-     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
-     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
-     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
-    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
-     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
-     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
-     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
-)
-
-
-@functools.cache
-def _dop853():
-    """The DOP853 tableau above, with ``D`` as a dense array.
-
-    Returns ``(nodes, a, b, e5, e3, nodes_extra, a_extra, d)``.  ``a``
-    (stages 1..11) and ``a_extra`` (the three dense-output stages) hold one
-    tuple of ``(j, a_sj)`` pairs per stage and ``nodes`` and ``nodes_extra``
-    their times as fractions of the step; ``b``, ``e5`` and ``e3`` are the
-    ``(j, w_j)`` pairs of the solution and of the two error estimators, and
-    ``d`` (4 x 16, read-only) maps the 16 stages to the four higher
-    interpolant rows.
-    """
-    d = np.zeros((4, 16))
-    for row, terms in zip(d, _D):
-        for j, x in terms:
-            row[j] = x
-    d.flags.writeable = False              # shared by every caller of the cache
-    return _NODES, _A, _B, _E5, _E3, _NODES_EXTRA, _A_EXTRA, d
+# D maps the 16 stages to the four higher interpolant rows; it is kept dense,
+# zeros included, for the einsum that builds those rows
+_D = np.array((
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+))
+_D.flags.writeable = False                 # shared by every dense solve
 
 
 # A(t) @ Y with A = [[i delta_t, -i U], [-i U, 0]], then delta' = delta_t: the
@@ -220,8 +203,6 @@ def _dop853_step():
     from left to right, and ``u`` and ``delta_t`` are called once per stage,
     in stage order.
     """
-    nodes, a, b, e5, e3, nodes_extra, a_extra, _ = _dop853()
-
     def total(terms, c):
         return " + ".join(f"{w!r} * k{j}_{c}" for j, w in terms)
 
@@ -241,20 +222,20 @@ def _dop853_step():
               "def attempt(u, delta_t, t, h, t_new, y, f):",
               f"    {components('y')} = y",
               f"    {components('k0_')} = f"]
-    for s, (node, terms) in enumerate(zip(nodes, a), start=1):
+    for s, (node, terms) in enumerate(zip(_NODES, _A), start=1):
         source += stage(s, node, terms)
-    source += [f"    n{c} = y{c} + h * ({total(b, c)})" for c in range(5)]
+    source += [f"    n{c} = y{c} + h * ({total(_B, c)})" for c in range(5)]
     source += [_RHS.format(t="t_new", y="n", k="k12_"),
                f"    f_new = {components('k12_')}",
-               f"    r5 = ({', '.join(total(e5, c) for c in range(5))})",
-               f"    r3 = ({', '.join(total(e3, c) for c in range(5))})",
+               f"    r5 = ({', '.join(total(_E5, c) for c in range(5))})",
+               f"    r3 = ({', '.join(total(_E3, c) for c in range(5))})",
                f"    return ({components('n')}, f_new, r5, r3, (f, "
                + ", ".join(components(f"k{s}_") for s in range(1, 12)) + ", f_new))",
                "",
                "def extra(u, delta_t, t, h, y, ks):",
                f"    {components('y')} = y",
                f"    {', '.join(components(f'k{s}_') for s in range(13))} = ks"]
-    for s, (node, terms) in enumerate(zip(nodes_extra, a_extra), start=13):
+    for s, (node, terms) in enumerate(zip(_NODES_EXTRA, _A_EXTRA), start=13):
         source += stage(s, node, terms)
     source.append(f"    return {', '.join(components(f'k{s}_') for s in range(13, 16))}")
     namespace = {}
@@ -310,8 +291,8 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     ``_MAX_RHS_CALLS`` calls raises :class:`IntegrationError`.
     """
     # a non-finite tolerance would make the solver step forever
-    if not (_MIN_RTOL <= rtol < math.inf and 0.0 <= atol < math.inf):
-        raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 <= atol < inf, "
+    if not (_MIN_RTOL <= rtol < math.inf and 0.0 < atol < math.inf):
+        raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 < atol < inf, "
                              f"got rtol={rtol}, atol={atol}")
     rhs, attempt, extra = _dop853_step()
     u, delta_t = field.u, field.delta_t
@@ -386,8 +367,7 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
         rows[:, 0] = dy
         rows[:, 1] = h * k[:, 0] - dy
         rows[:, 2] = 2 * dy - h * (k[:, 12] + k[:, 0])
-        d = _dop853()[-1]                                      # (4, 16)
-        rows[:, 3:] = h[:, None] * np.einsum("ij,sjc->sic", d, k)
+        rows[:, 3:] = h[:, None] * np.einsum("ij,sjc->sic", _D, k)
     return _HalfPeriod(t=t_arr, y=y_arr.T, nfev=nfev, rows=rows)
 
 
@@ -549,11 +529,19 @@ def exponent_pair_residual(analytic: tuple[float, float], measured: tuple[float,
 
 
 def mean_detuning(field: DriveField) -> float:
-    """Period average of the detuning by adaptive quadrature."""
-    from scipy.integrate import quad
+    """Period average of the detuning, ``Phi / T``, from one half-period solve.
 
-    val, _err = quad(field.delta_t, 0.0, field.period, epsabs=1e-12, epsrel=1e-12, limit=400)
-    return val / field.period
+    ``Phi = 2 delta(c + T/2)``, the phase gained over one period, is the end
+    point of the solve that :func:`monodromy` reads, at its default tolerances
+    (rtol 1e-11, atol 1e-13).  It relies on the
+    :class:`~twostate.fields.DriveField` contract: a detuning that is not
+    ``period``-periodic and even about ``center`` gives a wrong average, not
+    an error.  Like every solve it raises :class:`IntegrationError` past
+    ``_MAX_RHS_CALLS`` right-hand-side calls.
+    """
+    sol = _half_period_solve("mean_detuning", field, 1e-11, 1e-13, dense=False)
+    _, phase_period = _monodromy_at_centre(sol)
+    return phase_period / field.period
 
 
 def rabi_population(u0: float, delta1: float, t) -> np.ndarray:

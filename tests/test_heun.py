@@ -574,6 +574,14 @@ def test_termination_search_hierarchy_to_order_six(delta1):
                 assert abs(np.polyval(poly[::-1], hp.q)) / np.max(np.abs(poly)) < 1e-9
 
 
+def test_termination_search_at_high_order_does_not_warn():
+    # an inverse-quadratic trial step overflows at order 40; Brent's method
+    # bisects past it, as scipy's brentq does, with no RuntimeWarning (an
+    # error under the suite's warning filter)
+    records = termination_search(FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0), 40)
+    assert [r.n for r in records] == list(range(41))
+
+
 def test_termination_search_validates_n_max():
     with pytest.raises(ParameterError):
         termination_search(FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0), -1)

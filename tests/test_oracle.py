@@ -162,8 +162,10 @@ def test_time_reversal_round_trip():
 def test_integrate_rejects_loose_rtol_floor():
     with pytest.raises(ParameterError):
         integrate(constant_drive(1.0, 1.0), GROUND, (0.0, 1.0), rtol=1e-14)
-    # non-finite tolerances would make the solver step forever
-    for rtol, atol in ((math.nan, 1e-12), (math.inf, 1e-12), (1e-10, math.nan), (1e-10, -1.0)):
+    # non-finite tolerances would make the solver step forever; a zero atol
+    # divided by the zero entries of Y(c) = I in the error scale
+    for rtol, atol in ((math.nan, 1e-12), (math.inf, 1e-12), (1e-10, math.nan), (1e-10, -1.0),
+                       (1e-10, 0.0)):
         with pytest.raises(ParameterError):
             integrate(constant_drive(1.0, 1.0), GROUND, (0.0, 1.0), rtol=rtol, atol=atol)
         with pytest.raises(ParameterError):
@@ -270,7 +272,8 @@ def test_embedded_dop853_tableau_is_scipys():
     # every stored coefficient is scipy's double, and nothing scipy has is left out
     from scipy.integrate import DOP853
 
-    nodes, a, b, e5, e3, nodes_extra, a_extra, d = oracle._dop853()
+    nodes, a, b, e5, e3 = oracle._NODES, oracle._A, oracle._B, oracle._E5, oracle._E3
+    nodes_extra, a_extra = oracle._NODES_EXTRA, oracle._A_EXTRA
 
     def scatter(rows, width):
         out = np.zeros((len(rows), width))
@@ -287,7 +290,7 @@ def test_embedded_dop853_tableau_is_scipys():
     assert np.array_equal(scatter((e3,), n + 1)[0], DOP853.E3)
     assert np.array_equal(nodes_extra, DOP853.C_EXTRA)
     assert np.array_equal(scatter(a_extra, n + 4), DOP853.A_EXTRA)
-    assert np.array_equal(d, DOP853.D)
+    assert np.array_equal(oracle._D, DOP853.D)
     assert all(x != 0.0 for rows in (a, (b, e5, e3), a_extra) for row in rows for _, x in row)
 
 
@@ -320,7 +323,8 @@ def test_half_period_solve_is_solve_ivp_step_for_step(name, rtol, atol, dense):
 def test_generated_step_is_the_tableau_summed_in_loops():
     # the straight-line functions against the same step written as loops over
     # the tableau, each sum taken from left to right: equal values, stage for stage
-    nodes, a, b, e5, e3, nodes_extra, a_extra, _ = oracle._dop853()
+    nodes, a, b, e5, e3 = oracle._NODES, oracle._A, oracle._B, oracle._E5, oracle._E3
+    nodes_extra, a_extra = oracle._NODES_EXTRA, oracle._A_EXTRA
     rhs, attempt, extra = oracle._dop853_step()
     fld = DRIVES["n2-off-centre"]()
     u, delta_t = fld.u, fld.delta_t
@@ -544,6 +548,22 @@ def test_oracle_imports_no_analytic_module():
     relative = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level > 0}
     assert relative == {"errors", "fields"}
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency: no import of scipy at any nesting,
+    # a function-local one included
+    found = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_no_module_imports_a_private_name_of_another():
