@@ -50,7 +50,8 @@ TERMINATION_RTOL = 1e-12   # two consecutive coefficients below this (rel.) term
 # termination_search settings
 _U0_PROBES = (0.5, 1.0, 2.0)   # couplings at which the constraint roots are compared
 _A_GRID = 2001             # shape-parameter grid points bracketing the roots
-_A_STEP_MAX = 0.025        # coarsest a-grid step searched (a_max <= ~50 at a_min = 1e-3)
+_A_MIN = 1e-3              # bottom of the a-grid
+_A_STEP_MAX = 0.025        # coarsest a-grid step searched (a_max <= ~50 from _A_MIN)
 _ROOT_MATCH_ATOL = 1e-6    # constraint roots agreeing across couplings
 _ROOT_XTOL = 1e-15         # Brent absolute tolerance on a constraint root
 _BRENT_RTOL = 4.0 * np.finfo(float).eps   # Brent relative tolerance (scipy's brentq floor)
@@ -364,24 +365,27 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
 
 
 def termination_search(cfg: FieldConfig, n_max: int,
-                       a_range: tuple[float, float] = (1e-3, 8.0)) -> list[TerminationRecord]:
+                       a_max: float = 8.0) -> list[TerminationRecord]:
     """Classify the termination hierarchy for N = 0..n_max with delta2 = N imposed.
 
     For each N the constraint "series terminates after N+1 terms" is solved
     for the shape parameter ``a`` at several couplings ``u0``.  A root set
     that does not move with ``u0`` means the coupling and the detuning are
     independent (unconditional); a drifting root set couples them
-    (conditional).  An order with no admissible root is trivial: its only
-    solution is the degenerate constant detuning (delta2 = 0, or a = 1).  Every
-    order terminates at a = 1, where q = 0 and delta = -epsilon = N reduce the
-    ODE to ``u'' + (gamma/z) u' = 0``; its solution ``z^(1-gamma)/(1-gamma)``
-    is the (N+1)-term sum ``sum_k C(N,k) (-1)^k B_z(1-gamma+k, 1-N)``.
+    (conditional).  Only ``cfg.delta1`` enters: the couplings probed are
+    ``_U0_PROBES`` = (0.5, 1, 2), whatever ``cfg.u0`` is.  An order with no
+    admissible root is trivial: its only solution is the degenerate constant
+    detuning (delta2 = 0, or a = 1).  Every order terminates at a = 1, where
+    q = 0 and delta = -epsilon = N reduce the ODE to ``u'' + (gamma/z) u' = 0``;
+    its solution ``z^(1-gamma)/(1-gamma)`` is the (N+1)-term sum
+    ``sum_k C(N,k) (-1)^k B_z(1-gamma+k, 1-N)``.
 
-    Roots are bracketed on a fixed grid of ``_A_GRID`` points, so two roots
-    within one step of it are missed.  Against a 20 times finer grid (560
-    random inputs, u0 in [0.05, 20], |delta1| in [1.02, 12]) a step of 0.025
-    lost no root up to ``n_max`` 6, while roots were lost from a step of 0.125
-    at ``n_max`` 3, 0.1 at 6 and 0.05 at 10.  A range whose step exceeds
+    Roots are bracketed on a fixed grid of ``_A_GRID`` points from ``_A_MIN``
+    = 1e-3 to ``a_max``, so two roots within one step of it are missed.
+    Against a 20 times finer grid (560 random inputs, u0 in [0.05, 20],
+    |delta1| in [1.02, 12]) a step of 0.025 lost no root up to ``n_max`` 6,
+    while roots were lost from a step of 0.125 at ``n_max`` 3, 0.1 at 6 and
+    0.05 at 10.  A range whose step exceeds
     ``_A_STEP_MAX`` = 0.025 raises :class:`DomainError`.  That bound holds up
     to order 6 only: at ``n_max`` 10 even the default step of 0.004 lost a
     root within 0.035 of a = 1, at order 9 or 10, in 9 of 180 random inputs
@@ -390,30 +394,27 @@ def termination_search(cfg: FieldConfig, n_max: int,
     """
     if n_max < 0:
         raise ParameterError(f"termination_search: n_max must be >= 0, got {n_max}")
-    if not 0.0 < a_range[0] < a_range[1] < math.inf:
-        raise ParameterError(f"termination_search: need 0 < a_min < a_max < inf, got {a_range}")
-    avals, h = np.linspace(*a_range, _A_GRID, retstep=True)
+    if not _A_MIN < a_max < math.inf:
+        raise ParameterError(f"termination_search: need {_A_MIN} < a_max < inf, got {a_max}")
+    avals, h = np.linspace(_A_MIN, a_max, _A_GRID, retstep=True)
     # a = 1 is excluded from the family: bracket on either side of it only
     sides = (avals < 1.0 - 0.5 * h, avals > 1.0 + 0.5 * h)
     # delta2 = 0 removes the modulation entirely; the constraint is vacuous
     # and the field is the constant-detuning flopping model
     records = [TerminationRecord(0, "trivial", {}, 0.0)]
-    probes = [(u0, *_branch_constants(generalized_rabi(u0, cfg.delta1), cfg.delta1, -1))
-              for u0 in _U0_PROBES]
     for n_stop in range(1, n_max + 1):
         delta2 = float(n_stop)
         with np.errstate(over="ignore", invalid="ignore"):
             grid = _constraint_determinant(_U0_PROBES, cfg.delta1, delta2, avals, n_stop)
         if not np.isfinite(grid).all():
             raise DomainError(f"termination_search: the order-{n_stop} constraint overflows on "
-                              f"the a-grid up to {a_range[1]!r} at delta1 = {cfg.delta1!r}")
+                              f"the a-grid up to {a_max!r} at delta1 = {cfg.delta1!r}")
         if h > _A_STEP_MAX:         # checked after the overflow, the more specific fault
-            raise DomainError(f"termination_search: the a-grid step {h:.3g} up to {a_range[1]!r} "
+            raise DomainError(f"termination_search: the a-grid step {h:.3g} up to {a_max!r} "
                               f"exceeds {_A_STEP_MAX} and would lose constraint roots")
         roots_by_u0 = {}
-        for (u0, gamma, alpha1), fvals in zip(probes, grid):
-            f = lambda a: _continuant(a, gamma, delta2, -delta2, _accessory_q(a, delta2, alpha1),
-                                      n_stop)
+        for u0, fvals in zip(_U0_PROBES, grid):
+            f = lambda a: _constraint_determinant(u0, cfg.delta1, delta2, a, n_stop)
             roots_by_u0[u0] = tuple(r for side in sides for r in grid_roots(
                 f, avals[side], fvals[side], _ROOT_XTOL, 1e-8))
         sets = list(roots_by_u0.values())

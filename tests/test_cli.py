@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twostate import __version__
 from twostate.cli import build_parser, main
 
 SQ2 = math.sqrt(2.0)
@@ -77,6 +78,21 @@ def test_detuning_general_and_n3_models(tmp_path):
     rc = main(["detuning", "--model", "n3", "--u0", "1", "--delta1", "-2",
                "--branch", "plus", "--samples", "5", "-o", str(out3)])
     assert rc == 0
+
+
+def test_detuning_n3_moves_with_t0(tmp_path):
+    # --t0 shifts the n3 drive with its window, as it does for n2 and general;
+    # the curve once stayed put while the window moved
+    curves = []
+    for t0 in ("0", "1"):
+        out = tmp_path / f"n3_{t0}.csv"
+        assert main(["detuning", "--model", "n3", "--u0", "1", "--delta1", "-2",
+                     "--t0", t0, "--samples", "5", "-o", str(out)]) == 0
+        meta, header, rows = read_csv(out)
+        assert meta["t0"] == t0 and meta["t-start"] == t0
+        curves.append(column(header, rows, "delta_t"))
+    assert np.allclose(curves[0], curves[1], rtol=1e-12, atol=0.0)
+    assert curves[1][0] == max(curves[1])      # the peak sits at t0
 
 
 # ---------------------------------------------------------------- analytics commands
@@ -252,19 +268,34 @@ def test_json_structure(tmp_path):
     assert len(payload["data"]["t"]) == 3
 
 
+_GENERAL = ["--u0", "1", "--a", "2", "--delta1", "2", "--delta2", "1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"],
-    ["heun-map", "--u0", "1", "--a", "2", "--delta1", "2", "--delta2", "1"],
-], ids=["terminate", "heun-map"])
+    ["heun-map", *_GENERAL],
+    ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--samples", "5"],
+    ["detuning", "--model", "n3", "--u0", "1", "--delta1", "-2", "--samples", "5"],
+    ["detuning", "--model", "general", *_GENERAL, "--samples", "5"],
+    ["simulate", "--model", "general", *_GENERAL, "--samples", "5"],
+    ["closed-form", "--u0", "1", "--delta1", "-2.5", "--t0", "0.4", "--samples", "5"],
+    ["floquet", "--u0", "1", "--delta1", "2"],
+    ["compare", "--u0", "1", "--delta1", "2", "--periods", "1",
+     "--samples-per-period", "10"],
+], ids=["terminate", "heun-map", "detuning-n2", "detuning-n3", "detuning-general",
+        "simulate", "closed-form", "floquet", "compare"])
 def test_json_carries_the_csv_values(tmp_path, argv):
-    # string columns (status, roots, sign) stay strings; the other columns
-    # are the floats the CSV prints to 17 digits
+    # string columns (status, roots, sign, verdict) stay strings; the other
+    # columns are the floats the CSV prints to 17 digits
     csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
     assert main([*argv, "-o", str(csv_out)]) == 0
     assert main([*argv, "--format", "json", "-o", str(json_out)]) == 0
     meta, header, rows = read_csv(csv_out)
     payload = json.loads(json_out.read_text())
-    assert payload["meta"] == meta
+    # the same envelope in both formats, key for key and in order
+    assert list(payload["meta"].items()) == list(meta.items())
+    assert list(meta.items())[:3] == [("tool", "twostate"), ("version", __version__),
+                                      ("command", argv[0])]
     assert list(payload["data"]) == header
     for name, values in payload["data"].items():
         texts = column(header, rows, name, as_float=False)
@@ -297,11 +328,18 @@ def test_bad_numeric_inputs_exit_2(tmp_path):
                  ["detuning", "--model", "n2", "--u0", "1", "--delta1", "inf"],
                  ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--delta", "nan"],
                  ["detuning", "--model", "n3", "--u0", "1", "--delta1", "nan"],
+                 # the n3 field is in drive-scaled time; --delta was once ignored
+                 ["detuning", "--model", "n3", "--u0", "1", "--delta1", "-2", "--delta", "2"],
+                 ["detuning", "--model", "n3", "--u0", "1", "--delta1", "-2", "--t0", "inf",
+                  "--t-start", "0", "--t-end", "1"],
                  ["floquet", "--u0", "inf", "--delta1", "2"],
                  ["terminate", "--u0", "nan", "--delta1", "2"],
                  ["terminate", "--u0", "1", "--delta1", "2", "--a-max", "inf"],
                  ["compare", "--u0", "1", "--delta1", "2", "--rtol", "nan"],
                  ["compare", "--u0", "1", "--delta1", "2", "--tol", "nan"],
+                 # a non-positive tolerance once ran the whole comparison (-1: exit 4)
+                 ["compare", "--u0", "1", "--delta1", "2", "--tol", "-1"],
+                 ["compare", "--u0", "1", "--delta1", "2", "--tol", "0"],
                  ["compare", "--u0", "1", "--delta1", "2", "--periods", "0"],
                  ["simulate", "--model", "n2", "--u0", "1", "--delta1", "2", "--atol", "nan"],
                  # a zero atol once divided by zero in the oracle's error scale (exit 3)

@@ -588,10 +588,11 @@ def test_termination_search_validates_n_max():
 
 
 def test_termination_search_validates_a_range():
+    # the grid runs from 1e-3 up to a_max
     base = FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0)
-    for a_range in ((1e-3, math.inf), (1e-3, math.nan), (1e-3, 1e-4), (0.0, 8.0)):
+    for a_max in (math.inf, math.nan, 1e-4, 1e-3, 0.0, -8.0):
         with pytest.raises(ParameterError):
-            termination_search(base, 3, a_range=a_range)
+            termination_search(base, 3, a_max=a_max)
 
 
 def test_termination_search_rejects_a_coarse_grid():
@@ -600,6 +601,6 @@ def test_termination_search_rejects_a_coarse_grid():
     base = FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0)
     for a_max in (1e60, 51.0):
         with pytest.raises(DomainError, match="step"):
-            termination_search(base, 3, a_range=(1e-3, a_max))
-    roots = termination_search(base, 3, a_range=(1e-3, 50.0))[2].roots_by_u0
+            termination_search(base, 3, a_max=a_max)
+    roots = termination_search(base, 3, a_max=50.0)[2].roots_by_u0
     assert all(len(r) == 1 and abs(r[0] - 3.0) < 1e-9 for r in roots.values())
