@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window(p)
     p.add_argument("--init", default="1,0,0,0",
                    help="initial state 're_a1,im_a1,re_a2,im_a2' (default %(default)s)")
-    p.add_argument("--rtol", type=float, default=1e-10, help="(default %(default)g)")
+    p.add_argument("--rtol", type=float, default=1e-10,
+                   help="oracle relative tolerance, in [1e-13, 1) (default %(default)g)")
     p.add_argument("--atol", type=float, default=1e-12, help="(default %(default)g)")
     _add_common(p)
 
@@ -306,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("floquet", _cmd_floquet, "quasi-energies: analytic vs monodromy")
     _add_field_options(p)
-    p.add_argument("--rtol", type=float, default=1e-11, help="(default %(default)g)")
+    p.add_argument("--rtol", type=float, default=1e-11,
+                   help="oracle relative tolerance, in [1e-13, 1) (default %(default)g)")
     _add_common(p)
 
     p = command("heun-map", _cmd_heun_map,
@@ -336,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8,
                    help="verdict threshold on max |a2| deviation (default %(default)g)")
     p.add_argument("--rtol", type=float, default=1e-11,
-                   help="oracle relative tolerance (default %(default)g); it bounds the "
-                        "one-period error, so the deviation k periods out grows like k*rtol")
+                   help="oracle relative tolerance, in [1e-13, 1) (default %(default)g); it "
+                        "bounds the one-period error, so the deviation k periods out grows "
+                        "like k*rtol")
     _add_common(p)
 
     return parser

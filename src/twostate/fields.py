@@ -23,6 +23,7 @@ form: the level-crossing times are t0 + (2 pi k +- 2 arcsin(sqrt(s*))) / Delta.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -156,17 +157,18 @@ class CrossingReport:
 
 @dataclass(frozen=True)
 class DriveField:
-    """Callable view of a drive, the only interface the numerical oracle uses.
+    """View of a constant-amplitude drive, the only interface the numerical oracle uses.
 
-    Contract: ``u`` and ``delta_t`` are ``period``-periodic and even about
-    ``center``: ``f(center - s) = f(center + s)``.  The oracle relies on both
-    to compose every time of a window from one solve over half a period,
-    ``[center, center + period/2]``.  The n2 and general drives (centred on
-    their ``t0``), the printed n3 field and a constant drive (centred on 0)
-    all satisfy it.
+    ``u`` is the constant Rabi frequency, a finite number; ``delta_t`` is the
+    detuning, a callable of one time.  Contract: ``delta_t`` is
+    ``period``-periodic and even about ``center``: ``delta_t(center - s) =
+    delta_t(center + s)``.  The oracle relies on both to compose every time of
+    a window from one solve over half a period, ``[center, center + period/2]``.
+    The n2 and general drives (centred on their ``t0``), the printed n3 field
+    and a constant drive (centred on 0) all satisfy it.
     """
 
-    u: Callable[[float], float]
+    u: float
     delta_t: Callable[[float], float]
     period: float
     center: float = 0.0
@@ -176,6 +178,9 @@ class DriveField:
         if not (0.0 < self.period < math.inf and math.isfinite(self.center)):
             raise ParameterError(f"DriveField: need a finite, positive period and a finite "
                                  f"center, got period={self.period}, center={self.center}")
+        if not (isinstance(self.u, numbers.Real) and math.isfinite(self.u)):
+            raise ParameterError(f"DriveField: u is the constant Rabi frequency, a finite "
+                                 f"number, got {self.u!r}")
 
 
 @dataclass(frozen=True)
@@ -194,10 +199,9 @@ class StateVector:
 def _time_arg(t):
     """``(math, float(t))`` for a scalar ``t``, ``(numpy, float array)`` otherwise.
 
-    Each detuning formula is written once against the returned module: the
-    oracle calls it once per right-hand-side evaluation with a scalar, where
-    ``math`` costs a fraction of a NumPy ufunc call; it always passes a Python
-    float, which is returned as it is, before the costlier ``np.isscalar``.
+    The public detuning functions take a scalar or an array: a scalar is
+    evaluated with ``math``, which costs a fraction of a NumPy ufunc call, and
+    a Python float is returned as it is, before the costlier ``np.isscalar``.
     """
     if type(t) is float:
         return math, t
@@ -206,37 +210,55 @@ def _time_arg(t):
     return np, np.asarray(t, dtype=float)
 
 
-def detuning_general(cfg: FieldConfig, t):
-    """Detuning of the general family at time ``t`` (scalar or array).
+def _general_detuning(cfg: FieldConfig, xp) -> Callable:
+    """The general family's detuning as a function of time, its constants folded once.
 
-    The denominator ``1 + a - 2 sqrt(a) cos(...)`` is bounded below by
-    ``(sqrt(a) - 1)^2 > 0``, so the value is finite for every valid config.
+    ``xp`` is ``math`` for a function of a Python float, ``numpy`` for one of
+    an array.  The denominator ``1 + a - 2 sqrt(a) cos(...)`` is bounded below
+    by ``(sqrt(a) - 1)^2 > 0``, so the value is finite for every valid config.
     It is evaluated as ``(sqrt(a)-1)^2 + 4 sqrt(a) sin^2(.../2)``, a sum of
     non-negative terms, to avoid cancellation near the modulation peak.
     """
-    xp, t = _time_arg(t)
-    theta = cfg.delta * (t - cfg.t0)
+    delta, t0, d1, sin = cfg.delta, cfg.t0, cfg.delta1, xp.sin
     sqa = math.sqrt(cfg.a)
-    den = (sqa - 1.0) ** 2 + 4.0 * sqa * xp.sin(0.5 * theta) ** 2
-    return cfg.delta1 + (1.0 - cfg.a) * cfg.delta2 / den
+    floor, four_sqa, num = (sqa - 1.0) ** 2, 4.0 * sqa, (1.0 - cfg.a) * cfg.delta2
+
+    def delta_t(t):
+        return d1 + num / (floor + four_sqa * sin(0.5 * (delta * (t - t0))) ** 2)
+    return delta_t
+
+
+def _n2_detuning(cfg: N2Config, xp) -> Callable:
+    """The two-parameter model's detuning as a function of time, its constants folded once.
+
+    ``xp`` as for :func:`_general_detuning`.  The resonant denominator
+    ``delta1 - sqrt(delta1^2-1) cos(...)`` is rationalized into a
+    single-signed sum, ``1/(d1 + b) + 2b sin^2(.../2)`` for ``d1 > 0`` and
+    ``-1/(b - d1) - 2b cos^2(.../2)`` otherwise, ``b = sqrt(d1^2 - 1)``, so the
+    spike near the modulation peak is computed without cancellation.
+    """
+    delta, t0, d1 = cfg.delta, cfg.t0, cfg.delta1
+    b = math.sqrt(d1 * d1 - 1.0)
+    if d1 > 0:
+        floor, two_b, trig = 1.0 / (d1 + b), 2.0 * b, xp.sin
+    else:
+        floor, two_b, trig = -1.0 / (b - d1), -2.0 * b, xp.cos
+
+    def delta_t(t):
+        return delta * (d1 - 2.0 / (floor + two_b * trig(0.5 * (delta * (t - t0))) ** 2))
+    return delta_t
+
+
+def detuning_general(cfg: FieldConfig, t):
+    """Detuning of the general family at time ``t`` (scalar or array)."""
+    xp, t = _time_arg(t)
+    return _general_detuning(cfg, xp)(t)
 
 
 def detuning_n2(cfg: N2Config, t):
-    """Detuning of the two-parameter periodic-crossing model (scalar or array).
-
-    The resonant denominator ``delta1 - sqrt(delta1^2-1) cos(...)`` is
-    rationalized into a single-signed sum so the spike near the modulation
-    peak is computed without cancellation.
-    """
+    """Detuning of the two-parameter periodic-crossing model (scalar or array)."""
     xp, t = _time_arg(t)
-    theta = cfg.delta * (t - cfg.t0)
-    d1 = cfg.delta1
-    b = math.sqrt(d1 * d1 - 1.0)
-    if d1 > 0:
-        den = 1.0 / (d1 + b) + 2.0 * b * xp.sin(0.5 * theta) ** 2
-    else:
-        den = -1.0 / (b - d1) - 2.0 * b * xp.cos(0.5 * theta) ** 2
-    return cfg.delta * (d1 - 2.0 / den)
+    return _n2_detuning(cfg, xp)(t)
 
 
 def detuning_n3(u0: float, delta1: float, branch: int, t):
@@ -299,15 +321,12 @@ def glancing_ratios(a: float) -> tuple[float, float]:
 
 
 def drive_field(cfg) -> DriveField:
-    """Physical-time callables (Rabi frequency, detuning) for the oracle."""
+    """The physical-time drive (constant Rabi frequency, detuning) for the oracle."""
     if isinstance(cfg, N2Config):
-        u_phys = cfg.u0 * cfg.delta
-        return DriveField(u=lambda t: u_phys,
-                          delta_t=lambda t: detuning_n2(cfg, t),
+        return DriveField(u=cfg.u0 * cfg.delta, delta_t=_n2_detuning(cfg, math),
                           period=cfg.period, center=cfg.t0)
     if isinstance(cfg, FieldConfig):
-        return DriveField(u=lambda t: cfg.u0,
-                          delta_t=lambda t: detuning_general(cfg, t),
+        return DriveField(u=cfg.u0, delta_t=_general_detuning(cfg, math),
                           period=cfg.period, center=cfg.t0)
     raise ParameterError(f"drive_field: unsupported config type {type(cfg)!r}")
 

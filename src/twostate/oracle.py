@@ -1,9 +1,9 @@
 """Independent numerical ground truth for the driven two-state system.
 
-Solves the raw coupled amplitude equations
+Solves the raw coupled amplitude equations of a constant-amplitude drive,
 
-    i da1/dt = U(t) exp(-i delta(t)) a2,
-    i da2/dt = U(t) exp(+i delta(t)) a1,
+    i da1/dt = U exp(-i delta(t)) a2,
+    i da2/dt = U exp(+i delta(t)) a1,
 
 with the phase modulation ``delta(t)``, ``delta' = delta_t``, co-integrated.
 In the co-rotating variable ``c1 = a1 exp(+i delta(t))`` they read
@@ -35,8 +35,9 @@ step-for-step port of ``scipy.integrate.DOP853`` specialised to the five
 components ``[Y, delta]``, with scipy's tableau, error norm and step
 controller, so the same steps and right-hand-side calls, run on Python
 complex scalars instead of scipy's per-step array machinery.  The tableau is
-written out in this module, and each attempted step runs as one
-straight-line function generated from it at the first solve.  The period
+written out in this module, and each attempted step, its error norm
+included, runs as one straight-line function generated from it at the first
+solve; the only call it makes per stage is the detuning's.  The period
 average of the detuning, :func:`mean_detuning`, is ``Phi / T`` from the same
 solve.  So the module needs numpy only, and no module of the package imports
 scipy, whose import takes longer than a whole run of most CLI commands.
@@ -57,6 +58,7 @@ from .fields import DriveField, StateVector
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 _MIN_RTOL = 1e-13
+_MAX_RTOL = 1.0
 # work bound of one half-period solve: a dense solve at rtol 1e-11 makes about
 # 180 |delta1| right-hand-side calls, so this admits |delta1| up to ~1,100
 _MAX_RHS_CALLS = 200_000
@@ -178,61 +180,71 @@ _D.flags.writeable = False                 # shared by every dense solve
 
 # A(t) @ Y with A = [[i delta_t, -i U], [-i U, 0]], then delta' = delta_t: the
 # right-hand side at time {t} of the state {y}0..{y}3 (the phase is never read)
-# into {k}0..{k}4, as the lines of a generated function
+# into {k}0..{k}4, as the lines of a generated function; iu = i U and niu = -i U
 _RHS = """\
-    iu = 1j * u({t})
     {k}4 = delta_t({t})
     idt = 1j * {k}4
     {k}0 = idt * {y}0 - iu * {y}2
     {k}1 = idt * {y}1 - iu * {y}3
-    {k}2 = -iu * {y}0
-    {k}3 = -iu * {y}1"""
+    {k}2 = niu * {y}0
+    {k}3 = niu * {y}1"""
 
 
 @functools.cache
 def _dop853_step():
     """Straight-line DOP853 functions, generated from the tableau and compiled once.
 
-    ``rhs(u, delta_t, t, y)`` is the right-hand side at ``t`` of the four
-    ``Y`` components ``y``.  ``attempt(u, delta_t, t, h, t_new, y, f)`` is one
-    attempted step from ``(t, y)`` with ``f`` the derivative there: it returns
-    ``y_new``, ``f_new`` (the derivative at ``t_new``), the E5 and E3 sums
-    and the 13 stages, ``f`` first and ``f_new`` last.  ``extra(u, delta_t,
-    t, h, y, ks)`` returns the three dense-output stages of an accepted step.
-    Each sum ``sum_j w_j k_j`` is written out as ``w_0*k_0 + w_1*k_1 + ...``,
-    from left to right, and ``u`` and ``delta_t`` are called once per stage,
-    in stage order.
+    ``iu`` and ``niu`` are ``1j * U`` and ``-iu`` for the constant Rabi
+    frequency ``U``.  ``rhs(iu, niu, delta_t, t, y)`` is the right-hand side
+    at ``t`` of the four ``Y`` components ``y``.  ``attempt(iu, niu, delta_t,
+    t, h, t_new, y, f, rtol, atol)`` is one attempted step from ``(t, y)``
+    with ``f`` the derivative there: it returns ``y_new``, ``f_new`` (the
+    derivative at ``t_new``), ``err5`` and ``err3``, the sums over the five
+    components of ``|e / scale|^2`` for the E5 and E3 sums ``e`` with
+    ``scale = atol + max(|y|, |y_new|) rtol``, and the 13 stages, ``f`` first
+    and ``f_new`` last.  ``extra(iu, niu, delta_t, t, h, y, ks)`` returns the
+    three dense-output stages of an accepted step.  Each sum ``sum_j w_j k_j``
+    is written out as ``k_0*w_0 + k_1*w_1 + ...``, and each error sum over
+    the components in their order, from left to right; ``delta_t`` is called
+    once per stage, in stage order.
     """
+    # the stage comes first in each product, the float weight or step second: a
+    # float times a complex first tries the float's own multiplication, which
+    # declines; IEEE products and sums commute, so the order changes no bit
     def total(terms, c):
-        return " + ".join(f"{w!r} * k{j}_{c}" for j, w in terms)
+        return " + ".join(f"k{j}_{c} * {w!r}" for j, w in terms)
 
     def stage(s, node, terms):
         # Y + h sum_j a_sj k_j, then the right-hand side at t + c_s h
-        return ([f"    x{c} = y{c} + h * ({total(terms, c)})" for c in range(4)]
+        return ([f"    x{c} = y{c} + ({total(terms, c)}) * h" for c in range(4)]
                 + [f"    ts = t + {node!r} * h", _RHS.format(t="ts", y="x", k=f"k{s}_")])
 
     def components(name):
         return "(" + ", ".join(f"{name}{c}" for c in range(5)) + ")"
 
-    source = ["def rhs(u, delta_t, t, y):",
+    def error(terms):
+        return " + ".join(f"abs(({total(terms, c)}) / s{c}) ** 2" for c in range(5))
+
+    source = ["def rhs(iu, niu, delta_t, t, y):",
               "    y0, y1, y2, y3 = y",
               _RHS.format(t="t", y="y", k="k"),
               f"    return {components('k')}",
               "",
-              "def attempt(u, delta_t, t, h, t_new, y, f):",
+              "def attempt(iu, niu, delta_t, t, h, t_new, y, f, rtol, atol):",
               f"    {components('y')} = y",
               f"    {components('k0_')} = f"]
     for s, (node, terms) in enumerate(zip(_NODES, _A), start=1):
         source += stage(s, node, terms)
-    source += [f"    n{c} = y{c} + h * ({total(_B, c)})" for c in range(5)]
+    source += [f"    n{c} = y{c} + ({total(_B, c)}) * h" for c in range(5)]
     source += [_RHS.format(t="t_new", y="n", k="k12_"),
-               f"    f_new = {components('k12_')}",
-               f"    r5 = ({', '.join(total(_E5, c) for c in range(5))})",
-               f"    r3 = ({', '.join(total(_E3, c) for c in range(5))})",
-               f"    return ({components('n')}, f_new, r5, r3, (f, "
+               f"    f_new = {components('k12_')}"]
+    source += [f"    s{c} = atol + max(abs(y{c}), abs(n{c})) * rtol" for c in range(5)]
+    source += [f"    err5 = {error(_E5)}",
+               f"    err3 = {error(_E3)}",
+               f"    return ({components('n')}, f_new, err5, err3, (f, "
                + ", ".join(components(f"k{s}_") for s in range(1, 12)) + ", f_new))",
                "",
-               "def extra(u, delta_t, t, h, y, ks):",
+               "def extra(iu, niu, delta_t, t, h, y, ks):",
                f"    {components('y')} = y",
                f"    {', '.join(components(f'k{s}_') for s in range(13))} = ks"]
     for s, (node, terms) in enumerate(zip(_NODES_EXTRA, _A_EXTRA), start=13):
@@ -288,14 +300,21 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     counts as scipy counts: two calls to start, 12 per attempted step and,
     with ``dense``, 3 per accepted step for the interpolant, whose rows are
     built for all steps at once after the loop.  A solve that needs more than
-    ``_MAX_RHS_CALLS`` calls raises :class:`IntegrationError`.
+    ``_MAX_RHS_CALLS`` calls raises :class:`IntegrationError`; ``rtol``
+    outside ``[_MIN_RTOL, _MAX_RTOL)``, i.e. ``[1e-13, 1)``, or ``atol`` not
+    in ``(0, inf)`` raises :class:`ParameterError` before any call.  The Rabi
+    frequency enters as ``1j * U`` and its negative, formed once here, and
+    ``delta_t`` is called once per right-hand-side evaluation, with a float.
     """
-    # a non-finite tolerance would make the solver step forever
-    if not (_MIN_RTOL <= rtol < math.inf and 0.0 < atol < math.inf):
-        raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < inf and 0 < atol < inf, "
-                             f"got rtol={rtol}, atol={atol}")
+    # a non-finite tolerance would make the solver step forever; from rtol 1 on
+    # the error scale admits steps that overflow the fundamental matrix (rtol
+    # 1e300 made a NaN monodromy with overflow warnings)
+    if not (_MIN_RTOL <= rtol < _MAX_RTOL and 0.0 < atol < math.inf):
+        raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < {_MAX_RTOL:g} and "
+                             f"0 < atol < inf, got rtol={rtol}, atol={atol}")
     rhs, attempt, extra = _dop853_step()
-    u, delta_t = field.u, field.delta_t
+    iu, delta_t = 1j * field.u, field.delta_t
+    niu = -iu
 
     too_small = (f"{owner}: solver failed: Required step size is less than spacing "
                  f"between numbers.")
@@ -304,14 +323,14 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     if not t_end > c:                      # half a period rounds away at the centre
         raise IntegrationError(too_small)
     y = (1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0)
-    f = rhs(u, delta_t, t, y[:4])
+    f = rhs(iu, niu, delta_t, t, y[:4])
 
     # the initial step, as scipy's select_initial_step
     length = t_end - t
     scale0 = [atol + abs(yi) * rtol for yi in y]
     d0, d1 = _rms(y, scale0), _rms(f, scale0)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1 = rhs(u, delta_t, t + h0, [yi + h0 * fi for yi, fi in zip(y[:4], f)])
+    f1 = rhs(iu, niu, delta_t, t + h0, [yi + h0 * fi for yi, fi in zip(y[:4], f)])
     d2 = _rms([p - q for p, q in zip(f1, f)], scale0) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -330,17 +349,13 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
                 raise IntegrationError(too_small)
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            y_new, f_new, r5, r3, ks = attempt(u, delta_t, t, h, t_new, y, f)
+            y_new, f_new, err5, err3, ks = attempt(iu, niu, delta_t, t, h, t_new, y, f,
+                                                   rtol, atol)
             nfev += 12
             if nfev > _MAX_RHS_CALLS:
                 raise IntegrationError(f"{owner}: more than {_MAX_RHS_CALLS} right-hand-side "
                                        f"calls over half a period; the drive varies too fast "
                                        f"for the oracle")
-            err5 = err3 = 0.0
-            for p, q, e, g in zip(y, y_new, r5, r3):
-                scale = atol + max(abs(p), abs(q)) * rtol
-                err5 += abs(e / scale) ** 2
-                err3 += abs(g / scale) ** 2
             error_norm = 0.0 if err5 == 0 and err3 == 0 else (
                 h * err5 / math.sqrt((err5 + 0.01 * err3) * 5))
             if error_norm < 1:
@@ -350,7 +365,7 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
             h_abs *= max(0.2, 0.9 * error_norm ** (-1 / 8))
             rejected = True
         if dense:
-            stages.append(ks + extra(u, delta_t, t, h, y, ks))
+            stages.append(ks + extra(iu, niu, delta_t, t, h, y, ks))
             nfev += 3
         t, y, f = t_new, y_new, f_new
         ts.append(t)

@@ -204,7 +204,7 @@ def test_criterion_08_crossing_census():
 def test_criterion_09_oracle_self_validation():
     u0, d1 = 0.8, 1.3
     fld = drive_field(N2Config(u0=u0, delta1=d1))
-    const = type(fld)(u=lambda t: u0, delta_t=lambda t: d1, period=2 * math.pi)
+    const = type(fld)(u=u0, delta_t=lambda t: d1, period=2 * math.pi)
     ts = np.linspace(0.0, 20 * math.pi, 801)
     traj = integrate(const, GROUND, (0.0, float(ts[-1])), t_eval=ts, rtol=1e-12, atol=1e-14)
     flop_err = float(np.max(np.abs(traj.pop2 - rabi_population(u0, d1, ts))))
@@ -235,7 +235,7 @@ def test_criterion_10_conditional_model_pathway():
     state0 = StateVector(a1=a1_0 / scale, a2=a2_fn(0.0) / scale)
     grid = np.linspace(0.0, 4 * math.pi, 301)
     fld = drive_field(cfg)
-    printed = type(fld)(u=lambda t: u0, delta_t=lambda t: detuning_n3(u0, d1, branch, t),
+    printed = type(fld)(u=u0, delta_t=lambda t: detuning_n3(u0, d1, branch, t),
                         period=2 * math.pi)
     traj = integrate(printed, state0, (0.0, float(grid[-1])), t_eval=grid,
                      rtol=1e-11, atol=1e-13)

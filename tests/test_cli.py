@@ -345,6 +345,14 @@ def test_bad_numeric_inputs_exit_2(tmp_path):
                  # a zero atol once divided by zero in the oracle's error scale (exit 3)
                  ["simulate", "--model", "n2", "--u0", "2", "--delta1", "2", "--atol", "0"],
                  ["floquet", "--u0", "1", "--delta1", "2", "--rtol", "inf"],
+                 # rtol 1e300 once made a NaN monodromy with overflow warnings (exit 1
+                 # under warnings as errors); from 1 on the tolerance is refused
+                 ["compare", "--u0", "1e5", "--delta1", "2", "--rtol", "1e300", "--periods", "1"],
+                 ["compare", "--u0", "1", "--delta1", "2", "--rtol", "1", "--periods", "1"],
+                 ["floquet", "--u0", "1", "--delta1", "2", "--rtol", "1e300"],
+                 ["floquet", "--u0", "1", "--delta1", "2", "--rtol", "1"],
+                 ["simulate", "--model", "n2", "--u0", "1", "--delta1", "2", "--rtol", "1e300"],
+                 ["simulate", "--model", "n2", "--u0", "1", "--delta1", "2", "--rtol", "1"],
                  # a NaN norm fails the normalization check; text is not a number
                  ["closed-form", "--u0", "1", "--delta1", "2", "--init", "nan,0,0,0"],
                  ["simulate", "--u0", "1", "--delta1", "2", "--init", "nan,0,0,0"],

@@ -363,8 +363,27 @@ def test_detuning_n3_domain_errors():
 def test_drive_field_views():
     cfg = N2Config(u0=0.5, delta1=2.0, delta=2.0)
     fld = drive_field(cfg)
-    assert fld.u(0.3) == 1.0                      # physical Rabi frequency u0*delta
+    assert fld.u == 1.0                           # physical Rabi frequency u0*delta
     assert abs(fld.delta_t(0.3) - detuning_n2(cfg, 0.3)) == 0.0
     assert abs(fld.period - math.pi) < 1e-15
     gen = drive_field(cfg.as_general())
     assert abs(gen.delta_t(1.234) - fld.delta_t(1.234)) < 1e-12
+
+
+@given(st.floats(1e-3, 1e3), st.floats(1.0, 1e3, exclude_min=True), st.sampled_from((1.0, -1.0)),
+       st.floats(1e-2, 1e2), st.floats(-1e3, 1e3), st.floats(-1e4, 1e4))
+def test_drive_field_detuning_is_detuning_n2_bit_for_bit(u0, abs_delta1, sign, delta, t0, t):
+    # the oracle's detuning has the constants folded once; the public function
+    # builds the same formula at every call, so the two agree exactly
+    cfg = N2Config(u0=u0, delta1=sign * abs_delta1, delta=delta, t0=t0)
+    val = drive_field(cfg).delta_t(t)
+    assert type(val) is float and val == detuning_n2(cfg, t)
+
+
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+       st.floats(1e-2, 1e2), st.floats(-1e3, 1e3), st.floats(-1e4, 1e4))
+def test_drive_field_detuning_is_detuning_general_bit_for_bit(u0, a, delta1, delta2, delta, t0, t):
+    assume(math.sqrt(a) != 1.0)
+    cfg = FieldConfig(u0=u0, a=a, delta1=delta1, delta2=delta2, delta=delta, t0=t0)
+    val = drive_field(cfg).delta_t(t)
+    assert type(val) is float and val == detuning_general(cfg, t)

@@ -20,7 +20,8 @@ from scipy.integrate import solve_ivp
 from twostate import oracle
 from twostate.closedform import StateVector, closed_form_states, floquet_analytic
 from twostate.errors import IntegrationError, ParameterError
-from twostate.fields import DriveField, FieldConfig, N2Config, drive_field
+from twostate.fields import (DriveField, FieldConfig, N2Config, detuning_general, detuning_n2,
+                             drive_field)
 from twostate.oracle import (exponent_pair_residual, integrate, mean_detuning,
                              mod_distance, monodromy, rabi_population, wrap_mod)
 
@@ -28,12 +29,12 @@ GROUND = StateVector(a1=1.0, a2=0.0)
 
 
 def constant_drive(u0, delta1):
-    return DriveField(u=lambda t: u0, delta_t=lambda t: delta1, period=2 * math.pi)
+    return DriveField(u=u0, delta_t=lambda t: delta1, period=2 * math.pi)
 
 
 def printed_n3_drive():
     from twostate.fields import detuning_n3
-    return DriveField(u=lambda t: 1.0, delta_t=lambda t: detuning_n3(1.0, -2.0, +1, t),
+    return DriveField(u=1.0, delta_t=lambda t: detuning_n3(1.0, -2.0, +1, t),
                       period=2 * math.pi)
 
 
@@ -47,7 +48,7 @@ def brute_force(field, state0, t_span, t_eval):
     def rhs(t, y):
         a1, a2, phase = y
         rot = np.exp(-1j * phase.real)
-        u = field.u(t)
+        u = field.u
         return [-1j * u * rot * a2, -1j * u * np.conj(rot) * a1, field.delta_t(t)]
 
     sol = solve_ivp(rhs, t_span, np.array([state0.a1, state0.a2, state0.phase], dtype=complex),
@@ -56,19 +57,21 @@ def brute_force(field, state0, t_span, t_eval):
     return sol.y[0], sol.y[1], sol.y[2].real
 
 
+# the configurations of the drive_field families: n2 with both carrier signs,
+# the general drive (generic and the a = 16 glancing case), each also centred
+# off the time origin
+CONFIGS = {
+    "n2+": N2Config(u0=1.0, delta1=2.0),
+    "n2-": N2Config(u0=0.7, delta1=-3.0),
+    "n2-off-centre": N2Config(u0=0.8, delta1=-2.5, delta=1.7, t0=0.4),
+    "general": FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0),
+    "general-off-centre": FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0, delta=1.3, t0=-0.9),
+    "glancing": FieldConfig(u0=0.9, a=16.0, delta1=-25.0 / 16.0, delta2=-15.0 / 16.0),
+}
 # every in-repo drive family, each `period`-periodic and even about its
-# `center`: n2 with both carrier signs, the general drive (generic and the
-# a = 16 glancing case), each also centred off the time origin, the printed n3
-# field and the constant drive
+# `center`: those above, the printed n3 field and the constant drive
 DRIVES = {
-    "n2+": lambda: drive_field(N2Config(u0=1.0, delta1=2.0)),
-    "n2-": lambda: drive_field(N2Config(u0=0.7, delta1=-3.0)),
-    "n2-off-centre": lambda: drive_field(N2Config(u0=0.8, delta1=-2.5, delta=1.7, t0=0.4)),
-    "general": lambda: drive_field(FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0)),
-    "general-off-centre": lambda: drive_field(FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0,
-                                                          delta=1.3, t0=-0.9)),
-    "glancing": lambda: drive_field(FieldConfig(u0=0.9, a=16.0, delta1=-25.0 / 16.0,
-                                                delta2=-15.0 / 16.0)),
+    **{name: functools.partial(drive_field, cfg) for name, cfg in CONFIGS.items()},
     "n3-printed": printed_n3_drive,
     "constant": lambda: constant_drive(0.8, 1.3),
 }
@@ -76,21 +79,28 @@ DRIVES = {
 
 @pytest.mark.parametrize("name", DRIVES)
 def test_drive_field_contract(name):
-    # u and delta_t are even about the centre and period-periodic, the two
-    # facts the half-period oracle composes every sample from
+    # delta_t is even about the centre and period-periodic (u is a constant),
+    # the two facts the half-period oracle composes every sample from
     fld = DRIVES[name]()
     c, T = fld.center, fld.period
+    f = fld.delta_t
     for s in np.linspace(0.0, T, 41):
-        for f in (fld.u, fld.delta_t):
-            assert f(c - s) == pytest.approx(f(c + s), rel=1e-12, abs=1e-12), (name, s)
-            assert f(c + s + T) == pytest.approx(f(c + s), rel=1e-12, abs=1e-12), (name, s)
+        assert f(c - s) == pytest.approx(f(c + s), rel=1e-12, abs=1e-12), (name, s)
+        assert f(c + s + T) == pytest.approx(f(c + s), rel=1e-12, abs=1e-12), (name, s)
 
 
 def test_drive_field_rejects_a_bad_period_or_centre():
     for period, center in ((math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (-1.0, 0.0),
                            (1.0, math.nan), (1.0, -math.inf)):
         with pytest.raises(ParameterError):
-            DriveField(u=lambda t: 1.0, delta_t=lambda t: 1.0, period=period, center=center)
+            DriveField(u=1.0, delta_t=lambda t: 1.0, period=period, center=center)
+
+
+def test_drive_field_rabi_frequency_is_a_finite_number():
+    # the drive is constant-amplitude: a callable u is refused, not called
+    for u in (lambda t: 1.0, math.nan, math.inf, "1.0", 1j):
+        with pytest.raises(ParameterError, match="constant Rabi frequency"):
+            DriveField(u=u, delta_t=lambda t: 1.0, period=1.0)
 
 
 # ---------------------------------------------------------------- basic integration
@@ -231,7 +241,7 @@ def _field_never_called():
     """A drive whose every evaluation fails: an input check must stop the call first."""
     def never(t):
         raise AssertionError("the solver was started")
-    return DriveField(u=never, delta_t=never, period=2 * math.pi)
+    return DriveField(u=1.0, delta_t=never, period=2 * math.pi)
 
 
 # times that would make the solver step forever, or fail with a bare Python or numpy error
@@ -305,7 +315,7 @@ def test_half_period_solve_is_solve_ivp_step_for_step(name, rtol, atol, dense):
     c = fld.center
 
     def rhs(t, y):
-        iu, dt = 1j * fld.u(t), fld.delta_t(t)
+        iu, dt = 1j * fld.u, fld.delta_t(t)
         return [1j * dt * y[0] - iu * y[2], 1j * dt * y[1] - iu * y[3], -iu * y[0], -iu * y[1], dt]
 
     ref = solve_ivp(rhs, (c, c + 0.5 * fld.period), np.array([1, 0, 0, 1, 0], dtype=complex),
@@ -322,15 +332,17 @@ def test_half_period_solve_is_solve_ivp_step_for_step(name, rtol, atol, dense):
 
 def test_generated_step_is_the_tableau_summed_in_loops():
     # the straight-line functions against the same step written as loops over
-    # the tableau, each sum taken from left to right: equal values, stage for stage
+    # the tableau, each sum taken from left to right, and the error sums as
+    # loops over the components: equal values, stage for stage
     nodes, a, b, e5, e3 = oracle._NODES, oracle._A, oracle._B, oracle._E5, oracle._E3
     nodes_extra, a_extra = oracle._NODES_EXTRA, oracle._A_EXTRA
     rhs, attempt, extra = oracle._dop853_step()
     fld = DRIVES["n2-off-centre"]()
-    u, delta_t = fld.u, fld.delta_t
+    iu, delta_t = 1j * fld.u, fld.delta_t
+    rtol, atol = 1e-9, 1e-11
 
     def rhs_loop(t, x):
-        iu, dt = 1j * u(t), delta_t(t)
+        dt = delta_t(t)
         idt = 1j * dt
         return idt * x[0] - iu * x[2], idt * x[1] - iu * x[3], -iu * x[0], -iu * x[1], dt
 
@@ -343,16 +355,43 @@ def test_generated_step_is_the_tableau_summed_in_loops():
     t, h = fld.center + 0.1, 0.05
     y = (0.6 + 0.1j, 0.2j, -0.3j, 0.7 - 0.2j, 0.4)
     ks = [rhs_loop(t, y)]
-    assert rhs(u, delta_t, t, y[:4]) == ks[0]
+    assert rhs(iu, -iu, delta_t, t, y[:4]) == ks[0]
     for node, terms in zip(nodes, a):
         ks.append(stage(t, h, y, node, terms, ks))
     y_new = tuple(y[c] + h * total(b, ks, c) for c in range(5))
     ks.append(rhs_loop(t + h, y_new))
     r5, r3 = (tuple(total(e, ks, c) for c in range(5)) for e in (e5, e3))
-    assert attempt(u, delta_t, t, h, t + h, y, ks[0]) == (y_new, ks[12], r5, r3, tuple(ks))
+    err5 = err3 = 0.0
+    for p, q, e, g in zip(y, y_new, r5, r3):
+        scale = atol + max(abs(p), abs(q)) * rtol
+        err5 += abs(e / scale) ** 2
+        err3 += abs(g / scale) ** 2
+    assert err5 > 0.0 and err3 > 0.0
+    assert (attempt(iu, -iu, delta_t, t, h, t + h, y, ks[0], rtol, atol)
+            == (y_new, ks[12], err5, err3, tuple(ks)))
     for node, terms in zip(nodes_extra, a_extra):
         ks.append(stage(t, h, y, node, terms, ks))
-    assert extra(u, delta_t, t, h, y, tuple(ks[:13])) == tuple(ks[13:])
+    assert extra(iu, -iu, delta_t, t, h, y, tuple(ks[:13])) == tuple(ks[13:])
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+@pytest.mark.parametrize("dense", (False, True))
+def test_folded_drive_solves_as_the_public_detuning(name, dense):
+    # drive_field's detuning has its constants folded once per config; a solve
+    # with it takes the same steps to the same bits as one whose detuning
+    # calls the public function, which reads the config at every call
+    cfg = CONFIGS[name]
+    detuning = detuning_n2 if isinstance(cfg, N2Config) else detuning_general
+    fld = drive_field(cfg)
+    ref = DriveField(u=fld.u, delta_t=lambda t: detuning(cfg, t), period=cfg.period,
+                     center=cfg.t0)
+    got, want = (oracle._half_period_solve("test", f, 1e-11, 1e-13, dense) for f in (fld, ref))
+    assert got.nfev == want.nfev
+    assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+    if dense:
+        assert np.array_equal(got.rows, want.rows)
+    else:
+        assert got.rows is None and want.rows is None
 
 
 def test_a_sample_does_not_depend_on_the_other_samples():
@@ -489,7 +528,7 @@ def test_rhs_call_budget_solvable_model():
 
 def test_half_period_below_float_spacing_is_an_integration_error():
     # c + T/2 rounds to c: no step can be taken
-    fld = DriveField(u=lambda t: 1.0, delta_t=lambda t: 1.0, period=1.0, center=2.0**60)
+    fld = DriveField(u=1.0, delta_t=lambda t: 1.0, period=1.0, center=2.0**60)
     with pytest.raises(IntegrationError, match="spacing between numbers"):
         monodromy(fld, t_ref=fld.center)
 
