@@ -33,6 +33,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_COMPARE_FAIL = 4
+# most samples per output; a larger count is refused before numpy allocates it
+MAX_SAMPLES = 1_000_000
 
 
 def _fmt(x) -> str:
@@ -122,10 +124,13 @@ def _window(args, t0: float, period: float, default_periods: float) -> tuple[np.
     """The sample times the window options name, and their metadata."""
     t_start = args.t_start if args.t_start is not None else t0
     t_end = args.t_end if args.t_end is not None else t_start + default_periods * period
-    if args.samples < 2:
-        raise ParameterError("--samples must be >= 2")
-    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
-        raise ParameterError("time window must be finite and satisfy t-end > t-start")
+    if not 2 <= args.samples <= MAX_SAMPLES:
+        raise ParameterError(f"--samples must be between 2 and {MAX_SAMPLES}")
+    # from 2**53 periods out a time's phase in the period is not resolved (as in the oracle)
+    if not (t_end > t_start and math.isfinite(t_end - t_start)
+            and max(abs(t_start - t0), abs(t_end - t0)) < 2.0**53 * period):
+        raise ParameterError("time window must satisfy t-end > t-start and lie within "
+                             "2**53 periods of t0")
     ts = np.linspace(t_start, t_end, args.samples)
     return ts, {"t-start": _fmt(ts[0]), "t-end": _fmt(ts[-1]), "samples": str(len(ts))}
 
@@ -227,7 +232,9 @@ def _cmd_compare(args) -> int:
     if periods < 1 or spp < 1 or not 0.0 < tol < math.inf:
         raise ParameterError("need --periods >= 1, --samples-per-period >= 1 and "
                              "0 < --tol < inf")
-    ts = np.linspace(cfg.t0, cfg.t0 + periods * cfg.period, int(periods * spp) + 1)
+    if periods * spp + 1 > MAX_SAMPLES:
+        raise ParameterError(f"--periods x --samples-per-period + 1 must be at most {MAX_SAMPLES}")
+    ts = np.linspace(cfg.t0, cfg.t0 + periods * cfg.period, periods * spp + 1)
     a1c, a2c = closed_form_states(cfg, state0, float(ts[0]), ts)
     traj = integrate(drive_field(cfg), state0, (float(ts[0]), float(ts[-1])),
                      t_eval=ts, rtol=args.rtol, atol=1e-13)
@@ -263,7 +270,8 @@ def _add_field_options(p: argparse.ArgumentParser, general: bool = False, n3: bo
 def _add_window(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-start", type=float)
     p.add_argument("--t-end", type=float)
-    p.add_argument("--samples", type=int, default=1001, help="(default %(default)s)")
+    p.add_argument("--samples", type=int, default=1001,
+                   help=f"(default %(default)s, at most {MAX_SAMPLES})")
 
 
 @functools.cache

@@ -105,12 +105,9 @@ def hg_three_beta(delta1: float, u0: float, z) -> complex:
 
     Each fold peels off an elementary head and pushes the Beta weight one
     index up; for these weights the final Beta coefficient cancels, so the
-    sum is elementary for any ``z != 1`` (the ``z``-power honours an
-    :class:`UnwoundPoint` argument).
+    sum is elementary for any finite ``z != 1``, ``0j`` at ``z = 0`` (the
+    ``z``-power honours an :class:`UnwoundPoint` argument).
     """
-    zc = as_complex(z)
-    if zc == 1.0:
-        raise ParameterError("hg_three_beta: singular at z = 1")
     return fold_beta_sum(three_beta_coeffs(delta1, u0), generalized_rabi(u0, delta1), -1.0, z)
 
 

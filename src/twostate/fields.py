@@ -67,6 +67,10 @@ class FieldConfig:
         if not self.a > 0 or math.sqrt(self.a) == 1.0:
             raise ParameterError(f"FieldConfig: need a > 0 and sqrt(a) != 1 in floating point, "
                                  f"got a = {self.a}")
+        # the detuning's extreme value, at t0
+        peak = self.delta1 + (1.0 - self.a) * self.delta2 / (math.sqrt(self.a) - 1.0) ** 2
+        if not math.isfinite(peak):
+            raise ParameterError(f"FieldConfig: the detuning's peak overflows, got {self}")
         if not self.delta > 0:
             raise ParameterError(f"FieldConfig: delta must be > 0, got {self.delta}")
 
@@ -127,6 +131,10 @@ class N2Config:
                                  f"got u0 = {self.u0}, delta1 = {self.delta1}")
         if not self.delta > 0:
             raise ParameterError(f"N2Config: delta must be > 0, got {self.delta}")
+        # the detuning's extreme value, at t0, in physical units
+        d1 = abs(self.delta1)
+        if not math.isfinite(self.delta * (d1 + 2.0 * math.sqrt(d1 * d1 - 1.0))):
+            raise ParameterError(f"N2Config: the detuning's peak overflows, got {self}")
 
     @property
     def a(self) -> float:

@@ -43,7 +43,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .fields import FieldConfig
-from .specfun import UnwoundPoint, as_complex, fold_beta_sum, inc_beta, power
+from .specfun import UnwoundPoint, fold_beta_sum, inc_beta, power
 
 TERMINATION_RTOL = 1e-12   # two consecutive coefficients below this (rel.) terminate
 
@@ -228,17 +228,10 @@ def eval_series(bs: BetaSeries, z) -> complex:
     genuine terminated solutions); inside the unit disc the fold also avoids
     the cancellation among large Beta terms of the direct sum.  Any other
     series is summed through the incomplete Beta kernel, which converges
-    inside the unit disc only.
+    inside the unit disc only.  The kernels own the checks on ``z``.
     """
-    zc = as_complex(z)
-    if zc == 1.0:
-        raise DomainError("eval_series: z = 1 is a singular point")
-    if zc == 0.0:
-        return 0j                   # every B_0(p, q) is 0, as in inc_beta
     if bs.terminated:
         return fold_beta_sum(bs.active_coeffs(), bs.gamma0, bs.delta_n, z)
-    if abs(zc) >= 1.0:
-        raise DomainError("eval_series: |z| >= 1 requires a terminated series")
     return sum((c * inc_beta(bs.gamma0 + n, bs.delta_n, z)
                 for n, c in enumerate(bs.coeffs) if c != 0), 0j)
 

@@ -179,7 +179,7 @@ def inc_beta(p: complex, q: complex, z) -> complex:
     """
     p, q, zc = complex(p), complex(q), as_complex(z)
     _require_finite("inc_beta", zc, p, q)
-    if p == 0 or _is_nonpositive_integer(p):
+    if _is_nonpositive_integer(p):
         raise ParameterError(f"inc_beta: p={p} is a non-positive integer")
     if abs(zc) >= 1.0:
         raise DomainError(f"inc_beta: series path requires |z| < 1, got |z|={abs(zc)}")
@@ -189,56 +189,56 @@ def inc_beta(p: complex, q: complex, z) -> complex:
     return power(z, p) / p * _hyp2f1_series(p, 1 - q, p + 1, zc)[0]
 
 
-def _beta_head(p: complex, q: complex, z, zc: complex) -> complex:
-    """Head ``(z^p / p)(1-z)^q`` of the neighbour recurrence; ``zc`` is the value of ``z``."""
-    return power(z, p) / p * (1 - zc) ** q
+def _fold(name: str, coeffs, p0: complex, q: complex, z) -> tuple[complex, complex]:
+    """Summed heads of ``sum_n c_n B_z(p0+n, q)`` by the neighbour recurrence, and the top weight.
+
+    Owns the domain checks of every Beta kernel that folds; errors name ``name``.
+    """
+    zc = as_complex(z)
+    work = [complex(c) for c in coeffs]
+    if not work:
+        raise ParameterError(f"{name}: coeffs must not be empty")
+    _require_finite(name, zc, p0, q, *work)
+    if -p0 in range(len(work) - 1):     # p0 + n = 0 for an n below the top
+        raise ParameterError(f"{name}: Beta parameter hits 0 while folding from p = {p0}")
+    if zc == 1:
+        raise DomainError(f"{name}: z = 1 is a singular point")
+    if zc == 0:
+        return 0j, 0j                   # every B_0(p, q) is 0, as in inc_beta
+    total, tail = 0j, (1 - zc) ** q
+    for n in range(len(work) - 1):
+        p = p0 + n
+        total += work[n] * (power(z, p) / p * tail)
+        work[n + 1] += work[n] * (q + p) / p
+    return total, work[-1]
 
 
 def beta_step(p: complex, q: complex, z) -> complex:
-    """``B_z(p, q)`` computed from its upper neighbour ``B_z(p+1, q)``.
+    """``B_z(p, q)`` from its upper neighbour ``B_z(p+1, q)``: one step of :func:`fold_beta_sum`.
 
-    Implements the neighbour recurrence
-    ``B_z(p, q) = (z^p / p)(1-z)^q + ((q+p)/p) B_z(p+1, q)``, with ``z``
-    plain or an :class:`UnwoundPoint` as in :func:`inc_beta`.  When the
-    coupling coefficient ``q + p`` vanishes the recursive term is dropped
-    without being evaluated, so the elementary head alone is exact.
+    The neighbour recurrence ``B_z(p, q) = (z^p / p)(1-z)^q + ((q+p)/p) B_z(p+1, q)``,
+    with ``z`` plain or an :class:`UnwoundPoint` as in :func:`inc_beta`, on the
+    fold's domain (``p != 0``, ``z != 1``).  When the coupling coefficient ``q + p``
+    vanishes the recursive term is dropped without being evaluated, so the
+    elementary head alone is exact.
     """
-    p, q, zc = complex(p), complex(q), as_complex(z)
-    _require_finite("beta_step", zc, p, q)
-    if p == 0:
-        raise ParameterError("beta_step: p must be nonzero")
-    if zc == 0:
-        return 0.0 + 0j                  # as inc_beta; log(0) is undefined
-    head = _beta_head(p, q, z, zc)
-    coeff = (q + p) / p
-    if coeff == 0:
-        return head
-    return head + coeff * inc_beta(p + 1, q, z)
+    head, weight = _fold("beta_step", (1.0, 0.0), complex(p), complex(q), z)
+    return head if weight == 0 else head + weight * inc_beta(p + 1, q, z)
 
 
 def fold_beta_sum(coeffs, p0: complex, q: complex, z) -> complex:
-    """Elementary value of ``sum_n coeffs[n] B_z(p0+n, q)``, for any ``z != 0, 1``.
+    """Elementary value of ``sum_n coeffs[n] B_z(p0+n, q)``, for any finite ``z != 1``.
 
     Applies :func:`beta_step`'s neighbour recurrence to the lowest Beta
     function again and again: the elementary heads accumulate and the Beta
     weight migrates to the top index.  The sum is elementary only if that
     leftover weight cancels, as it does for a terminated series:
     :class:`DomainError` if it exceeds ``1e-10 max(1, max|coeffs|)``, and
-    :class:`ParameterError` if ``coeffs`` is empty.
+    :class:`ParameterError` if ``coeffs`` is empty.  ``z = 0`` gives ``0j``.
     """
-    zc = as_complex(z)
-    work = [complex(c) for c in coeffs]
-    if not work:
-        raise ParameterError("fold_beta_sum: coeffs must not be empty")
-    total = 0.0 + 0j
-    for n in range(len(work) - 1):
-        p = p0 + n
-        if p == 0:
-            raise ParameterError("fold_beta_sum: Beta parameter hits 0 while folding")
-        total += work[n] * _beta_head(p, q, z, zc)
-        work[n + 1] += work[n] * (q + p) / p
-    leftover = abs(work[-1])
-    if leftover > _FOLD_LEFTOVER_RTOL * max(1.0, max(abs(c) for c in coeffs)):
+    total, weight = _fold("fold_beta_sum", coeffs, p0, q, z)
+    leftover = abs(weight)
+    if not leftover <= _FOLD_LEFTOVER_RTOL * max(1.0, max(abs(c) for c in coeffs)):
         raise DomainError("fold_beta_sum: the series does not fold to elementary form "
                           f"(leftover Beta weight {leftover:.3e})")
     return total
@@ -276,15 +276,24 @@ def power(z, mu: complex) -> complex:
 
     The principal power is ``exp(mu log z)``: ``cmath.log`` rescales subnormal
     parts of ``z``, where Python's ``complex ** complex`` loses their bits.
-    Raises :class:`DomainError` when the result overflows a float.
+    ``z = 0`` gives ``0j`` for ``Re mu > 0``.  Raises :class:`DomainError` there
+    otherwise, for a non-finite ``z`` and when the result overflows a float.
     """
     try:
         if isinstance(z, UnwoundPoint):
-            return unwound_power(z, mu)
-        return cmath.exp(complex(mu) * cmath.log(complex(z)))
+            if math.isfinite(z.modulus) and math.isfinite(z.angle):
+                return unwound_power(z, mu)
+        else:
+            z = complex(z)
+            if z and cmath.isfinite(z):
+                return cmath.exp(complex(mu) * cmath.log(z))
+            if z == 0 and complex(mu).real > 0:
+                return 0j
     except OverflowError:
-        modulus = z.modulus if isinstance(z, UnwoundPoint) else abs(complex(z))
+        modulus = z.modulus if isinstance(z, UnwoundPoint) else abs(z)
         raise DomainError(f"power: |z|^mu overflows at |z| = {modulus}, mu = {mu}") from None
+    raise DomainError(f"power: z must be finite, and nonzero unless Re mu > 0; "
+                      f"got z = {z}, mu = {mu}")
 
 
 def as_complex(z) -> complex:

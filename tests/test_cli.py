@@ -1,15 +1,19 @@
 """Command-line front door: outputs, formats, determinism, exit codes."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostate import __version__
 from twostate.cli import build_parser, main
@@ -379,6 +383,28 @@ def test_bad_numeric_inputs_exit_2(tmp_path):
                   "--delta1", "2", "--delta2", "1"],
                  ["simulate", "--model", "general", "--u0", "1", "--a", "1.0000000000000002",
                   "--delta1", "2", "--delta2", "1"],
+                 # sample counts above 10^6 are refused before numpy allocates them
+                 # (10^12 samples once ended in numpy's _ArrayMemoryError, exit 1)
+                 ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2",
+                  "--samples", "1000000000000"],
+                 ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2",
+                  "--samples", "1000001"],
+                 ["compare", "--u0", "1", "--delta1", "2", "--periods", "100000000"],
+                 ["compare", "--u0", "1", "--delta1", "2", "--periods", "5000"],
+                 # found by the fuzz test below: a window past 2**53 periods of t0
+                 # overflowed the closed form's phase, a window wider than a double
+                 # overflowed numpy's linspace, and a drive whose detuning peak
+                 # overflows printed -inf (each warned: exit 1 with warnings as
+                 # errors) or, integrated, ran into the oracle's work bound (exit 3)
+                 ["closed-form", "--u0", "1", "--delta1", "-2.5", "--t-end", "1e308"],
+                 ["closed-form", "--u0", "1", "--delta1", "2", "--t-start=-1e308",
+                  "--t-end", "1e308", "--t0=-1e308"],
+                 ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--t-start=-1e308",
+                  "--t-end", "1e308"],
+                 ["detuning", *general[:-1], "1e308"],
+                 ["detuning", "--model", "n2", "--u0", "1e300", "--delta1", "1e308",
+                  "--delta", "1e293"],
+                 ["simulate", "--model", "general", *general[:-1], "1e308"],
                  # wrongly typed flags are reported, not raised as SystemExit
                  ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--samples", "abc"],
                  ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "2.5"]):
@@ -387,6 +413,58 @@ def test_bad_numeric_inputs_exit_2(tmp_path):
             warnings.simplefilter("error")
             assert main([*argv, "-o", str(out)]) == 2, argv
         assert not out.exists()
+
+
+# ---------------------------------------------------------------- fuzzed options
+# Each example is one command with two of its numeric options set to a value
+# a user might type by mistake.  Counts (--samples, --periods,
+# --samples-per-period, --n-max) also draw a huge integer, which the sample
+# ceiling refuses before any array is allocated and the search's overflow
+# check ends within about 80 orders.
+
+_FUZZ_VALUES = ("nan", "-nan", "inf", "-inf", "5e-324", "-5e-324", "1e308", "-1e308", "0",
+                "-0.0", "1.0000000000000002", "-1.0000000000000002", "abc", "")
+_FUZZ_COUNTS = _FUZZ_VALUES + ("1000000000000", "-1000000000000")
+_WINDOW = ("t-start", "t-end", "samples")
+_FIELD = ("u0", "delta1", "delta", "t0")
+_FUZZ_COMMANDS = [
+    (["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--samples", "5"],
+     (*_FIELD, *_WINDOW)),
+    (["detuning", "--model", "general", *_GENERAL, "--samples", "5"],
+     (*_FIELD, "a", "delta2", *_WINDOW)),
+    (["detuning", "--model", "n3", "--u0", "1", "--delta1", "-2", "--samples", "5"],
+     (*_FIELD, *_WINDOW)),
+    (["simulate", "--u0", "2", "--delta1", "2", "--samples", "5"],
+     (*_FIELD, *_WINDOW, "rtol", "atol")),
+    (["simulate", "--model", "general", *_GENERAL, "--samples", "5"],
+     (*_FIELD, "a", "delta2", *_WINDOW, "rtol", "atol")),
+    (["closed-form", "--u0", "1", "--delta1", "-2.5", "--samples", "5"], (*_FIELD, *_WINDOW)),
+    (["floquet", "--u0", "1", "--delta1", "2"], (*_FIELD, "rtol")),
+    (["heun-map", *_GENERAL], (*_FIELD, "a", "delta2")),
+    (["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"],
+     ("u0", "delta1", "n-max", "a-max")),
+    (["compare", "--u0", "1", "--delta1", "2", "--periods", "1", "--samples-per-period", "10"],
+     (*_FIELD, "periods", "samples-per-period", "tol", "rtol")),
+]
+_COUNT_OPTIONS = {"samples", "periods", "samples-per-period", "n-max"}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_numeric_options_exit_cleanly(data):
+    base, options = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    names = data.draw(st.lists(st.sampled_from(options), min_size=2, max_size=2, unique=True))
+    values = [data.draw(st.sampled_from(_FUZZ_COUNTS if name in _COUNT_OPTIONS else _FUZZ_VALUES))
+              for name in names]
+    flags = [f"--{name}={value}" for name, value in zip(names, values)]
+    argv = [*base, *flags, "-o", "-"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(argv)         # an exception or a warning fails the example
+    assert rc in (0, 2, 3, 4), (argv, rc)
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert bool(out.getvalue()) == (rc in (0, 4)), argv    # no output from a failed run
 
 
 def test_defaults_with_only_required_options(tmp_path):

@@ -88,6 +88,16 @@ def test_three_beta_and_quasipoly_overflow_is_a_domain_error():
 def test_quasipoly_rejects_singular_point():
     with pytest.raises(ParameterError):
         hg_quasipoly(2.0, 1.0, 1.0)
+    # the fold owns z = 1 for the three-Beta route
+    with pytest.raises(DomainError, match="z = 1"):
+        hg_three_beta(2.0, 1.0, 1.0)
+
+
+def test_three_beta_and_quasipoly_vanish_at_the_origin():
+    # z^R -> 0 for R > 0; the quasi-polynomial once raised from log(0)
+    for d1, u0 in PAIRS:
+        assert hg_quasipoly(d1, u0, 0.0) == 0
+        assert hg_three_beta(d1, u0, 0.0) == 0
 
 
 # ---------------------------------------------------------------- fundamental solutions

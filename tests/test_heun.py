@@ -20,7 +20,7 @@ from twostate.fields import FieldConfig, a_from_delta1
 from twostate.heun import (_U0_PROBES, BetaSeries, HeunParams, _constraint_determinant,
                            _recurrence_terms, eval_series, expand, generalized_rabi, grid_roots,
                            map_to_heun, q_polynomial, series_solution, termination_search)
-from twostate.specfun import fold_beta_sum, inc_beta
+from twostate.specfun import UnwoundPoint, fold_beta_sum, inc_beta
 
 SQ2 = math.sqrt(2.0)
 
@@ -408,6 +408,20 @@ def test_eval_series_outside_disc_requires_termination():
     bs = expand(hp, max_terms=25)
     with pytest.raises(DomainError):
         eval_series(bs, 1.4 + 0.2j)
+
+
+def test_eval_series_at_z_zero_and_one():
+    # the Beta kernels own these points for both kinds of series: every B_0 is 0,
+    # and z = 1 is singular (the terminated fold and the summed series alike)
+    terminated = expand(map_to_heun(n2_scaled_config(1.0, 2.0), -1)[0])
+    summed = expand(map_to_heun(FieldConfig(u0=0.9, a=3.0, delta1=1.2, delta2=0.8), -1)[0],
+                    max_terms=5)
+    assert terminated.terminated and not summed.terminated
+    for bs in (terminated, summed):
+        assert eval_series(bs, 0.0) == 0 and eval_series(bs, 0j) == 0
+        for z in (1.0, UnwoundPoint(1.0, 0.0), complex(math.nan, 0.0)):
+            with pytest.raises(DomainError):
+                eval_series(bs, z)
 
 
 def test_eval_series_ode_residual():

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import twostate
+from twostate.closedform import hg_quasipoly, hg_three_beta
 from twostate.errors import ConvergenceError, DomainError, ParameterError
 from twostate.specfun import (EPS_CHECK, EPS_SERIES, MAX_TERMS, UnwoundPoint,
-                              _first_block_length, _hyp2f1_series, beta_step, fold_beta_sum,
-                              hyp2f1, inc_beta, unwound_power)
+                              _first_block_length, _hyp2f1_series, as_complex, beta_step,
+                              fold_beta_sum, hyp2f1, inc_beta, power, unwound_power)
 
 
 def quad_inc_beta(p, q, z):
@@ -75,12 +76,61 @@ def test_non_finite_inputs_fail_before_the_series(bad):
             hyp2f1(*args, 0.5)
     with pytest.raises(DomainError):
         hyp2f1(1.0, 2.0, 3.0, bad)
-    for kernel in (inc_beta, beta_step):
+    fold = lambda p0, q, z: fold_beta_sum([1.0, -1.0], p0, q, z)
+    for name, kernel in (("inc_beta", inc_beta), ("beta_step", beta_step),
+                         ("fold_beta_sum", fold)):
         for args in ((bad, 2.0), (2.0, bad)):
-            with pytest.raises(ParameterError, match=kernel.__name__):
+            with pytest.raises(ParameterError, match=name):
                 kernel(*args, 0.5)
-        with pytest.raises(DomainError, match=kernel.__name__):
+        with pytest.raises(DomainError, match=name):
             kernel(2.0, 2.0, bad)
+    with pytest.raises(ParameterError, match="fold_beta_sum"):
+        fold_beta_sum([1.0, bad], 2.0, -1.0, 0.5)   # a coefficient once folded into a number
+    # the closed-form kernels take the fold's and the power's check on z
+    with pytest.raises(DomainError, match="fold_beta_sum"):
+        hg_three_beta(2.0, 1.0, bad)
+    with pytest.raises(DomainError, match="power"):
+        hg_quasipoly(2.0, 1.0, bad)
+
+
+@pytest.mark.parametrize("bad", [UnwoundPoint(math.inf, 0.3), UnwoundPoint(0.5, math.nan),
+                                 UnwoundPoint(0.5, -math.inf)])
+def test_non_finite_unwound_point_is_a_domain_error(bad):
+    for kernel in (inc_beta, beta_step, lambda p, q, z: fold_beta_sum([1.0, -1.0], p, q, z),
+                   lambda p, q, z: power(z, p)):
+        with pytest.raises(DomainError):
+            kernel(2.0, 2.0, bad)
+    for kernel in (hg_three_beta, hg_quasipoly):
+        with pytest.raises(DomainError):
+            kernel(2.0, 1.0, bad)
+
+
+def test_beta_kernels_at_z_zero_and_one():
+    # every B_0(p, q) is 0; z = 1 is the singular point of the fold's heads
+    for z in (0.0, 0j, complex(-0.0, 0.0)):
+        assert beta_step(1.3 - 0.2j, -1.0, z) == 0
+        assert fold_beta_sum([1.0, 0.5, 0.25], -1.5, 2.0, z) == 0
+        assert inc_beta(-1.5, 2.0, z) == 0
+    for z in (1.0, 1 + 0j, UnwoundPoint(1.0, 0.0)):
+        for kernel in (beta_step, lambda p, q, z: fold_beta_sum([1.0, -2.0], p, q, z)):
+            with pytest.raises(DomainError, match="z = 1"):
+                kernel(1.0, 1.0, z)
+    # p = 0 is refused at every z, as inc_beta refuses it
+    for z in (0.0, 0.5, 1.0):
+        with pytest.raises(ParameterError):
+            beta_step(0.0, 1.0, z)
+        with pytest.raises(ParameterError):
+            fold_beta_sum([1.0, 0.5, 0.25], -1.0, 2.0, z)
+
+
+def test_power_at_zero_and_non_finite_z():
+    assert power(0.0, 2.5) == 0 and power(0j, 0.5 - 3j) == 0
+    for mu in (0.0, -1.0, 1j, -0.5 + 2j):
+        with pytest.raises(DomainError, match="power"):
+            power(0.0, mu)
+    for z in NON_FINITE:
+        with pytest.raises(DomainError, match="power"):
+            power(z, 1.5)
 
 
 # ---------------------------------------------------------------- hyp2f1 stopping rule
@@ -399,3 +449,84 @@ def test_unwound_power_matches_mpmath(modulus, angle, mu):
         ref = complex(mpmath.power(modulus, mu) * mpmath.exp(1j * mu * angle))
     got = unwound_power(UnwoundPoint(modulus, angle), mu)
     assert abs(got - ref) <= EPS_CHECK * abs(ref), (modulus, angle, mu)
+
+
+# ---------------------------------------------------------------- one fold loop
+# fold_beta_sum and beta_step share one neighbour-recurrence loop.  These
+# tests hold them to a term-by-term reference: the fold and the step written
+# as two separate loops.
+
+def two_loop_fold(coeffs, p0, q, z):
+    """The separate fold loop: ``(sum of heads, top weight)``, head by head."""
+    zc = as_complex(z)
+    work = [complex(c) for c in coeffs]
+    total = 0.0 + 0j
+    for n in range(len(work) - 1):
+        p = p0 + n
+        total += work[n] * (power(z, p) / p * (1 - zc) ** q)
+        work[n + 1] += work[n] * (q + p) / p
+    return total, work[-1]
+
+
+def two_loop_beta_step(p, q, z):
+    """The separate neighbour step: head plus weight times the upper neighbour."""
+    p, q, zc = complex(p), complex(q), as_complex(z)
+    head = power(z, p) / p * (1 - zc) ** q
+    coeff = (q + p) / p
+    if coeff == 0:
+        return head
+    return head + coeff * inc_beta(p + 1, q, z)
+
+
+def _bits(w):
+    """The bits of a complex result, NaN and signed zeros included."""
+    return w.real.hex(), w.imag.hex()
+
+
+def _plain_or_unwound(radius):
+    return st.one_of(st.builds(cmath.rect, st.floats(0.01, radius), st.floats(-math.pi, math.pi)),
+                     st.builds(UnwoundPoint, st.floats(0.01, radius),
+                               st.floats(-4 * math.pi, 4 * math.pi)))
+
+
+@given(BETA_P, ONE_MINUS_Q, _plain_or_unwound(0.95))
+@example(1.0, 2.0, 0.5)                 # q + p = 0: the head alone
+@example(2.5, 0.0, UnwoundPoint(0.7, 7.0))
+def test_beta_step_is_the_separate_step_bit_for_bit(p, p2, z):
+    assume(_off_poles(p) and _off_poles(p + 1.0))
+    q = 1.0 - p2
+    try:
+        ref = two_loop_beta_step(p, q, z)
+    except DomainError:         # |z|^p overflows, or the upper neighbour has no series
+        with pytest.raises(DomainError):
+            beta_step(p, q, z)
+        return
+    assert _bits(beta_step(p, q, z)) == _bits(ref), (p, q, z)
+
+
+@given(_complex(-6.0, 20.0, 5.0), _complex(-6.0, 3.0, 3.0),
+       st.lists(_complex(-2.0, 2.0, 2.0), min_size=1, max_size=5), _plain_or_unwound(3.0),
+       st.booleans())
+@example(1.5, -1.0, [1.0, 0.5], 2.0 + 0.5j, False)
+@example(2.2250738585e-313j, 0j, [0j], cmath.rect(3.0, -1.77), False)
+def test_fold_beta_sum_is_the_separate_loop_bit_for_bit(p0, q, head_coeffs, z, real):
+    if real:
+        p0, q = p0.real, q.real
+    assume(all(p0 + n != 0 for n in range(len(head_coeffs))) and as_complex(z) != 1)
+    carried = 0j                        # the top coefficient cancels the weight folded up to it
+    for n, c in enumerate(head_coeffs):
+        carried = (carried + c) * (q + p0 + n) / (p0 + n)
+    coeffs = [*head_coeffs, -carried]
+    assume(cmath.isfinite(carried))
+    try:
+        total, weight = two_loop_fold(coeffs, p0, q, z)
+    except DomainError:
+        with pytest.raises(DomainError):
+            fold_beta_sum(coeffs, p0, q, z)
+        return
+    if abs(weight) <= 1e-10 * max(1.0, max(abs(c) for c in coeffs)):
+        # a head that overflows (|p0| near 1e-308) makes both sides NaN
+        assert _bits(fold_beta_sum(coeffs, p0, q, z)) == _bits(total)
+    else:
+        with pytest.raises(DomainError, match="does not fold"):
+            fold_beta_sum(coeffs, p0, q, z)
