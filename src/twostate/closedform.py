@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError
-from .fields import N2Config, StateVector  # StateVector re-exported for callers
+from .fields import N2Config, StateVector, drive_lattice  # StateVector re-exported for callers
 from .heun import generalized_rabi
 from .specfun import UnwoundPoint, as_complex, fold_beta_sum, power
 
@@ -121,6 +121,7 @@ def phase_n2(cfg: N2Config, t):
     ``theta - 2 arg(1 - s rho exp(i theta))``.  The argument stays in the
     right half-plane, so its principal value is continuous in ``t``.
     """
+    drive_lattice("phase_n2", t, cfg.t0, cfg.period)
     theta = cfg.delta * (np.asarray(t, dtype=float) - cfg.t0)
     d1 = cfg.delta1
     s = math.copysign(1.0, d1)
@@ -156,8 +157,7 @@ def match_initial(cfg: N2Config, state0: StateVector, t_start: float) -> tuple[c
     """Weights (C+, C-) of the fundamental pair matching ``state0`` at ``t_start``."""
     if not abs(state0.norm - 1.0) <= 1e-6:     # NaN fails the checks written this way
         raise ParameterError(f"match_initial: state must be normalized, |state|^2 = {state0.norm}")
-    if not math.isfinite(t_start):
-        raise ParameterError(f"match_initial: t_start must be finite, got {t_start}")
+    drive_lattice("match_initial", t_start, cfg.t0, cfg.period)
     (a1p, a1m), (vp, vm) = np.array(_fundamental_pair(cfg, t_start)).tolist()
     det = a1p * vm - a1m * vp
     scale = abs(a1p * vm) + abs(a1m * vp)
@@ -172,6 +172,7 @@ def closed_form_states(cfg: N2Config, state0: StateVector, t_start: float, times
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Matched analytic trajectory ``(a1(t), a2(t))`` on an array of times."""
     c_plus, c_minus = match_initial(cfg, state0, t_start)
+    drive_lattice("closed_form_states", times, cfg.t0, cfg.period)
     a1, a2 = _fundamental_pair(cfg, times)
     return c_plus * a1[0] + c_minus * a1[1], c_plus * a2[0] + c_minus * a2[1]
 

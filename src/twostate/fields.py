@@ -328,6 +328,22 @@ def glancing_ratios(a: float) -> tuple[float, float]:
     return (s + 1.0) / (s - 1.0), (s - 1.0) / (s + 1.0)
 
 
+def drive_lattice(owner: str, t, center: float, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Periods ``k`` and offsets ``s`` in ``[-T/2, T/2]`` with ``t = center + k T + s``.
+
+    From ``2**53`` periods out the offset is lost to rounding, so a time that
+    far from the centre, or not finite, raises :class:`ParameterError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(t, dtype=float) - center
+        k = np.rint(x / period)
+    if not (abs(k) < 2.0**53).all():
+        raise ParameterError(f"{owner}: a time is not finite or lies 2**53 or more periods "
+                             f"from the drive's centre {center}, where its offset is not resolved")
+    # np.clip's Python wrapper costs more than the two ufuncs
+    return k.astype(int), np.minimum(np.maximum(x - k * period, -0.5 * period), 0.5 * period)
+
+
 def drive_field(cfg) -> DriveField:
     """The physical-time drive (constant Rabi frequency, detuning) for the oracle."""
     if isinstance(cfg, N2Config):
@@ -361,16 +377,15 @@ def _crossing_phase(cfg) -> float:
 
 
 def classify_crossings(cfg, window: tuple[float, float]) -> CrossingReport:
-    """Locate resonance crossings of the detuning inside ``window``.
+    """Locate resonance crossings of the detuning in the closed ``window``.
 
     The detuning is monotone in sin^2(theta/2), theta = delta (t - t0), between
-    the modulation extrema theta = k pi.  When it has opposite signs at theta =
-    0 and pi and glances at neither, it crosses resonance at theta = 2 pi k +-
-    theta*, in closed form (:func:`_crossing_phase`) and tiled over the window.
-    A tangential touch has no sign change; it is detected at the extrema, where
-    the detuning derivative vanishes identically (so it is not evaluated: its
-    rounding noise grows with ``k``), by ``|delta_t| < 1e-9`` there.  Accepts
-    either a :class:`FieldConfig` or an :class:`N2Config`.
+    the modulation extrema theta = k pi, so its values d_0 at 0 and d_pi at pi
+    decide.  Opposite signs, neither glancing, give crossings at theta = 2 pi k
+    +- theta* (:func:`_crossing_phase`); a tangential touch lies at 2 pi k where
+    |d_0| < 1e-9 and at 2 pi k + pi where |d_pi| < 1e-9.  Both are tiled over
+    the periods of the window (:func:`drive_lattice`), so the cost and the
+    output grow with their number.  Takes a :class:`FieldConfig` or :class:`N2Config`.
     """
     f = drive_field(cfg).delta_t
     t0, delta = cfg.t0, cfg.delta
@@ -378,21 +393,19 @@ def classify_crossings(cfg, window: tuple[float, float]) -> CrossingReport:
     t_lo, t_hi = window
     if not t_hi > t_lo:
         raise ParameterError("classify_crossings: window must satisfy t_hi > t_lo")
+    (k_lo, k_hi), _ = drive_lattice("classify_crossings", window, t0, cfg.period)
 
-    # modulation extrema inside the window: theta = k*pi
-    k_lo = math.ceil((t_lo - t0) * delta / math.pi)
-    k_hi = math.floor((t_hi - t0) * delta / math.pi)
-    extrema = (t0 + k * math.pi / delta for k in range(k_lo, k_hi + 1))
-    glance = [te for te in extrema if abs(f(te)) < GLANCING_TOL]
-
-    roots = []
     d_0, d_pi = f(t0), f(t0 + math.pi / delta)
-    if min(abs(d_0), abs(d_pi)) >= GLANCING_TOL and (d_0 < 0.0) != (d_pi < 0.0):
+    touch = [abs(d_0) < GLANCING_TOL, abs(d_pi) < GLANCING_TOL]
+    ts = np.empty(0)
+    if any(touch):
+        # extrema theta = k pi, even k where d_0 glances and odd k where d_pi does
+        k = np.arange(2 * k_lo - 2, 2 * k_hi + 3)
+        ts = t0 + k[np.take(touch, k % 2)] * math.pi / delta
+    elif (d_0 < 0.0) != (d_pi < 0.0):
         theta = _crossing_phase(cfg)
-        cycles = TWO_PI * np.arange(math.floor((t_lo - t0) * delta / TWO_PI),
-                                    math.ceil((t_hi - t0) * delta / TWO_PI) + 1)
+        cycles = TWO_PI * np.arange(k_lo - 1, k_hi + 2)
         ts = t0 + np.concatenate((cycles - theta, cycles + theta)) / delta
-        roots = ts[(ts >= t_lo) & (ts <= t_hi)].tolist()
-
-    kind = "crossing" if roots else "glancing" if glance else "non-crossing"
-    return CrossingReport(kind, tuple(sorted(roots + glance)))
+    ts = np.sort(ts[(ts >= t_lo) & (ts <= t_hi)])
+    kind = "non-crossing" if not ts.size else "glancing" if any(touch) else "crossing"
+    return CrossingReport(kind, tuple(ts.tolist()))

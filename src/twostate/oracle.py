@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, ParameterError
-from .fields import DriveField, StateVector
+from .fields import DriveField, StateVector, drive_lattice
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -398,20 +398,6 @@ def _reflect(sol, s) -> np.ndarray:
     return np.where(s < 0, np.vstack((inv_t, -y[4])), y)
 
 
-def _lattice(owner: str, field: DriveField, t) -> tuple[np.ndarray, np.ndarray]:
-    """Periods ``k`` and offsets ``s`` in ``[-T/2, T/2]`` with ``t = c + k T + s``.
-
-    From ``2**53`` periods out the offset is lost to rounding, so a time that
-    far from the centre raises :class:`ParameterError`.
-    """
-    T, x = field.period, np.asarray(t, dtype=float) - field.center
-    k = np.round(x / T)
-    if not np.all(np.abs(k) < 2.0**53):
-        raise ParameterError(f"{owner}: a time lies 2**53 or more periods from the drive's "
-                             f"centre {field.center}, where its offset is not resolved")
-    return k.astype(int), np.clip(x - k * T, -0.5 * T, 0.5 * T)
-
-
 def _monodromy_at_centre(sol) -> tuple[np.ndarray, float]:
     """``M(c) = Y_h^T Y_h`` with ``Y_h = Y(c + T/2)``, and the phase gained over one period."""
     y_h = sol.y[:4, -1].reshape(2, 2)
@@ -458,19 +444,18 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
             raise ParameterError("integrate: t_eval must be non-empty, finite and strictly "
                                  "monotone within t_span")
     # both ends resolve, so every time between them does
-    k0, s0 = _lattice("integrate", field, t_start)
-    _lattice("integrate", field, t_end)
+    (k0, k1), (s0, _) = drive_lattice("integrate", (t_start, t_end), c, T)
     sol = _half_period_solve("integrate", field, rtol, atol, dense=True)
     if t_eval is None:
         steps = sol.t - c                                        # [0, T/2]
         cell = np.concatenate((-steps[:0:-1], steps[:-1]))       # [-T/2, T/2)
         lo, hi = min(t_start, t_end), max(t_start, t_end)
-        ks = np.arange(math.floor((lo - c) / T) - 1, math.ceil((hi - c) / T) + 2)
+        ks = np.arange(min(k0, k1) - 1, max(k0, k1) + 2)
         grid = (c + ks[:, None] * T + cell).ravel()
         inner = grid[(grid > lo) & (grid < hi)][::int(sign)]
         times = np.concatenate(([t_start], inner, [t_end]))
     m, phase_period = _monodromy_at_centre(sol)
-    k, s = _lattice("integrate", field, times)
+    k, s = drive_lattice("integrate", times, c, T)
     y = _reflect(sol, s)
     y0 = _reflect(sol, np.array([s0]))[:, 0]
     # M^j v0 for the whole periods j = k - k0 from t_start, v0 = Y(t_start)^-1 c0
@@ -505,10 +490,8 @@ def monodromy(field: DriveField, t_ref: float = 0.0,
     Eigenvalue arguments divided by the period give the exponents, folded into
     ``[-Delta/2, Delta/2)`` with ``Delta = 2 pi / T``.
     """
-    if not math.isfinite(t_ref):
-        raise ParameterError(f"monodromy: t_ref must be finite, got {t_ref}")
     T = field.period
-    _, s = _lattice("monodromy", field, t_ref)
+    _, s = drive_lattice("monodromy", t_ref, field.center, T)
     off_lattice = bool(s != 0.0)
     sol = _half_period_solve("monodromy", field, rtol, atol, dense=off_lattice)
     m, _ = _monodromy_at_centre(sol)

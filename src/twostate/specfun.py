@@ -81,8 +81,8 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     (the partial sums).  The series stops at the first term that is exactly
     zero, or at the second of two consecutive terms below ``EPS_SERIES`` times
     the partial sum.  The first block holds :func:`_first_block_length` terms;
-    a series longer than its block is summed again from term 0 with a block
-    twice as long, which yields the same terms and partial sums.  When ``p1``
+    a longer series continues from its last term and partial sum in a block
+    reaching twice as far: the same sequential operations.  When ``p1``
     or ``p2`` is a non-positive integer ``-m``, term ``m + 1`` is the first
     zero and a block ends there, so no term past it is computed (their ratios
     could overflow).
@@ -97,19 +97,22 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     if not (p1.imag or p2.imag or p3.imag):
         p1, p2, p3 = p1.real, p2.real, p3.real
     length = _first_block_length(az)
+    start, term, total = 0, 1.0 + 0j, 1.0 + 0j
     while True:
         stop = min(length, last)
-        n = _N[:stop]
+        n = _N[start:stop]
         r = p1 + n
         r *= p2 + n
         den = p3 + n
-        den *= _N_PLUS_1[:stop]
+        den *= _N_PLUS_1[start:stop]
         r /= den
-        t = np.empty(stop + 1, dtype=complex)
-        t[0] = 1.0
+        t = np.empty(stop - start + 1, dtype=complex)
+        t[0] = term
         np.multiply(r, z, out=t[1:])
-        _running_product(t, out=t)      # t[k]: term number k
-        s = _running_sum(t)             # s[k]: partial sum through that term
+        _running_product(t, out=t)      # t[k]: term number start + k
+        t[0] = total                    # the running sum starts from the partial sum
+        s = _running_sum(t)             # s[k]: partial sum through term number start + k
+        t[0] = term
         tol = abs(s)
         tol *= EPS_SERIES
         tiny = abs(t) < tol
@@ -122,9 +125,10 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
         if t[-1] == 0:                  # a zero term ends the series: every later term is zero
             j = min(j, (t == 0).argmax())
         if j < len(t):
-            return complex(s[j]), int(j)
+            return complex(s[j]), start + int(j)
         if stop == last:
             raise ConvergenceError(f"hyp2f1: no convergence after {stop} terms at z={z}")
+        start, term, total = stop, t[-1], s[-1]
         length *= 2
 
 
@@ -136,8 +140,8 @@ def hyp2f1(p1: complex, p2: complex, p3: complex, z: complex) -> complex:
     when ``p1`` or ``p2`` is a non-positive integer.  The recurrence runs in
     numpy blocks of terms (a vector of ratios, its running product and its
     running sum), sized from ``|z|`` so that one block usually holds the whole
-    series; a longer series is summed again from its first term in a block
-    twice as long.  The stopping rule is the term-by-term one: the first zero term,
+    series; a longer series continues from its last term and partial sum in
+    further blocks.  The stopping rule is the term-by-term one: the first zero term,
     or two consecutive terms below ``EPS_SERIES`` times the partial sum.
 
     Verified domain: within ``EPS_CHECK * (1 + |F|)`` of a 30-digit reference

@@ -8,6 +8,7 @@ integrator, and an FFT of the sampled periodic bracket.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,21 @@ def test_match_rejects_non_finite_start():
             match_initial(cfg, state0, t_start)
         with pytest.raises(ParameterError):
             closed_form_states(cfg, state0, t_start, np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("t", [1e308, 2.0**60, math.nan])
+def test_times_off_the_drive_lattice_raise_without_warning(t):
+    # 1e308 overflowed the phase into NaN with a warning; 2**60 returned an
+    # amplitude whose phase in the period is lost to rounding
+    cfg, state0 = N2Config(u0=1.0, delta1=-2.5), StateVector(a1=1.0, a2=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: closed_form_states(cfg, state0, 0.0, np.array([0.0, t])),
+                     lambda: phase_n2(cfg, t),
+                     lambda: phase_n2(cfg, np.array([0.0, t])),
+                     lambda: match_initial(cfg, state0, t)):
+            with pytest.raises(ParameterError, match="periods from the drive's centre"):
+                call()
 
 
 def test_matched_solution_tracks_oracle():

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from twostate.errors import DomainError, ParameterError
-from twostate.fields import (GLANCING_TOL, U0_FLOOR, FieldConfig, N2Config, a_from_delta1,
-                             classify_crossings, detuning_general, detuning_n2, detuning_n3,
-                             drive_field, glancing_ratios, n3_general_config, n3_singular_point)
+from twostate.fields import (GLANCING_TOL, U0_FLOOR, CrossingReport, FieldConfig, N2Config,
+                             a_from_delta1, classify_crossings, detuning_general, detuning_n2,
+                             detuning_n3, drive_field, glancing_ratios, n3_general_config,
+                             n3_singular_point)
 
 # glancing member of the a=16 family: delta1/delta2 = 25/15 = (sqrt(16)+1)/(sqrt(16)-1)
 GLANCING_16 = dict(u0=1.0, a=16.0, delta1=-25.0 / 16.0, delta2=-15.0 / 16.0)
@@ -255,6 +256,26 @@ def test_classify_glancing():
 def test_classify_window_validation():
     with pytest.raises(ParameterError):
         classify_crossings(N2Config(u0=1.0, delta1=2.0), (1.0, 1.0))
+    # an infinite window once raised a bare OverflowError, and one 2**60 long
+    # walked its 3.7e17 extrema one by one
+    for window in ((0.0, math.inf), (0.0, 2.0**60)):
+        with pytest.raises(ParameterError, match="periods from the drive's centre"):
+            classify_crossings(N2Config(u0=1.0, delta1=-2.5), window)
+
+
+def test_classify_reports_the_closed_window():
+    # the window's ends are the touches at theta = 12 pi and 14 pi; the second
+    # rounds one ulp above the end, so only the first lies in the window (the
+    # census once reported both)
+    cfg = FieldConfig(u0=1.0, a=16.0, delta1=-1.5625, delta2=-0.9375, delta=0.7)
+    t_lo, t_hi = 53.85587406153931, 62.83185307179586
+    rep = classify_crossings(cfg, (t_lo, t_hi))
+    assert rep == CrossingReport("glancing", (t_lo,))
+    # a touch on either end is reported, the census's float of it being the end
+    for k in range(-40, 41):
+        end = cfg.t0 + 2 * k * math.pi / cfg.delta
+        for window in ((end, end + 1.0), (end - 1.0, end)):
+            assert end in classify_crossings(cfg, window).times, (k, window)
 
 
 def _census_reference(detuning, t0, delta, window, edge_tol):

@@ -269,8 +269,12 @@ def test_times_too_many_periods_from_the_centre_raise_before_solving():
     # the period count overflowed its integer cast)
     never = _field_never_called()
     far = DriveField(u=never.u, delta_t=never.delta_t, period=1.0, center=1e20)
+    # t - c overflows to inf, which once warned before any check refused it
+    edge = DriveField(u=never.u, delta_t=never.delta_t, period=1.0, center=-1e308)
     for call in (lambda: monodromy(far),
                  lambda: integrate(far, GROUND, (0.0, 1.0)),
+                 lambda: monodromy(edge, t_ref=1e308),
+                 lambda: integrate(edge, GROUND, (1e308, 0.0)),
                  lambda: monodromy(never, t_ref=2.0**60),
                  lambda: integrate(never, GROUND, (0.0, 2.0**60)),
                  lambda: integrate(never, GROUND, (2.0**60, 2.0**60 + 2.0**20))):

@@ -530,3 +530,51 @@ def test_fold_beta_sum_is_the_separate_loop_bit_for_bit(p0, q, head_coeffs, z, r
     else:
         with pytest.raises(DomainError, match="does not fold"):
             fold_beta_sum(coeffs, p0, q, z)
+
+
+# ---------------------------------------------------------------- continued series blocks
+# A series longer than its first block continues from its last term and
+# partial sum.  This holds it to the block series as it was before: each
+# longer block summed again from term 0, the same sequential operations.
+
+def restart_hyp2f1_series(p1, p2, p3, z):
+    """The block series as it was before blocks continued: each longer block sums again from term 0."""
+    last = MAX_TERMS
+    for p in (p1, p2):
+        if p.real <= 0 and not p.imag and p.real.is_integer():
+            last = min(last, 1 - int(p.real))
+    if not (p1.imag or p2.imag or p3.imag):
+        p1, p2, p3 = p1.real, p2.real, p3.real
+    length = _first_block_length(abs(z))
+    while True:
+        stop = min(length, last)
+        n = np.arange(float(stop))
+        t = np.empty(stop + 1, dtype=complex)
+        t[0] = 1.0
+        np.multiply((p1 + n) * (p2 + n) / ((p3 + n) * (n + 1.0)), z, out=t[1:])
+        np.multiply.accumulate(t, out=t)
+        s = np.add.accumulate(t)
+        tiny = abs(t) < abs(s) * EPS_SERIES
+        pair = tiny[1:] & tiny[:-1]
+        j = pair.argmax() + 1 if pair.any() else len(t)
+        if t[-1] == 0:
+            j = min(j, (t == 0).argmax())
+        if j < len(t):
+            return complex(s[j]), int(j)
+        if stop == last:
+            raise ConvergenceError("restart_hyp2f1_series: no convergence")
+        length *= 2
+
+
+@given(BETA_P, ONE_MINUS_Q, st.builds(cmath.rect, st.floats(0.5, 0.99), st.floats(-math.pi, math.pi)))
+@example(3.3, 5.0, 0.99j)               # 6,211 terms, past a first block of 4,586
+def test_hyp2f1_continued_blocks_equal_the_restart(p, p2, z):
+    p, p2, z = complex(p), complex(p2), complex(z)
+    assume(_off_poles(p + 1.0))
+    try:
+        ref = restart_hyp2f1_series(p, p2, p + 1.0, z)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            _hyp2f1_series(p, p2, p + 1.0, z)
+        return
+    assert _hyp2f1_series(p, p2, p + 1.0, z) == ref, (p, p2, z)
