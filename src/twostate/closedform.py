@@ -74,8 +74,26 @@ def circle_point(cfg: N2Config, t: float) -> UnwoundPoint:
 
 
 def _bracket_weights(rs: float, delta1: float) -> tuple[float, float]:
-    """Weights ``(dc, w)`` of the amplitude's bracket ``dc + w / (1 - z)``; ``rs = +-R``."""
+    """Weights ``(c, w)`` of the amplitude's bracket ``c + w z^j / (1 - z)``; ``rs = +-R``.
+
+    ``w = 2 (rs + delta1)``.  Outside the unit circle (``delta1 > 1``) ``j = 0``
+    and ``c = dc = (rs - 1)(delta1 - 1)``; inside it (``delta1 < -1``) ``j = 1``
+    and ``c = (rs + 1)(delta1 + 1) = dc + w``, so both forms are the one
+    bracket ``dc + w / (1 - z)``.  Either way ``c`` is the constant of the
+    bracket's one-sided Fourier ladder.  Summed as ``dc + w``, the inner one
+    would cancel as ``delta1 -> -1``, where the whole bracket shrinks like
+    ``sqrt(a)``: at ``delta1 = -1 - 2^-52`` a matched trajectory's norm drifted
+    by 4.5e-8.
+    """
+    if delta1 < -1.0:
+        return (rs + 1.0) * (delta1 + 1.0), 2.0 * (rs + delta1)
     return (rs - 1.0) * (delta1 - 1.0), 2.0 * (rs + delta1)
+
+
+def _bracket(rs: float, delta1: float, z):
+    """The bracket of :func:`_bracket_weights` at ``z`` and its derivative ``w / (1 - z)^2``."""
+    c, w = _bracket_weights(rs, delta1)
+    return c + (w * z if delta1 < -1.0 else w) / (1.0 - z), w / (1.0 - z) ** 2
 
 
 def hg_quasipoly(delta1: float, u0: float, z) -> complex:
@@ -86,8 +104,8 @@ def hg_quasipoly(delta1: float, u0: float, z) -> complex:
     if delta1 == -1.0:
         raise ParameterError("hg_quasipoly: singular at delta1 = -1")
     big_r = generalized_rabi(u0, delta1)
-    dc, w = _bracket_weights(big_r, delta1)
-    return power(z, big_r) * (dc + w / (1.0 - zc)) / (big_r * (big_r + 1.0) * (delta1 + 1.0))
+    bracket, _ = _bracket(big_r, delta1, zc)
+    return power(z, big_r) * bracket / (big_r * (big_r + 1.0) * (delta1 + 1.0))
 
 
 def three_beta_coeffs(delta1: float, u0: float) -> tuple[float, float, float]:
@@ -146,9 +164,7 @@ def _fundamental_pair(cfg: N2Config, times) -> tuple[np.ndarray, np.ndarray]:
     lam = 0.5 * (cfg.delta1 + rs)
     zp = np.exp(1j * lam * theta)                        # z^lambda / sqrt(a)^lambda
     z = math.sqrt(cfg.a) * np.exp(1j * theta)
-    dc, w = _bracket_weights(rs, cfg.delta1)
-    bracket = dc + w / (1.0 - z)
-    dbracket = w / (1.0 - z) ** 2                        # d/dz
+    bracket, dbracket = _bracket(rs, cfg.delta1, z)
     da2 = 1j * cfg.delta * zp * (lam * bracket + z * dbracket)
     return recover_a1(cfg, da2, phase_n2(cfg, times)), zp * bracket
 
@@ -195,10 +211,10 @@ def harmonic_content(cfg: N2Config, n_harmonics: int) -> HarmonicLadder:
     if n_harmonics < 1:
         raise ParameterError(f"harmonic_content: n_harmonics must be >= 1, got {n_harmonics}")
     base = math.sqrt(cfg.a) * math.cos(_angle_offset(cfg))  # -sqrt(a) on the shifted branch
-    dc, w = _bracket_weights(generalized_rabi(cfg.u0, cfg.delta1), cfg.delta1)
+    c, w = _bracket_weights(generalized_rabi(cfg.u0, cfg.delta1), cfg.delta1)
     k = np.arange(1, n_harmonics + 1)   # integer exponents: base may be negative
     if abs(base) > 1.0:
-        coeffs = np.concatenate(([dc + 0j], -w * base**(-k)))
+        coeffs = np.concatenate(([c + 0j], -w * base**(-k)))
         return HarmonicLadder(direction=-1, coeffs=coeffs)
-    coeffs = np.concatenate(([dc + w + 0j], w * base**k))
+    coeffs = np.concatenate(([c + 0j], w * base**k))
     return HarmonicLadder(direction=+1, coeffs=coeffs)

@@ -168,10 +168,13 @@ class DriveField:
     """View of a constant-amplitude drive, the only interface the numerical oracle uses.
 
     ``u`` is the constant Rabi frequency, a finite number; ``delta_t`` is the
-    detuning, a callable of one time.  Contract: ``delta_t`` is
-    ``period``-periodic and even about ``center``: ``delta_t(center - s) =
-    delta_t(center + s)``.  The oracle relies on both to compose every time of
-    a window from one solve over half a period, ``[center, center + period/2]``.
+    detuning, a callable of one time that returns a real number.  Contract:
+    ``delta_t`` is ``period``-periodic and even about ``center``:
+    ``delta_t(center - s) = delta_t(center + s)``.  The oracle relies on both
+    to compose every time of a window from one solve over half a period,
+    ``[center, center + period/2]``, and on the real ``u`` and detuning to
+    rebuild the unitary fundamental matrix from one of its columns; it checks
+    that the detuning at ``center`` is a real number.
     The n2 and general drives (centred on their ``t0``), the printed n3 field
     and a constant drive (centred on 0) all satisfy it.
     """

@@ -19,25 +19,34 @@ phase then satisfy
 the first line by reflection (``Y(c - s)`` and ``Y(c + s)^{-T}`` solve the
 same equation in ``s`` from ``I``), the second by Floquet's theorem.  With
 ``Y_h = Y(c + T/2)`` the monodromy matrix is ``M = Y(c - T/2)^{-1} Y_h =
-Y_h^T Y_h``, exactly complex symmetric, and ``Phi = 2 delta(c + T/2)``.  So
-one adaptive solve of ``[Y, delta]`` over half a period, ``[c, c + T/2]``,
-gives every sample of any window through 2x2 products, and its end point
-gives the monodromy matrix, which is unitary and whose eigenvalue arguments
-are the quasi-energies of the amplitude equation modulo the drive frequency.
-The composition adds no truncation error of its own: the one-period error
-``eps_M`` is carried coherently, so a sample ``k`` periods out is off by about
-``k eps_M``.  Nothing here shares code with the analytic modules: agreement
-between the two is the package's core correctness check.
+Y_h^T Y_h``, exactly complex symmetric, and ``Phi = 2 delta(c + T/2)``.
+``U`` and ``delta_t`` are real, so ``A`` is also anti-Hermitian: ``Y`` is
+unitary with ``det Y = exp(i delta)``, and its first column is
+``exp(i delta) (conj(eps), -conj(gamma))`` of its second, ``(gamma, eps)``.
+So one adaptive solve of ``[gamma, eps, delta]`` from ``(0, 1, 0)`` over half
+a period, ``[c, c + T/2]``, gives every sample of any window through 2x2
+products, and its end point gives the monodromy matrix, which is unitary and
+whose eigenvalue arguments are the quasi-energies of the amplitude equation
+modulo the drive frequency.  The second column is the one integrated because
+at zero coupling it stays exactly ``(0, 1)``.  It is an ODE solution, not
+projected onto the unit sphere, so its norm drift stays the solve's own
+diagnostic.  The composition adds no truncation error of its own: the
+one-period error ``eps_M`` is carried coherently, so a sample ``k`` periods
+out is off by about ``k eps_M``.  Nothing here shares code with the analytic
+modules: agreement between the two is the package's core correctness check.
 
 The half-period solve is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, Sec. II.10) in the oracle's own step loop: a
-step-for-step port of ``scipy.integrate.DOP853`` specialised to the five
-components ``[Y, delta]``, with scipy's tableau, error norm and step
-controller, so the same steps and right-hand-side calls, run on Python
-complex scalars instead of scipy's per-step array machinery.  The tableau is
-written out in this module, and each attempted step, its error norm
-included, runs as one straight-line function generated from it at the first
-solve; the only call it makes per stage is the detuning's.  The period
+step-for-step port of ``scipy.integrate.DOP853`` on ``[gamma, eps, gamma,
+eps, delta]``, with scipy's tableau, error norm and step controller, so the
+same steps and right-hand-side calls, run on the three distinct components as
+Python complex scalars instead of scipy's per-step array machinery.  That
+error norm counts each amplitude twice, which makes it, to first order, the
+RMS over the rebuilt ``[Y, delta]``, so ``rtol`` and ``atol`` mean what they
+would for a solve of the whole matrix.  The tableau is written out in this
+module, and each attempted step, its error norm included, runs as one
+straight-line function generated from it at the first solve; the only call
+it makes per stage is the detuning's.  The period
 average of the detuning, :func:`mean_detuning`, is ``Phi / T`` from the same
 solve.  So the module needs numpy only, and no module of the package imports
 scipy, whose import takes longer than a whole run of most CLI commands.
@@ -59,8 +68,8 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 _MIN_RTOL = 1e-13
 _MAX_RTOL = 1.0
-# work bound of one half-period solve: a dense solve at rtol 1e-11 makes about
-# 180 |delta1| right-hand-side calls, so this admits |delta1| up to ~1,100
+# work bound of one half-period solve: a dense solve at rtol 1e-11 makes 150 to
+# 180 |delta1| right-hand-side calls, so this admits |delta1| up to ~1,300
 _MAX_RHS_CALLS = 200_000
 
 
@@ -95,7 +104,9 @@ class MonodromyResult:
     matrix: np.ndarray                     # 2x2 complex
     eigenvalues: tuple[complex, complex]
     exponents: tuple[float, float]         # in [-Delta/2, Delta/2)
-    unitarity_error: float                 # max entry of |M^H M - I|
+    # max entry of |M^H M - I|; the columns of Y are orthogonal by construction,
+    # so this measures the integrated column's norm, about 2 ||gamma|^2 + |eps|^2 - 1|
+    unitarity_error: float
     nfev: int                              # right-hand-side evaluations
 
     @property
@@ -178,16 +189,18 @@ _D = np.array((
 _D.flags.writeable = False                 # shared by every dense solve
 
 
-# A(t) @ Y with A = [[i delta_t, -i U], [-i U, 0]], then delta' = delta_t: the
-# right-hand side at time {t} of the state {y}0..{y}3 (the phase is never read)
-# into {k}0..{k}4, as the lines of a generated function; iu = i U and niu = -i U
+# A(t) @ (gamma, eps) with A = [[i delta_t, -i U], [-i U, 0]], then
+# delta' = delta_t: the right-hand side at time {t} of the state {y}0, {y}1
+# (the phase is never read) into {k}0..{k}2, as the lines of a generated
+# function; iu = i U and niu = -i U
 _RHS = """\
-    {k}4 = delta_t({t})
-    idt = 1j * {k}4
-    {k}0 = idt * {y}0 - iu * {y}2
-    {k}1 = idt * {y}1 - iu * {y}3
-    {k}2 = niu * {y}0
-    {k}3 = niu * {y}1"""
+    {k}2 = delta_t({t})
+    {k}0 = 1j * {k}2 * {y}0 - iu * {y}1
+    {k}1 = niu * {y}0"""
+# the weight of each integrated component [gamma, eps, delta] in the error
+# norms: each amplitude stands for two entries of the rebuilt [Y, delta], so
+# the norm is, to first order, the RMS over those five, as scipy takes it
+_WEIGHTS = (2.0, 2.0, 1.0)
 
 
 @functools.cache
@@ -196,13 +209,14 @@ def _dop853_step():
 
     ``iu`` and ``niu`` are ``1j * U`` and ``-iu`` for the constant Rabi
     frequency ``U``.  ``rhs(iu, niu, delta_t, t, y)`` is the right-hand side
-    at ``t`` of the four ``Y`` components ``y``.  ``attempt(iu, niu, delta_t,
-    t, h, t_new, y, f, rtol, atol)`` is one attempted step from ``(t, y)``
-    with ``f`` the derivative there: it returns ``y_new``, ``f_new`` (the
-    derivative at ``t_new``), ``err5`` and ``err3``, the sums over the five
-    components of ``|e / scale|^2`` for the E5 and E3 sums ``e`` with
-    ``scale = atol + max(|y|, |y_new|) rtol``, and the 13 stages, ``f`` first
-    and ``f_new`` last.  ``extra(iu, niu, delta_t, t, h, y, ks)`` returns the
+    at ``t`` of the column ``y = (gamma, eps)``.  ``attempt(iu, niu, delta_t,
+    t, h, t_new, y, f, rtol, atol)`` is one attempted step from ``(t, y)``,
+    ``y = (gamma, eps, delta)``, with ``f`` the derivative there: it returns
+    ``y_new``, ``f_new`` (the derivative at ``t_new``), ``err5`` and ``err3``,
+    the sums over the three components of ``w |e / scale|^2`` for the E5 and
+    E3 sums ``e`` with ``scale = atol + max(|y|, |y_new|) rtol`` and ``w``
+    the component's ``_WEIGHTS`` entry, and the 13 stages, ``f`` first and
+    ``f_new`` last.  ``extra(iu, niu, delta_t, t, h, y, ks)`` returns the
     three dense-output stages of an accepted step.  Each sum ``sum_j w_j k_j``
     is written out as ``k_0*w_0 + k_1*w_1 + ...``, and each error sum over
     the components in their order, from left to right; ``delta_t`` is called
@@ -216,17 +230,18 @@ def _dop853_step():
 
     def stage(s, node, terms):
         # Y + h sum_j a_sj k_j, then the right-hand side at t + c_s h
-        return ([f"    x{c} = y{c} + ({total(terms, c)}) * h" for c in range(4)]
+        return ([f"    x{c} = y{c} + ({total(terms, c)}) * h" for c in range(2)]
                 + [f"    ts = t + {node!r} * h", _RHS.format(t="ts", y="x", k=f"k{s}_")])
 
     def components(name):
-        return "(" + ", ".join(f"{name}{c}" for c in range(5)) + ")"
+        return "(" + ", ".join(f"{name}{c}" for c in range(3)) + ")"
 
     def error(terms):
-        return " + ".join(f"abs(({total(terms, c)}) / s{c}) ** 2" for c in range(5))
+        return " + ".join(f"abs(({total(terms, c)}) / s{c}) ** 2 * {w!r}"
+                          for c, w in enumerate(_WEIGHTS))
 
     source = ["def rhs(iu, niu, delta_t, t, y):",
-              "    y0, y1, y2, y3 = y",
+              "    y0, y1 = y",
               _RHS.format(t="t", y="y", k="k"),
               f"    return {components('k')}",
               "",
@@ -235,10 +250,10 @@ def _dop853_step():
               f"    {components('k0_')} = f"]
     for s, (node, terms) in enumerate(zip(_NODES, _A), start=1):
         source += stage(s, node, terms)
-    source += [f"    n{c} = y{c} + ({total(_B, c)}) * h" for c in range(5)]
+    source += [f"    n{c} = y{c} + ({total(_B, c)}) * h" for c in range(3)]
     source += [_RHS.format(t="t_new", y="n", k="k12_"),
                f"    f_new = {components('k12_')}"]
-    source += [f"    s{c} = atol + max(abs(y{c}), abs(n{c})) * rtol" for c in range(5)]
+    source += [f"    s{c} = atol + max(abs(y{c}), abs(n{c})) * rtol" for c in range(3)]
     source += [f"    err5 = {error(_E5)}",
                f"    err3 = {error(_E3)}",
                f"    return ({components('n')}, f_new, err5, err3, (f, "
@@ -256,7 +271,8 @@ def _dop853_step():
 
 
 def _rms(x, scale) -> float:
-    return math.sqrt(sum(abs(xi / si) ** 2 for xi, si in zip(x, scale)) / len(x))
+    """scipy's RMS norm of ``x / scale`` over ``[gamma, eps, gamma, eps, delta]``, from three."""
+    return math.sqrt(sum(abs(xi / si) ** 2 * w for xi, si, w in zip(x, scale, _WEIGHTS)) / 5)
 
 
 @dataclass(frozen=True)
@@ -264,12 +280,12 @@ class _HalfPeriod:
     """The accepted steps of one half-period solve and, if dense, their interpolants."""
 
     t: np.ndarray                          # step times, c .. c + T/2
-    y: np.ndarray                          # (5, steps + 1): [Y (row-major), delta] at each
+    y: np.ndarray                          # (3, steps + 1): [gamma, eps, delta] at each
     nfev: int                              # right-hand-side evaluations
-    rows: np.ndarray | None                # (steps, 7, 5) DOP853 interpolant rows, if dense
+    rows: np.ndarray | None                # (steps, 7, 3) DOP853 interpolant rows, if dense
 
     def __call__(self, t) -> np.ndarray:
-        """Dense ``[Y, delta]`` at the times ``t``, one column each.
+        """Dense ``[gamma, eps, delta]`` at the times ``t``, one column each.
 
         The step is chosen as scipy's ``OdeSolution`` chooses it: a time on a
         step boundary belongs to the step that ends there.
@@ -279,7 +295,7 @@ class _HalfPeriod:
         t_old = self.t[seg]
         x = ((t - t_old) / (self.t[seg + 1] - t_old))[:, None]
         rows = self.rows[seg]
-        y = np.zeros((len(t), 5), dtype=complex)
+        y = np.zeros((len(t), 3), dtype=complex)
         for i in range(6, -1, -1):
             y += rows[:, i]
             y *= x if i % 2 == 0 else 1.0 - x
@@ -288,24 +304,30 @@ class _HalfPeriod:
 
 def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
                        dense: bool) -> _HalfPeriod:
-    """One DOP853 solve of ``[Y (row-major), delta]`` from ``[I, 0]`` over ``[c, c + T/2]``.
+    """One DOP853 solve of ``[gamma, eps, delta]`` from ``[0, 1, 0]`` over ``[c, c + T/2]``.
 
-    ``c`` is the drive's symmetry centre.  A step-for-step port of scipy's
-    ``DOP853`` over the same span (module docstring), as
+    ``c`` is the drive's symmetry centre and ``(gamma, eps)`` the second
+    column of ``Y``; :func:`_fundamental` rebuilds ``[Y, delta]`` from it.  A
+    step-for-step port of scipy's ``DOP853`` over the same span on the five
+    components ``[gamma, eps, gamma, eps, delta]`` (module docstring), as
     :func:`twostate.heun._brent` is of ``brentq``: scipy's initial-step
-    selection for an error estimator of order 7, its RMS error norm over all
-    five components, its controller (safety 0.9, step factor in [0.2, 10],
-    exponent -1/8, no growth right after a rejection) and its failure below
-    ten spacings of floating-point numbers at the current time.  ``nfev``
+    selection for an error estimator of order 7, its RMS error norm over the
+    five components, taken as the ``_WEIGHTS`` sum over three, its
+    controller (safety 0.9, step factor in [0.2, 10], exponent -1/8, no growth
+    right after a rejection) and its failure below ten spacings of
+    floating-point numbers at the current time.  ``nfev``
     counts as scipy counts: two calls to start, 12 per attempted step and,
     with ``dense``, 3 per accepted step for the interpolant, whose rows are
     built for all steps at once after the loop.  A solve that needs more than
     ``_MAX_RHS_CALLS`` calls raises :class:`IntegrationError`; ``rtol``
     outside ``[_MIN_RTOL, _MAX_RTOL)``, i.e. ``[1e-13, 1)``, or ``atol`` not
-    in ``(0, inf)`` raises :class:`ParameterError` before any call.  The Rabi
-    frequency enters as ``1j * U`` and its negative, formed once here, and
-    ``delta_t`` is called once per right-hand-side evaluation, with a float.
+    in ``(0, inf)`` raises :class:`ParameterError` before any call, and a
+    detuning at ``c`` that is not a real number raises it after the first.
+    The Rabi frequency enters as ``1j * U`` and its negative, formed once
+    here, and ``delta_t`` is called once per right-hand-side evaluation, with
+    a float.
     """
+    import numbers                         # local: importing the module does no more work
     # a non-finite tolerance would make the solver step forever; from rtol 1 on
     # the error scale admits steps that overflow the fundamental matrix (rtol
     # 1e300 made a NaN monodromy with overflow warnings)
@@ -322,15 +344,20 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     t_end = c + 0.5 * field.period
     if not t_end > c:                      # half a period rounds away at the centre
         raise IntegrationError(too_small)
-    y = (1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0)
-    f = rhs(iu, niu, delta_t, t, y[:4])
+    y = (0j, 1.0 + 0j, 0.0)
+    f = rhs(iu, niu, delta_t, t, y[:2])
+    # the rebuild of Y from one column holds for an anti-Hermitian generator,
+    # that is for a real detuning (u is checked real by DriveField)
+    if not isinstance(f[2], numbers.Real):
+        raise ParameterError(f"{owner}: the detuning must be a real number, got "
+                             f"delta_t({t!r}) = {f[2]!r}")
 
     # the initial step, as scipy's select_initial_step
     length = t_end - t
     scale0 = [atol + abs(yi) * rtol for yi in y]
     d0, d1 = _rms(y, scale0), _rms(f, scale0)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
-    f1 = rhs(iu, niu, delta_t, t + h0, [yi + h0 * fi for yi, fi in zip(y[:4], f)])
+    f1 = rhs(iu, niu, delta_t, t + h0, [yi + h0 * fi for yi, fi in zip(y[:2], f)])
     d2 = _rms([p - q for p, q in zip(f1, f)], scale0) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -374,11 +401,11 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     t_arr, y_arr = np.array(ts), np.array(ys, dtype=complex)
     rows = None
     if dense:
-        k = np.array(stages, dtype=complex)                    # (steps, 16, 5)
+        k = np.array(stages, dtype=complex)                    # (steps, 16, 3)
         h = np.diff(t_arr)[:, None]
         dy = y_arr[1:] - y_arr[:-1]
         # scipy's Dop853DenseOutput rows; stage 12 is the derivative at the step's end
-        rows = np.empty((len(k), 7, 5), dtype=complex)
+        rows = np.empty((len(k), 7, 3), dtype=complex)
         rows[:, 0] = dy
         rows[:, 1] = h * k[:, 0] - dy
         rows[:, 2] = 2 * dy - h * (k[:, 12] + k[:, 0])
@@ -386,13 +413,24 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     return _HalfPeriod(t=t_arr, y=y_arr.T, nfev=nfev, rows=rows)
 
 
+def _fundamental(y) -> np.ndarray:
+    """``[Y (row-major), delta]`` rebuilt from ``[gamma, eps, delta]``, column for column.
+
+    ``Y`` is unitary with ``det Y = exp(i delta)``, so its first column is
+    ``exp(i delta) (conj(eps), -conj(gamma))`` of its second, ``(gamma, eps)``.
+    """
+    gamma, eps, delta = y
+    det = np.exp(1j * delta.real)
+    return np.array([det * eps.conj(), gamma, -det * gamma.conj(), eps, delta])
+
+
 def _reflect(sol, s) -> np.ndarray:
     """``[Y (row-major), delta]`` at ``c + s`` for ``|s| <= T/2``, one column per offset.
 
-    Read from the dense half-period solution at ``c + |s|``; for ``s < 0``
+    Rebuilt from the dense half-period solution at ``c + |s|``; for ``s < 0``
     ``Y(c - |s|) = Y(c + |s|)^{-T}`` and ``delta(c - |s|) = -delta(c + |s|)``.
     """
-    y = sol(sol.t[0] + np.abs(s))
+    y = _fundamental(sol(sol.t[0] + np.abs(s)))
     det = y[0] * y[3] - y[1] * y[2]
     inv_t = np.array([y[3], -y[2], -y[1], y[0]]) / det
     return np.where(s < 0, np.vstack((inv_t, -y[4])), y)
@@ -400,8 +438,9 @@ def _reflect(sol, s) -> np.ndarray:
 
 def _monodromy_at_centre(sol) -> tuple[np.ndarray, float]:
     """``M(c) = Y_h^T Y_h`` with ``Y_h = Y(c + T/2)``, and the phase gained over one period."""
-    y_h = sol.y[:4, -1].reshape(2, 2)
-    return y_h.T @ y_h, 2.0 * sol.y[4, -1].real
+    y = _fundamental(sol.y[:, -1])
+    y_h = y[:4].reshape(2, 2)
+    return y_h.T @ y_h, 2.0 * y[4].real
 
 
 def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float],
@@ -409,11 +448,11 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
               ) -> Trajectory:
     """Amplitude-equation samples composed from one half-period solve (DOP853 8(5,3)).
 
-    ``Y`` and ``delta`` are integrated with dense output over ``[c, c + T/2]``
-    only, ``c`` being the drive's symmetry centre.  A time ``t = c + k T + s``
-    with ``|s| <= T/2`` has ``Y(t) = Y(c + s) M^k`` and
-    ``delta(t) = delta(c + s) + k Phi``, ``Y(c + s)`` for ``s < 0`` coming from
-    reflection (module docstring).  The transfer matrix of any window, forward
+    ``Y`` (its second column, the first rebuilt from it) and ``delta`` are
+    integrated with dense output over ``[c, c + T/2]`` only, ``c`` being the
+    drive's symmetry centre.  A time ``t = c + k T + s`` with ``|s| <= T/2``
+    has ``Y(t) = Y(c + s) M^k`` and ``delta(t) = delta(c + s) + k Phi``,
+    ``Y(c + s)`` for ``s < 0`` coming from reflection (module docstring).  The transfer matrix of any window, forward
     or backward, is ``U(t, t_start) = Y(t) Y(t_start)^{-1}``, applied to
     ``c0 = (a1 exp(i delta0), a2)``; then
     ``delta = delta0 + delta(t) - delta(t_start)`` and ``a1 = c1 exp(-i delta)``.

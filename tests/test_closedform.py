@@ -284,6 +284,23 @@ def test_matched_solution_negative_carrier_branch():
     assert np.max(np.abs(a2c - traj.a2)) < 1e-8
 
 
+@pytest.mark.parametrize("d1", (-1.0000000000000002, -1.00000000000001))
+def test_matched_solution_next_to_resonance_from_below(d1):
+    # next to delta1 = -1 from below the amplitude's bracket shrinks like
+    # sqrt(a) (1.05e-8 at -1 - 2^-52); summed from its O(1) weights it lost as
+    # many digits: the norm drifted by 4.5e-8 and 4.7e-9 here, and a2 was
+    # 2.6e-8 off the oracle at -1 - 2^-52 (now 1.3e-15 and 1.5e-11)
+    cfg = N2Config(u0=1.0, delta1=d1)
+    state0 = StateVector(a1=1.0, a2=0.0)
+    grid = np.linspace(0.0, 3 * cfg.period, 301)
+    a1c, a2c = closed_form_states(cfg, state0, 0.0, grid)
+    norm = np.abs(a1c) ** 2 + np.abs(a2c) ** 2
+    assert np.max(np.abs(norm - 1.0)) < 1e-9
+    traj = integrate(drive_field(cfg), state0, (0.0, float(grid[-1])), t_eval=grid,
+                     rtol=1e-11, atol=1e-13)
+    assert np.max(np.abs(a2c - traj.a2)) < 1e-8
+
+
 @pytest.mark.parametrize("u0,d1", [(300.0, 1.01), (1000.0, 1.5)])
 def test_matched_solution_large_coupling(u0, d1):
     # sqrt(a)^lambda overflows here; the unit-modulus Floquet factor does not

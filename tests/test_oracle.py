@@ -96,6 +96,15 @@ def test_drive_field_rejects_a_bad_period_or_centre():
             DriveField(u=1.0, delta_t=lambda t: 1.0, period=period, center=center)
 
 
+def test_a_complex_detuning_is_refused():
+    # the oracle rebuilds Y from one column, which needs a real detuning
+    fld = DriveField(u=1.0, delta_t=lambda t: 1.0 + 1j, period=1.0)
+    for call in (lambda: integrate(fld, GROUND, (0.0, 1.0)), lambda: monodromy(fld),
+                 lambda: mean_detuning(fld)):
+        with pytest.raises(ParameterError, match="detuning must be a real number"):
+            call()
+
+
 def test_drive_field_rabi_frequency_is_a_finite_number():
     # the drive is constant-amplitude: a callable u is refused, not called
     for u in (lambda t: 1.0, math.nan, math.inf, "1.0", 1j):
@@ -111,6 +120,7 @@ def test_zero_coupling_freezes_populations():
     ts = np.linspace(0.0, 40.0, 101)
     traj = integrate(fld, state0, (0.0, 40.0), t_eval=ts)
     assert np.max(np.abs(traj.pop2 - 0.7)) < 1e-12
+    assert np.max(np.abs(np.abs(traj.a1) ** 2 - 0.3)) < 1e-12
 
 
 def test_constant_detuning_flopping_formula():
@@ -312,32 +322,58 @@ def test_embedded_dop853_tableau_is_scipys():
 @pytest.mark.parametrize("rtol, atol", [(1e-11, 1e-13), (1e-13, 1e-15)])
 @pytest.mark.parametrize("dense", (False, True))
 def test_half_period_solve_is_solve_ivp_step_for_step(name, rtol, atol, dense):
-    # the oracle's DOP853 loop against scipy's: the same steps and calls; the
-    # values differ only by the order of rounding in the stage sums (measured
-    # at most 1.4e-14 at the end point and 1.8e-14 in the dense samples)
+    # the oracle's DOP853 loop against scipy's on [gamma, eps, gamma, eps,
+    # delta], the integrated column twice, which is what the weighted error
+    # norm stands for: the same steps and calls; the values differ only by the
+    # order of rounding in the stage and norm sums (measured at most 1.5e-14
+    # at the end point and 2.3e-14 in the dense samples)
     fld = DRIVES[name]()
     c = fld.center
+
+    def rhs(t, y):
+        iu, dt = 1j * fld.u, fld.delta_t(t)
+        return [1j * dt * y[0] - iu * y[1], -iu * y[0], 1j * dt * y[2] - iu * y[3], -iu * y[2], dt]
+
+    ref = solve_ivp(rhs, (c, c + 0.5 * fld.period), np.array([0, 1, 0, 1, 0], dtype=complex),
+                    method="DOP853", dense_output=dense, rtol=rtol, atol=atol)
+    sol = oracle._half_period_solve("test", fld, rtol, atol, dense)
+    assert ref.success
+    assert sol.nfev == ref.nfev and len(sol.t) == len(ref.t), name
+    assert sol.t[0] == c and sol.t[-1] == ref.t[-1]
+    assert np.max(np.abs(sol.y[:, -1] - ref.y[[0, 1, 4], -1])) < 1e-13, name
+    if dense:
+        ts = np.linspace(c, ref.t[-1], 501)
+        assert np.max(np.abs(sol(ts) - ref.sol(ts)[[0, 1, 4]])) < 1e-13, name
+
+
+@pytest.mark.parametrize("name", DRIVES)
+def test_rebuilt_fundamental_matrix_is_the_full_solve(name):
+    # [Y, delta] rebuilt from the one integrated column against scipy's DOP853
+    # on all of [Y (row-major), delta] from [I, 0], at the oracle's default
+    # monodromy tolerances: they take different steps, and agree to within the
+    # error of either solve (measured at most 7.3e-12 at the end point, and
+    # 3.2e-11 in the dense samples, where the one column itself is 2.8e-11 off)
+    fld = DRIVES[name]()
+    c, rtol, atol = fld.center, 1e-11, 1e-13
 
     def rhs(t, y):
         iu, dt = 1j * fld.u, fld.delta_t(t)
         return [1j * dt * y[0] - iu * y[2], 1j * dt * y[1] - iu * y[3], -iu * y[0], -iu * y[1], dt]
 
     ref = solve_ivp(rhs, (c, c + 0.5 * fld.period), np.array([1, 0, 0, 1, 0], dtype=complex),
-                    method="DOP853", dense_output=dense, rtol=rtol, atol=atol)
-    sol = oracle._half_period_solve("test", fld, rtol, atol, dense)
+                    method="DOP853", dense_output=True, rtol=rtol, atol=atol)
+    sol = oracle._half_period_solve("test", fld, rtol, atol, dense=True)
     assert ref.success
-    assert sol.nfev == ref.nfev and len(sol.t) == len(ref.t), name
-    assert sol.t[0] == c and sol.t[-1] == ref.t[-1]
-    assert np.max(np.abs(sol.y[:, -1] - ref.y[:, -1])) < 1e-13, name
-    if dense:
-        ts = np.linspace(c, ref.t[-1], 501)
-        assert np.max(np.abs(sol(ts) - ref.sol(ts))) < 1e-13, name
+    assert np.max(np.abs(oracle._fundamental(sol.y[:, -1]) - ref.y[:, -1])) < 1e-11, name
+    ts = np.linspace(c, ref.t[-1], 501)
+    assert np.max(np.abs(oracle._fundamental(sol(ts)) - ref.sol(ts))) < 5e-11, name
 
 
 def test_generated_step_is_the_tableau_summed_in_loops():
     # the straight-line functions against the same step written as loops over
     # the tableau, each sum taken from left to right, and the error sums as
-    # loops over the components: equal values, stage for stage
+    # loops over [gamma, eps, delta] with the weights 2, 2, 1: equal values,
+    # stage for stage
     nodes, a, b, e5, e3 = oracle._NODES, oracle._A, oracle._B, oracle._E5, oracle._E3
     nodes_extra, a_extra = oracle._NODES_EXTRA, oracle._A_EXTRA
     rhs, attempt, extra = oracle._dop853_step()
@@ -347,29 +383,28 @@ def test_generated_step_is_the_tableau_summed_in_loops():
 
     def rhs_loop(t, x):
         dt = delta_t(t)
-        idt = 1j * dt
-        return idt * x[0] - iu * x[2], idt * x[1] - iu * x[3], -iu * x[0], -iu * x[1], dt
+        return 1j * dt * x[0] - iu * x[1], -iu * x[0], dt
 
     def total(terms, ks, c):
         return functools.reduce(operator.add, [w * ks[j][c] for j, w in terms])
 
     def stage(t, h, y, node, terms, ks):
-        return rhs_loop(t + node * h, [y[c] + h * total(terms, ks, c) for c in range(4)])
+        return rhs_loop(t + node * h, [y[c] + h * total(terms, ks, c) for c in range(2)])
 
     t, h = fld.center + 0.1, 0.05
-    y = (0.6 + 0.1j, 0.2j, -0.3j, 0.7 - 0.2j, 0.4)
+    y = (0.6 + 0.1j, 0.7 - 0.2j, 0.4)
     ks = [rhs_loop(t, y)]
-    assert rhs(iu, -iu, delta_t, t, y[:4]) == ks[0]
+    assert rhs(iu, -iu, delta_t, t, y[:2]) == ks[0]
     for node, terms in zip(nodes, a):
         ks.append(stage(t, h, y, node, terms, ks))
-    y_new = tuple(y[c] + h * total(b, ks, c) for c in range(5))
+    y_new = tuple(y[c] + h * total(b, ks, c) for c in range(3))
     ks.append(rhs_loop(t + h, y_new))
-    r5, r3 = (tuple(total(e, ks, c) for c in range(5)) for e in (e5, e3))
+    r5, r3 = (tuple(total(e, ks, c) for c in range(3)) for e in (e5, e3))
     err5 = err3 = 0.0
-    for p, q, e, g in zip(y, y_new, r5, r3):
+    for p, q, e, g, w in zip(y, y_new, r5, r3, (2.0, 2.0, 1.0)):
         scale = atol + max(abs(p), abs(q)) * rtol
-        err5 += abs(e / scale) ** 2
-        err3 += abs(g / scale) ** 2
+        err5 += abs(e / scale) ** 2 * w
+        err3 += abs(g / scale) ** 2 * w
     assert err5 > 0.0 and err3 > 0.0
     assert (attempt(iu, -iu, delta_t, t, h, t + h, y, ks[0], rtol, atol)
             == (y_new, ks[12], err5, err3, tuple(ks)))
@@ -519,9 +554,10 @@ def test_nfev_counts_rhs_calls():
 
 
 def test_rhs_call_budget_solvable_model():
-    # one half-period solve with dense output makes 617 calls here and the
-    # monodromy at the centre, without it, 626; a one-period solve made 1,157
-    # and 1,202, DOP853 across all five periods 4,493, RK45 11,150
+    # one half-period solve of one column of Y with dense output makes 587
+    # calls here and the monodromy at the centre, without it, 590; the same
+    # solves of all of Y made 617 and 626, a one-period solve 1,157 and 1,202,
+    # DOP853 across all five periods 4,493, RK45 11,150
     cfg = N2Config(u0=1.0, delta1=2.0)
     fld = drive_field(cfg)
     ts = np.linspace(0.0, 5 * cfg.period, 1001)
