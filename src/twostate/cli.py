@@ -60,13 +60,19 @@ def _emit(args, meta: dict, columns: dict) -> None:
     """Write one command's output: the envelope, its own ``meta``, then ``columns``.
 
     A file is written to ``<path>.partial`` and renamed over ``path``, so a
-    failed run leaves no partial output behind.
+    failed run leaves no partial output behind.  A path that exists and is no
+    regular file, such as ``os.devnull`` or a pipe, is written in place:
+    renaming over it would replace the device or pipe with a file.
     """
     meta = {"tool": "twostate", "version": __version__, "command": args.command, **meta}
     text = _render_csv(meta, columns) if args.format == "csv" else _render_json(meta, columns)
     path = args.output
     if path in (None, "-"):
         sys.stdout.write(text)
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
         return
     tmp = path + ".partial"
     try:

@@ -194,10 +194,18 @@ def closed_form_states(cfg: N2Config, state0: StateVector, t_start: float, times
 
 
 def floquet_analytic(cfg: N2Config) -> FloquetReport:
-    """Quasi-energies (drive-scaled units): lambda_{1,2} = (delta1 -+ R)/2."""
-    big_r = generalized_rabi(cfg.u0, cfg.delta1)
-    return FloquetReport(lambda1=0.5 * (cfg.delta1 - big_r),
-                         lambda2=0.5 * (cfg.delta1 + big_r))
+    """Quasi-energies (drive-scaled units): lambda_{1,2} = (delta1 -+ R)/2.
+
+    The one nearer zero, lambda1 for delta1 > 0 and lambda2 for delta1 < 0, is
+    -+2 u0^2 / (R + |delta1|), the same number without the cancellation of
+    delta1 -+ R, so it keeps its relative accuracy at large |delta1|.
+    """
+    d1 = cfg.delta1
+    big_r = generalized_rabi(cfg.u0, d1)
+    small = 2.0 * cfg.u0 * cfg.u0 / (big_r + abs(d1))
+    if d1 > 0:
+        return FloquetReport(lambda1=-small, lambda2=0.5 * (d1 + big_r))
+    return FloquetReport(lambda1=0.5 * (d1 - big_r), lambda2=small)
 
 
 def harmonic_content(cfg: N2Config, n_harmonics: int) -> HarmonicLadder:

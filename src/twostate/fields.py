@@ -22,6 +22,7 @@ form: the level-crossing times are t0 + (2 pi k +- 2 arcsin(sqrt(s*))) / Delta.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -347,8 +348,15 @@ def drive_lattice(owner: str, t, center: float, period: float) -> tuple[np.ndarr
     return k.astype(int), np.minimum(np.maximum(x - k * period, -0.5 * period), 0.5 * period)
 
 
+@functools.lru_cache(maxsize=1)
 def drive_field(cfg) -> DriveField:
-    """The physical-time drive (constant Rabi frequency, detuning) for the oracle."""
+    """The physical-time drive (constant Rabi frequency, detuning) for the oracle.
+
+    Memoised on the last (frozen, hashable) config, so calls in a row with
+    equal configs return the same :class:`DriveField`, and the oracle can read
+    one command's solve for the next (:mod:`twostate.oracle`).  A drive built
+    by hand compares its ``delta_t`` by identity and so equals no other.
+    """
     if isinstance(cfg, N2Config):
         return DriveField(u=cfg.u0 * cfg.delta, delta_t=_n2_detuning(cfg, math),
                           period=cfg.period, center=cfg.t0)

@@ -50,12 +50,27 @@ it makes per stage is the detuning's.  The period
 average of the detuning, :func:`mean_detuning`, is ``Phi / T`` from the same
 solve.  So the module needs numpy only, and no module of the package imports
 scipy, whose import takes longer than a whole run of most CLI commands.
+
+The oracle keeps its last dense half-period solve, with its drive and
+``(rtol, atol)``.  A non-dense request (:func:`monodromy` at a lattice
+``t_ref``, :func:`mean_detuning`) for an equal drive at equal tolerances reads
+that solve's steps instead of solving again: dense output adds three calls per
+accepted step and changes no step, so the end point is the same bits, and the
+reported ``nfev`` is the one a fresh non-dense solve makes.  ``twostate
+compare`` followed by ``twostate floquet`` thus solves once
+(:func:`~twostate.fields.drive_field` returns one drive per configuration).
+Reuse runs only from dense to non-dense: a dense request always solves, and
+replaces the kept solve, so every dense timing and count is a fresh solve's.
+Drives are equal as dataclasses, which compares ``delta_t`` by identity.
+The kept solve is one tuple, read and replaced whole, so concurrent callers
+each see one solve or another, never a mix.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +86,9 @@ _MAX_RTOL = 1.0
 # work bound of one half-period solve: a dense solve at rtol 1e-11 makes 150 to
 # 180 |delta1| right-hand-side calls, so this admits |delta1| up to ~1,300
 _MAX_RHS_CALLS = 200_000
+# the last dense half-period solve as (field, rtol, atol, solve): a non-dense
+# request for an equal drive at equal tolerances reads it (module docstring)
+_last_dense = None
 
 
 @dataclass(frozen=True)
@@ -107,7 +125,9 @@ class MonodromyResult:
     # max entry of |M^H M - I|; the columns of Y are orthogonal by construction,
     # so this measures the integrated column's norm, about 2 ||gamma|^2 + |eps|^2 - 1|
     unitarity_error: float
-    nfev: int                              # right-hand-side evaluations
+    # right-hand-side evaluations of a fresh non-dense solve, also when the
+    # matrix was read from a kept dense solve
+    nfev: int
 
     @property
     def det_modulus(self) -> float:
@@ -325,7 +345,10 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     detuning at ``c`` that is not a real number raises it after the first.
     The Rabi frequency enters as ``1j * U`` and its negative, formed once
     here, and ``delta_t`` is called once per right-hand-side evaluation, with
-    a float.
+    a float.  A dense solve is kept (its arrays read-only) and replaces the
+    one kept before; a solve that raises keeps nothing.  A non-dense request
+    for the kept solve's ``field``, ``rtol`` and ``atol`` returns its steps
+    without calling ``delta_t``, with ``nfev`` less the dense-output calls.
     """
     import numbers                         # local: importing the module does no more work
     # a non-finite tolerance would make the solver step forever; from rtol 1 on
@@ -334,6 +357,12 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     if not (_MIN_RTOL <= rtol < _MAX_RTOL and 0.0 < atol < math.inf):
         raise ParameterError(f"{owner}: need {_MIN_RTOL} <= rtol < {_MAX_RTOL:g} and "
                              f"0 < atol < inf, got rtol={rtol}, atol={atol}")
+    global _last_dense
+    kept = _last_dense
+    if not dense and kept is not None and kept[:3] == (field, rtol, atol):
+        sol = kept[3]
+        # the same steps; a fresh solve makes no dense-output calls
+        return _HalfPeriod(t=sol.t, y=sol.y, nfev=sol.nfev - 3 * (len(sol.t) - 1), rows=None)
     rhs, attempt, extra = _dop853_step()
     iu, delta_t = 1j * field.u, field.delta_t
     niu = -iu
@@ -399,18 +428,23 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
         ys.append(y)
 
     t_arr, y_arr = np.array(ts), np.array(ys, dtype=complex)
-    rows = None
-    if dense:
-        k = np.array(stages, dtype=complex)                    # (steps, 16, 3)
-        h = np.diff(t_arr)[:, None]
-        dy = y_arr[1:] - y_arr[:-1]
-        # scipy's Dop853DenseOutput rows; stage 12 is the derivative at the step's end
-        rows = np.empty((len(k), 7, 3), dtype=complex)
-        rows[:, 0] = dy
-        rows[:, 1] = h * k[:, 0] - dy
-        rows[:, 2] = 2 * dy - h * (k[:, 12] + k[:, 0])
-        rows[:, 3:] = h[:, None] * np.einsum("ij,sjc->sic", _D, k)
-    return _HalfPeriod(t=t_arr, y=y_arr.T, nfev=nfev, rows=rows)
+    if not dense:
+        return _HalfPeriod(t=t_arr, y=y_arr.T, nfev=nfev, rows=None)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(stages))
+    k = np.fromiter(flat, dtype=complex, count=48 * len(stages)).reshape(-1, 16, 3)
+    h = np.diff(t_arr)[:, None]
+    dy = y_arr[1:] - y_arr[:-1]
+    # scipy's Dop853DenseOutput rows; stage 12 is the derivative at the step's end
+    rows = np.empty((len(k), 7, 3), dtype=complex)
+    rows[:, 0] = dy
+    rows[:, 1] = h * k[:, 0] - dy
+    rows[:, 2] = 2 * dy - h * (k[:, 12] + k[:, 0])
+    rows[:, 3:] = h[:, None] * np.einsum("ij,sjc->sic", _D, k)
+    for a in (t_arr, y_arr, rows):                          # kept, and shared by its views
+        a.flags.writeable = False
+    sol = _HalfPeriod(t=t_arr, y=y_arr.T, nfev=nfev, rows=rows)
+    _last_dense = (field, rtol, atol, sol)
+    return sol
 
 
 def _fundamental(y) -> np.ndarray:
@@ -525,8 +559,11 @@ def monodromy(field: DriveField, t_ref: float = 0.0,
     point ``Y_h = Y(c + T/2)`` of the half-period solve that :func:`integrate`
     composes its samples from, and so exactly complex symmetric.  At any other
     reference time it is ``M(t_ref) = Y(t_ref) M(c) Y(t_ref)^{-1}``; only a
-    ``t_ref`` off the lattice ``c + k T`` needs the solve's dense output.
-    Eigenvalue arguments divided by the period give the exponents, folded into
+    ``t_ref`` off the lattice ``c + k T`` needs the solve's dense output.  On
+    the lattice the end point of the last dense solve of an equal drive at
+    equal tolerances serves (module docstring), and ``nfev`` is still the
+    count of a fresh solve without dense output.  Eigenvalue arguments
+    divided by the period give the exponents, folded into
     ``[-Delta/2, Delta/2)`` with ``Delta = 2 pi / T``.
     """
     T = field.period
@@ -570,11 +607,14 @@ def mean_detuning(field: DriveField) -> float:
 
     ``Phi = 2 delta(c + T/2)``, the phase gained over one period, is the end
     point of the solve that :func:`monodromy` reads, at its default tolerances
-    (rtol 1e-11, atol 1e-13).  It relies on the
-    :class:`~twostate.fields.DriveField` contract: a detuning that is not
-    ``period``-periodic and even about ``center`` gives a wrong average, not
-    an error.  Like every solve it raises :class:`IntegrationError` past
-    ``_MAX_RHS_CALLS`` right-hand-side calls.
+    (rtol 1e-11, atol 1e-13), the same bits whether solved afresh or read
+    from the last dense solve of an equal drive at those tolerances (module
+    docstring); read, it calls ``delta_t`` no more.  Its cost is the
+    ``nfev`` of that :func:`monodromy`, a fresh solve without dense output.
+    It relies on the :class:`~twostate.fields.DriveField` contract: a
+    detuning that is not ``period``-periodic and even about ``center`` gives
+    a wrong average, not an error.  Like every solve it raises
+    :class:`IntegrationError` past ``_MAX_RHS_CALLS`` right-hand-side calls.
     """
     sol = _half_period_solve("mean_detuning", field, 1e-11, 1e-13, dense=False)
     _, phase_period = _monodromy_at_centre(sol)

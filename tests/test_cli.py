@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostate import __version__
+from twostate import __version__, oracle
 from twostate.cli import build_parser, main
+from twostate.fields import drive_field
 
 SQ2 = math.sqrt(2.0)
 
@@ -229,6 +232,38 @@ def test_compare_verdict_fail_exit_code(tmp_path):
                "--format", "json", "-o", str(out)])
     assert rc == 4
     assert json.loads(out.read_text())["data"]["verdict"] == ["FAIL"]
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main([*argv, "-o", "-"])
+    assert rc == 0, argv
+    return out.getvalue()
+
+
+def _solve_again():
+    raise AssertionError("floquet solved the half period again")
+
+
+@pytest.mark.parametrize("t0s", [("0", "0"), ("-0", "-0"), ("0.4", "0.4"), ("0", "-0"),
+                                 ("-0", "0")])
+@pytest.mark.parametrize("delta", ["1", "1.7"])
+@pytest.mark.parametrize("delta1", ["2", "-2.5"])
+def test_floquet_after_compare_prints_the_bytes_of_floquet_alone(monkeypatch, delta1, delta,
+                                                                  t0s):
+    # compare keeps its dense half-period solve, and floquet on an equal drive
+    # at the same tolerances reads its end point without solving again; the
+    # zeros of either sign make equal configurations, so one drive
+    compare_t0, floquet_t0 = t0s
+    field = ["--u0", "0.8", "--delta1", delta1, "--delta", delta]
+    monkeypatch.setattr(oracle, "_last_dense", None)        # nothing kept from earlier runs
+    drive_field.cache_clear()
+    alone = _stdout(["floquet", *field, "--t0", floquet_t0])
+    drive_field.cache_clear()
+    _stdout(["compare", *field, "--t0", compare_t0])
+    monkeypatch.setattr(oracle, "_dop853_step", _solve_again)
+    assert _stdout(["floquet", *field, "--t0", floquet_t0]) == alone
 
 
 # ---------------------------------------------------------------- plumbing
@@ -515,6 +550,21 @@ def test_partial_file_removed_on_failure(tmp_path):
     assert rc == 2
     assert not out.exists()
     assert not (tmp_path / "never.csv.partial").exists()
+
+
+def test_output_to_a_pipe_is_written_in_place(tmp_path):
+    # a path that is no regular file (a pipe here, os.devnull alike) is
+    # written, not renamed over: the rename replaced /dev/null with a file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    assert main(["floquet", "--u0", "1", "--delta1", "2", "-o", str(pipe)]) == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert got and got[0] == _stdout(["floquet", "--u0", "1", "--delta1", "2"])
+    assert not (tmp_path / "pipe.partial").exists()
 
 
 # ---------------------------------------------------------------- import boundary

@@ -10,6 +10,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -358,6 +359,20 @@ def test_floquet_weak_coupling_limits():
     # consistency with the period-average detuning, modulo the drive frequency
     mean = mean_detuning(drive_field(cfg))
     assert mod_distance(rep.lambda2, mean, 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("u0", (1e-3, 1.0, 30.0))
+@pytest.mark.parametrize("delta1", (1e3, -1e3, 1e4, -1e4, 1e5, -1e5))
+def test_floquet_analytic_against_mpmath_at_large_carriers(u0, delta1):
+    # both quasi-energies to a few ulps relative (measured at most 2.1e-16);
+    # the one near zero, taken as (delta1 -+ R)/2, lost it to cancellation:
+    # (1e-3, 1e3) was 1.06e-5 off and (1, 1e5) 3.4e-7
+    rep = floquet_analytic(N2Config(u0=u0, delta1=delta1))
+    with mpmath.workdps(40):
+        big_r = mpmath.sqrt(4 * mpmath.mpf(u0) ** 2 + mpmath.mpf(delta1) ** 2)
+        for got, want in ((rep.lambda1, (delta1 - big_r) / 2),
+                          (rep.lambda2, (delta1 + big_r) / 2)):
+            assert abs((got - want) / want) <= 1e-15, (got, want)
 
 
 # ---------------------------------------------------------------- harmonic ladder

@@ -602,6 +602,66 @@ def test_oracle_agrees_at_input_range_corners(u0, delta1):
     assert max(abs(abs(ev) - 1.0) for ev in mono.eigenvalues) <= 1e-9
 
 
+# ---------------------------------------------------------------- the kept dense solve
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_monodromy_reads_the_last_dense_solve(name):
+    # integrate keeps its dense solve; the monodromy at the centre of the same
+    # drive at the same tolerances reads its end point and calls nothing, and
+    # gives the bits and the count of a fresh solve without dense output
+    fld = drive_field(CONFIGS[name])
+    calls, counted = _counting_field(fld)
+    traj = integrate(counted, GROUND, (fld.center, fld.center + 2 * fld.period),
+                     rtol=1e-11, atol=1e-13)
+    assert traj.nfev == calls[0] > 0
+    calls[0] = 0
+    got = monodromy(counted, t_ref=counted.center)
+    assert calls[0] == 0
+    fresh_calls, fresh = _counting_field(fld)
+    want = monodromy(fresh, t_ref=fresh.center)
+    assert want.nfev == fresh_calls[0] < traj.nfev
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.eigenvalues == want.eigenvalues and got.exponents == want.exponents
+    assert got.unitarity_error == want.unitarity_error and got.nfev == want.nfev
+    # so does the period average, read from the same end point
+    assert mean_detuning(counted) == mean_detuning(fresh)
+    assert calls[0] == 0
+
+
+def test_a_solve_is_reused_only_for_an_equal_drive_at_equal_tolerances():
+    # every other request solves, and its nfev is the count it made
+    fld = drive_field(CONFIGS["n2-off-centre"])
+    calls, counted = _counting_field(fld)
+    span = (0.0, fld.period)
+    integrate(counted, GROUND, span, rtol=1e-11, atol=1e-13)
+    requests = {
+        "another rtol": lambda: monodromy(counted, t_ref=counted.center, rtol=1e-12),
+        "another atol": lambda: monodromy(counted, t_ref=counted.center, atol=1e-14),
+        # equal values, but a detuning of its own: drives compare it by identity
+        "hand-built drive": lambda: monodromy(DriveField(
+            u=counted.u, delta_t=lambda t: counted.delta_t(t), period=counted.period,
+            center=counted.center), t_ref=counted.center),
+        "off-lattice t_ref": lambda: monodromy(counted, t_ref=counted.center + 0.3),
+        "integrate again": lambda: integrate(counted, GROUND, span, rtol=1e-11, atol=1e-13),
+    }
+    for what, request in requests.items():
+        calls[0] = 0
+        assert request().nfev == calls[0] > 0, what
+    # the last dense solve (integrate again) is kept; a solve that raises keeps nothing
+    with pytest.raises(ParameterError):
+        integrate(DriveField(u=1.0, delta_t=lambda t: 1j, period=1.0), GROUND, (0.0, 1.0),
+                  rtol=1e-11, atol=1e-13)
+    calls[0] = 0
+    monodromy(counted, t_ref=counted.center)
+    assert calls[0] == 0
+
+
+def test_drive_field_is_one_object_per_configuration():
+    for cfg in CONFIGS.values():
+        equal = type(cfg)(**vars(cfg))
+        assert equal is not cfg and drive_field(equal) is drive_field(cfg)
+
+
 # ---------------------------------------------------------------- averages
 
 def test_mean_detuning_solvable_model():
