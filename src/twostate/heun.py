@@ -35,7 +35,9 @@ root is the float ``brentq`` returns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,7 +56,7 @@ _A_MIN = 1e-3              # bottom of the a-grid
 _A_STEP_MAX = 0.025        # coarsest a-grid step searched (a_max <= ~50 from _A_MIN)
 _ROOT_MATCH_ATOL = 1e-6    # constraint roots agreeing across couplings
 _ROOT_XTOL = 1e-15         # Brent absolute tolerance on a constraint root
-_BRENT_RTOL = 4.0 * np.finfo(float).eps   # Brent relative tolerance (scipy's brentq floor)
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon   # Brent relative tolerance (scipy's brentq floor)
 _BRENT_MAXITER = 100       # Brent iterations before ConvergenceError (scipy's default)
 
 
@@ -188,18 +190,40 @@ def expand(hp: HeunParams, max_terms: int = 40) -> BetaSeries:
 def _continuant(a, g, d, e, q, n_stop: int):
     """``d_{N+1}`` of the division-free tridiagonal-determinant recursion.
 
-    ``d_n = Q_{n-1} d_{n-1} - P_{n-2} R_{n-1} d_{n-2}`` from ``d_0 = 1``, every
-    coefficient taken from :func:`_recurrence_terms` at the constants ``a,
+    ``d_{n+1} = Q_n d_n - P_{n-1} R_n d_{n-1}`` from ``d_0 = 1``, ``d_1 = Q_0``,
+    with the coefficients of :func:`_recurrence_terms` at the constants ``a,
     gamma, delta, epsilon, q``; ``d_{N+1} = 0`` is equivalent to the vanishing
     of coefficient ``c_{N+1}``.  The constants may be numbers, arrays that
-    broadcast together, or (``q`` only) the polynomial variable (a
-    :class:`numpy.polynomial.Polynomial`), and the result has the same kind.
+    broadcast to the shape of ``a * gamma``, or (``q`` only) the polynomial
+    variable (a :class:`numpy.polynomial.Polynomial`), and the result has the
+    same kind.  No input is written to.
+
+    Each step rewrites the arithmetic of :func:`_recurrence_terms` exactly, so
+    every value equals that of the plain recursion (an exact zero may carry
+    the other sign): ``a n`` is formed once for ``R_n`` and ``Q_n`` (``-a n X
+    = -((a n) X)``), ``Q_n = -t_n`` with ``t_n = ((a n) X + C) + q``, and the
+    recursion carries ``s_n = (-1)^n d_n``, for which ``s_{n+1} = t_n s_n -
+    P_{n-1} R_n s_{n-1}`` needs no negation.  ``R_0`` and ``P_N`` are never
+    formed.  The temporaries over the full grid are updated by augmented
+    assignment: arrays change in place, while numbers and polynomials rebind.
     """
-    rn, qn, pn = zip(*(_recurrence_terms(a, g, d, e, q, n) for n in range(n_stop + 1)))
-    d_prev, d_cur = 1.0, qn[0]
-    for n in range(2, n_stop + 2):
-        d_prev, d_cur = d_cur, qn[n - 1] * d_cur - pn[n - 2] * rn[n - 1] * d_prev
-    return d_cur
+    s_prev = 1.0
+    for n in range(n_stop + 1):
+        an = a * n
+        m = n + 1 - g                   # n + 1 - gamma
+        w = m - d                       # n + 1 - gamma - delta
+        t = an * w
+        t += (n + e) * m
+        t += q                          # Q_n = -t
+        if n:
+            u = an * m_prev             # R_n = a n (n - gamma)
+            u *= w * (n - 1 + e)        # P_{n-1} R_n
+            u *= s_prev
+            t *= s_cur
+            t -= u
+            s_prev = s_cur
+        s_cur, m_prev = t, m
+    return s_cur if n_stop % 2 else -s_cur
 
 
 def q_polynomial(hp: HeunParams, n_stop: int) -> np.ndarray:
@@ -274,17 +298,20 @@ class TerminationRecord:
     drift: float                # max movement of matched roots across couplings
 
 
-def _constraint_determinant(u0, delta1: float, delta2: float, a, n_stop: int):
-    """:func:`_continuant` at the physical ``q`` of the sign -1 branch.
+def _constraint(u0, delta1: float, delta2: float, n_stop: int) -> Callable:
+    """``a -> d_{N+1}(a)``: :func:`_continuant` at the physical ``q`` of the sign -1 branch.
 
-    Elementwise over an array ``a``; it vanishes where the termination
-    constraint holds.  A tuple ``u0`` of couplings gives one row per coupling,
-    bit for bit its value alone: their constants broadcast as (k, 1) columns.
+    It vanishes where the termination constraint holds, and is elementwise
+    over an array ``a``.  The coupling's constants R, gamma and alpha1 are
+    formed once, here.  A tuple ``u0`` of couplings gives one row per
+    coupling, bit for bit its value alone: their constants broadcast as
+    (k, 1) columns.
     """
     big_r = (np.array([[generalized_rabi(u, delta1)] for u in u0]) if isinstance(u0, tuple)
              else generalized_rabi(u0, delta1))
     gamma, alpha1 = _branch_constants(big_r, delta1, -1)
-    return _continuant(a, gamma, delta2, -delta2, _accessory_q(a, delta2, alpha1), n_stop)
+    return lambda a: _continuant(a, gamma, delta2, -delta2, _accessory_q(a, delta2, alpha1),
+                                 n_stop)
 
 
 def grid_roots(f, xs: np.ndarray, fx: np.ndarray, xtol: float, merge_tol: float) -> list[float]:
@@ -297,11 +324,42 @@ def grid_roots(f, xs: np.ndarray, fx: np.ndarray, xtol: float, merge_tol: float)
     ``f`` inside a bracket raises :class:`DomainError`; a refinement that has
     not converged raises :class:`ConvergenceError`.
     """
-    neg = fx < 0
-    roots = [float(x) for x in xs[fx == 0.0]]
-    for i in np.flatnonzero((neg[:-1] != neg[1:]) & (fx[:-1] != 0.0) & (fx[1:] != 0.0)):
-        roots.append(_brent(f, float(xs[i]), float(xs[i + 1]), float(fx[i]), float(fx[i + 1]),
-                            xtol))
+    return _stacked_grid_roots((f,), xs, fx[np.newaxis], xtol, merge_tol)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _stacked_grid_roots(fs, xs: np.ndarray, fx: np.ndarray, xtol: float, merge_tol: float,
+                        gap: tuple[int, int] = (0, 0)) -> list[list[float]]:
+    """:func:`grid_roots` of every row ``fx[k]`` of a stacked grid, ``fs[k]`` its function.
+
+    One vectorised pass over all rows finds every exact zero and every sign
+    change, from slices of the grid.  With ``gap = (lo, hi)``, ``lo <= hi``,
+    the points below ``lo`` and those from ``hi`` up are searched apart, as
+    :func:`grid_roots` would search each side's own copy: the points in
+    between and every cell not within one side are left out, each side is
+    merged on its own, and row ``k`` lists the roots below the gap, then
+    those above.  Brackets are refined row by row in grid order.
+    """
+    lo, hi = gap
+    zero = fx == 0.0
+    neg = fx < 0.0
+    cross = neg[:, :-1] != neg[:, 1:]
+    cross &= ~zero[:, :-1]
+    cross &= ~zero[:, 1:]
+    zero[:, lo:hi] = False
+    cross[:, max(lo - 1, 0):hi] = False
+    found = [([], []) for _ in fs]
+    width = fx.shape[1]
+    for k, j in map(divmod, np.flatnonzero(zero).tolist(), repeat(width)):
+        found[k][j >= hi].append(float(xs[j]))
+    for k, i in map(divmod, np.flatnonzero(cross).tolist(), repeat(width - 1)):
+        found[k][i >= hi].append(_brent(fs[k], float(xs[i]), float(xs[i + 1]),
+                                        float(fx[k, i]), float(fx[k, i + 1]), xtol))
+    return [_merged(below, merge_tol) + _merged(above, merge_tol) for below, above in found]
+
+
+def _merged(roots: list[float], merge_tol: float) -> list[float]:
+    """``roots`` sorted, each dropped that lies within ``merge_tol`` of the one kept before it."""
     merged = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > merge_tol:
@@ -309,7 +367,6 @@ def grid_roots(f, xs: np.ndarray, fx: np.ndarray, xtol: float, merge_tol: float)
     return merged
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
     """Root of ``f`` in ``[xa, xb]``, where ``fa = f(xa)`` and ``fb = f(xb)`` differ in sign.
 
@@ -317,9 +374,9 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
     interpolate, extrapolate and bisect choices, tolerance ``xtol +
     _BRENT_RTOL |x|`` and ``_BRENT_MAXITER`` iterations, so it returns the
     same float.  The bracket ends are not re-evaluated.  The iterates are
-    numpy scalars, so a trial step that overflows or divides by zero is inf
-    or nan without a warning, fails the acceptance test and bisects, as in
-    scipy's C code.
+    Python floats: a trial step that overflows is inf, and one that divides
+    by zero is taken as nan; either fails the acceptance test and bisects,
+    as the inf or nan of scipy's C code does.
     """
     xpre, xcur, fpre, fcur = xa, xb, fa, fb
     xblk = fblk = spre = scur = 0.0
@@ -335,12 +392,15 @@ def _brent(f, xa: float, xb: float, fa: float, fb: float, xtol: float) -> float:
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -373,8 +433,17 @@ def termination_search(cfg: FieldConfig, n_max: int,
     its solution ``z^(1-gamma)/(1-gamma)`` is the (N+1)-term sum
     ``sum_k C(N,k) (-1)^k B_z(1-gamma+k, 1-N)``.
 
-    Roots are bracketed on a fixed grid of ``_A_GRID`` points from ``_A_MIN``
-    = 1e-3 to ``a_max``, so two roots within one step of it are missed.
+    Each order is one pass over one stacked grid: the three probes by
+    ``_A_GRID`` points from ``_A_MIN`` = 1e-3 to ``a_max``, evaluated in one
+    array call of :func:`_continuant`.  Every exact zero and every sign
+    change of all three rows is found at once, from slices of that grid; the
+    points within half a step of the excluded a = 1, and every cell touching
+    them, are left out, and the roots below and above them are merged apart
+    (at 1e-8).  Each bracket is refined by :func:`_brent` on the probe's
+    constraint, whose constants are formed once per order.  The roots are
+    those of one grid per probe searched side by side, to the last bit.
+
+    Two roots within one step of the grid are missed.
     Against a 20 times finer grid (560 random inputs, u0 in [0.05, 20],
     |delta1| in [1.02, 12]) a step of 0.025 lost no root up to ``n_max`` 6,
     while roots were lost from a step of 0.125 at ``n_max`` 3, 0.1 at 6 and
@@ -390,26 +459,25 @@ def termination_search(cfg: FieldConfig, n_max: int,
     if not _A_MIN < a_max < math.inf:
         raise ParameterError(f"termination_search: need {_A_MIN} < a_max < inf, got {a_max}")
     avals, h = np.linspace(_A_MIN, a_max, _A_GRID, retstep=True)
-    # a = 1 is excluded from the family: bracket on either side of it only
-    sides = (avals < 1.0 - 0.5 * h, avals > 1.0 + 0.5 * h)
+    # a = 1 is excluded from the family: bracket below and above the points near it only
+    gap = (int(np.count_nonzero(avals < 1.0 - 0.5 * h)),
+           _A_GRID - int(np.count_nonzero(avals > 1.0 + 0.5 * h)))
     # delta2 = 0 removes the modulation entirely; the constraint is vacuous
     # and the field is the constant-detuning flopping model
     records = [TerminationRecord(0, "trivial", {}, 0.0)]
     for n_stop in range(1, n_max + 1):
         delta2 = float(n_stop)
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = _constraint_determinant(_U0_PROBES, cfg.delta1, delta2, avals, n_stop)
+            grid = _constraint(_U0_PROBES, cfg.delta1, delta2, n_stop)(avals)
         if not np.isfinite(grid).all():
             raise DomainError(f"termination_search: the order-{n_stop} constraint overflows on "
                               f"the a-grid up to {a_max!r} at delta1 = {cfg.delta1!r}")
         if h > _A_STEP_MAX:         # checked after the overflow, the more specific fault
             raise DomainError(f"termination_search: the a-grid step {h:.3g} up to {a_max!r} "
                               f"exceeds {_A_STEP_MAX} and would lose constraint roots")
-        roots_by_u0 = {}
-        for u0, fvals in zip(_U0_PROBES, grid):
-            f = lambda a: _constraint_determinant(u0, cfg.delta1, delta2, a, n_stop)
-            roots_by_u0[u0] = tuple(r for side in sides for r in grid_roots(
-                f, avals[side], fvals[side], _ROOT_XTOL, 1e-8))
+        fs = [_constraint(u0, cfg.delta1, delta2, n_stop) for u0 in _U0_PROBES]
+        rows = _stacked_grid_roots(fs, avals, grid, _ROOT_XTOL, 1e-8, gap)
+        roots_by_u0 = {u0: tuple(roots) for u0, roots in zip(_U0_PROBES, rows)}
         sets = list(roots_by_u0.values())
         counts = {len(s) for s in sets}
         if counts == {0}:

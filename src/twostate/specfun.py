@@ -11,6 +11,10 @@ and its finite-sum reductions) is built on three primitives:
   (:class:`UnwoundPoint`), which must never be snapped back to the principal
   branch.
 
+The kernels are pure functions.  The module's only state is the read-only
+array of term indices and a bounded cache of read-only term-ratio vectors
+(:func:`_ratios`), which the points of one orbit share.
+
 Branch conventions: logarithms and non-integer powers of ``1 - z`` use the
 principal branch; powers of ``z`` itself go through :class:`UnwoundPoint`
 wherever ``z`` traces the periodic orbit in the complex plane.
@@ -19,6 +23,7 @@ wherever ``z`` traces the periodic orbit in the complex plane.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +44,7 @@ _LOG_EPS_SERIES = math.log(EPS_SERIES)
 _N = np.arange(float(MAX_TERMS))
 _N_PLUS_1 = _N + 1.0
 _N.flags.writeable = _N_PLUS_1.flags.writeable = False
+_RATIO_CACHE_SIZE = 32                      # parameter triples and blocks whose ratios are kept
 _running_product = np.multiply.accumulate   # np.cumprod minus its Python wrapper
 _running_sum = np.add.accumulate
 
@@ -70,13 +76,33 @@ def _first_block_length(az: float) -> int:
     return min(int(1.25 * _LOG_EPS_SERIES / math.log(az)) + 4, MAX_TERMS)
 
 
+@functools.lru_cache(maxsize=_RATIO_CACHE_SIZE, typed=True)
+def _ratios(p1: complex, p2: complex, p3: complex, start: int, stop: int) -> np.ndarray:
+    """Read-only term ratios ``(p1+n)(p2+n) / ((p3+n)(n+1))`` for ``start <= n < stop``.
+
+    They do not depend on ``z``, so the points of one orbit (one ``|z|``, one
+    block length) share them.  Cached for the last ``_RATIO_CACHE_SIZE``
+    parameter triples and blocks: enough for the calls within one evaluation,
+    not for a long run of configurations.
+    """
+    n = _N[start:stop]
+    r = p1 + n
+    r *= p2 + n
+    den = p3 + n
+    den *= _N_PLUS_1[start:stop]
+    r /= den
+    r.flags.writeable = False
+    return r
+
+
 def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[complex, int]:
     """Sum of the ``2F1`` power series and the number of terms after the leading 1.
 
     Arguments are checked by the caller: finite, ``p3`` not a non-positive
     integer, ``|z| < 1``.  Terms come in blocks: the ratio vector
     ``(p1+n)(p2+n) z / ((p3+n)(n+1))`` over a run of ``n`` (real until the
-    factor ``z`` when the parameters are), its running product (the terms,
+    factor ``z`` when the parameters are; :func:`_ratios` builds the part
+    before ``z`` once per triple and block), its running product (the terms,
     multiplied in the order a term-by-term loop would) and its running sum
     (the partial sums).  The series stops at the first term that is exactly
     zero, or at the second of two consecutive terms below ``EPS_SERIES`` times
@@ -100,12 +126,7 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     start, term, total = 0, 1.0 + 0j, 1.0 + 0j
     while True:
         stop = min(length, last)
-        n = _N[start:stop]
-        r = p1 + n
-        r *= p2 + n
-        den = p3 + n
-        den *= _N_PLUS_1[start:stop]
-        r /= den
+        r = _ratios(p1, p2, p3, start, stop)
         t = np.empty(stop - start + 1, dtype=complex)
         t[0] = term
         np.multiply(r, z, out=t[1:])

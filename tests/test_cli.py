@@ -1,5 +1,6 @@
 """Command-line front door: outputs, formats, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -140,6 +141,27 @@ def test_terminate_table(tmp_path):
     assert status == ["trivial", "trivial", "unconditional", "conditional"]
     roots2 = column(header, rows, "roots", as_float=False)[2]
     assert abs(float(roots2.split(";")[0]) - 3.0) < 1e-5
+
+
+# SHA-256 of the stdout of `terminate --u0 1 --delta1=D --n-max N -o -`: every
+# root, drift and status of the hierarchy, pinned to the last bit
+TERMINATE_SHA256 = {
+    ("3", "2"): "1d39c90199a5f8872ee2e6fb0fbc540c7c77cdf0a5df0aaaf6e88e49a202f9c1",
+    ("3", "-2.5"): "cd0cc9d880588777c1209ec95948947b8a8bfaa09b21d7aff94fec0de184d082",
+    ("3", "6"): "4dadb9190806a2f33654b18326d55728da7f82174ffdce6158da1ee247ea2bda",
+    ("10", "2"): "90cbfb5eded7f903b02362fa07cd3982d07bbfe37128e8f9708eb4033344c748",
+    ("10", "-2.5"): "c64337f097fea47a8e2e5823fcf65663c5bb1f0a475826620ad557c18395892c",
+    ("10", "6"): "0289fec9d9a3b267dc57853228a414cb60d68c15fa0b7780a569cd28bbaae0cb",
+    ("40", "2"): "df0fe9ca28104fbf95339297967f69730791205449eb1ad6ab690160d60e8f00",
+    ("40", "-2.5"): "63fdd112627157f4c08a7398246cfb6d07a4c582fd6baab63f3a5ebf3194b965",
+    ("40", "6"): "31a74ddef8a255f16a5b633b0486d624771a3bd5f2e35f7ecfbf0f56f2f6b07f",
+}
+
+
+@pytest.mark.parametrize("n_max, delta1", list(TERMINATE_SHA256))
+def test_terminate_output_is_pinned(n_max, delta1):
+    out = _stdout(["terminate", "--u0", "1", f"--delta1={delta1}", "--n-max", n_max])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TERMINATE_SHA256[n_max, delta1]
 
 
 def test_terminate_overflow_is_a_configuration_error(tmp_path, capsys):

@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from twostate.errors import ConvergenceError, DomainError, ParameterError
 from twostate.fields import FieldConfig, a_from_delta1
-from twostate.heun import (_U0_PROBES, BetaSeries, HeunParams, _constraint_determinant,
-                           _recurrence_terms, eval_series, expand, generalized_rabi, grid_roots,
-                           map_to_heun, q_polynomial, series_solution, termination_search)
+from twostate.heun import (_A_GRID, _A_MIN, _ROOT_MATCH_ATOL, _ROOT_XTOL, _U0_PROBES, BetaSeries,
+                           HeunParams, TerminationRecord, _branch_constants, _constraint,
+                           _continuant, _recurrence_terms, _stacked_grid_roots, eval_series,
+                           expand, generalized_rabi, grid_roots, map_to_heun, q_polynomial,
+                           series_solution, termination_search)
 from twostate.specfun import UnwoundPoint, fold_beta_sum, inc_beta
 
 SQ2 = math.sqrt(2.0)
@@ -273,7 +276,7 @@ def test_constraint_determinant_matches_q_polynomial():
         for a in (0.3, 0.77, 1.6, 4.2, 7.9):
             for u0 in (0.5, 1.0, 2.0):
                 for n_stop in range(1, 9):
-                    got = _constraint_determinant(u0, d1, float(n_stop), a, n_stop)
+                    got = _constraint(u0, d1, float(n_stop), n_stop)(a)
                     exact, scale = _determinant_50_digits(u0, d1, a, n_stop)
                     assert abs(got - exact) <= 1e-14 * scale, (d1, a, u0, n_stop)
                     hp, _ = map_to_heun(FieldConfig(u0=u0, a=a, delta1=d1,
@@ -291,24 +294,69 @@ def test_constraint_vanishes_at_a_equal_one():
             for n_stop in range(1, 9):
                 exact, scale = _determinant_50_digits(u0, d1, 1.0, n_stop)
                 assert abs(exact) <= 1e-40 * scale      # zero to the 50-digit working precision
-                got = _constraint_determinant(u0, d1, float(n_stop), 1.0, n_stop)
+                got = _constraint(u0, d1, float(n_stop), n_stop)(1.0)
                 assert abs(got) <= 1e-14 * scale, (d1, u0, n_stop, abs(got) / scale)
 
 
 def test_constraint_determinant_vectorized_over_a():
     avals = np.array([0.3, 0.77, 1.6, 4.2])
-    vec = _constraint_determinant(1.3, -2.5, 4.0, avals, 4)
-    assert np.array_equal(vec, [_constraint_determinant(1.3, -2.5, 4.0, a, 4) for a in avals])
+    vec = _constraint(1.3, -2.5, 4.0, 4)(avals)
+    assert np.array_equal(vec, [_constraint(1.3, -2.5, 4.0, 4)(a) for a in avals])
     # the stacked probe grid of termination_search: every row is the scalar
-    # evaluation bit for bit, which is what lets grid_roots hand the grid
+    # evaluation bit for bit, which is what lets the search hand the grid
     # values to Brent's method without re-evaluating the bracket ends
     avals = np.linspace(1e-3, 8.0, 2001)
     for d1, n_stop in ((-2.5, 4), (2.0, 3), (5.5, 8)):
-        stacked = _constraint_determinant(_U0_PROBES, d1, float(n_stop), avals, n_stop)
+        stacked = _constraint(_U0_PROBES, d1, float(n_stop), n_stop)(avals)
         assert stacked.shape == (3, 2001)
         for row, u0 in zip(stacked, _U0_PROBES):
-            assert np.array_equal(row, [_constraint_determinant(u0, d1, float(n_stop), float(a),
-                                                                n_stop) for a in avals])
+            assert np.array_equal(row, [_constraint(u0, d1, float(n_stop), n_stop)(float(a))
+                                        for a in avals])
+
+
+def _plain_continuant(a, g, d, e, q, n_stop):
+    """The continuant as the plain recursion: every term of :func:`_recurrence_terms` formed."""
+    rn, qn, pn = zip(*(_recurrence_terms(a, g, d, e, q, n) for n in range(n_stop + 1)))
+    d_prev, d_cur = 1.0, qn[0]
+    for n in range(2, n_stop + 2):
+        d_prev, d_cur = d_cur, qn[n - 1] * d_cur - pn[n - 2] * rn[n - 1] * d_prev
+    return d_cur
+
+
+def _read_only(x):
+    x = np.array(x)
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("delta1", [2.0, -2.5, 5.5, -11.3])
+def test_continuant_forms_equal_the_plain_recursion_and_leave_inputs_alone(delta1):
+    # _continuant forms a n once, rewrites Q_n = -((a n X + C) + q), carries
+    # (-1)^n d_n and updates its grid temporaries in place.  Read-only inputs
+    # are accepted and left as they were, and the stacked, scalar and
+    # polynomial forms equal the plain recursion value for value (== on every
+    # element: an exactly zero result may carry the other sign)
+    avals = np.linspace(1e-3, 8.0, 2001)
+    big_r = np.array([[generalized_rabi(u, delta1)] for u in _U0_PROBES])
+    gamma, alpha1 = _branch_constants(big_r, delta1, -1)
+    for n_stop in range(11):
+        d2 = float(n_stop)
+        q = (avals - 1.0) * d2 * alpha1
+        inputs = [_read_only(x) for x in (avals, gamma, q)]
+        stacked = _continuant(inputs[0], inputs[1], d2, -d2, inputs[2], n_stop)
+        for x, before in zip(inputs, (avals, gamma, q)):
+            assert np.array_equal(x, before)
+        assert stacked.shape == (3, 2001)
+        assert np.array_equal(stacked, _plain_continuant(avals, gamma, d2, -d2, q, n_stop))
+        for k in range(3):
+            for j in range(0, 2001, 50):
+                args = (float(avals[j]), float(gamma[k, 0]), d2, -d2, float(q[k, j]), n_stop)
+                assert _continuant(*args) == _plain_continuant(*args) == stacked[k, j]
+        hp, _ = map_to_heun(FieldConfig(u0=1.0, a=0.77, delta1=delta1, delta2=d2), -1)
+        args = (hp.a, hp.gamma, hp.delta, hp.epsilon, Polynomial([0j, 1.0]), n_stop)
+        poly = _continuant(*args)
+        assert isinstance(poly, Polynomial)
+        assert np.array_equal(poly.coef, _plain_continuant(*args).coef)
 
 
 def test_q_polynomial_requires_termination_precondition():
@@ -528,6 +576,36 @@ def test_grid_roots_is_brentq_bit_for_bit(bracket, xtol, merge_tol):
     assert grid_roots(f, xs, fx, xtol, merge_tol) == expected
 
 
+@given(_polynomial_brackets(), st.integers(0, 40), st.integers(0, 5),
+       st.sampled_from([1e-12, 1e-8, 10.0]))
+def test_stacked_grid_roots_search_each_side_as_grid_roots(bracket, lo, width, merge_tol):
+    # the one-pass search of termination_search on synthetic rows: every
+    # exact zero and sign change of all rows at once, the points lo <= j < hi
+    # and the cells leaving a side dropped, each side merged on its own, as
+    # grid_roots returns from each side's own copy of the grid
+    xs, roots, scale = bracket
+    lo = min(lo, len(xs))
+    hi = min(lo + width, len(xs))
+    fs = []
+    for k in range(3):                     # rows with fewer roots and either sign
+        def f(x, row=roots[k:], c=(-scale if k == 1 else scale)):
+            y = c
+            for r in row:
+                y = y * (x - r)
+            return y
+        fs.append(f)
+    fx = np.array([np.broadcast_to(f(xs), xs.shape) for f in fs])
+    try:
+        expected = [grid_roots(f, xs[:lo], row[:lo], 1e-15, merge_tol)
+                    + grid_roots(f, xs[hi:], row[hi:], 1e-15, merge_tol)
+                    for f, row in zip(fs, fx)]
+    except ConvergenceError:               # a flat triple root: the same error either way
+        with pytest.raises(ConvergenceError):
+            _stacked_grid_roots(fs, xs, fx, 1e-15, merge_tol, (lo, hi))
+        return
+    assert _stacked_grid_roots(fs, xs, fx, 1e-15, merge_tol, (lo, hi)) == expected
+
+
 @pytest.mark.parametrize("u0, delta1, n_stop", [(5.141038753367041, 10.037068134735588, 6),
                                                 (1.8388067875218563, -9.689200223603034, 5),
                                                 (0.4500683314806528, 10.264236140718245, 5),
@@ -536,9 +614,18 @@ def test_grid_roots_is_brentq_bit_for_bit_on_constraint_grids(u0, delta1, n_stop
     # the first three meet Brent's step-length test (2|step| < 3|bisection| - tol)
     # within the tolerance, which the polynomial brackets above hardly ever do
     avals = np.linspace(1e-3, 8.0, 2001)
-    f = lambda a: _constraint_determinant(u0, delta1, float(n_stop), a, n_stop)
-    fx = _constraint_determinant(u0, delta1, float(n_stop), avals, n_stop)
+    f = _constraint(u0, delta1, float(n_stop), n_stop)
+    fx = f(avals)
     assert grid_roots(f, avals, fx, 1e-15, 1e-8) == _brentq_grid_roots(f, avals, fx, 1e-15, 1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-300])
+def test_grid_roots_of_a_tiny_function_is_brentq_bit_for_bit(scale):
+    # the inverse-quadratic step's quotient underflows to 0 / 0; scipy's C
+    # code bisects past the nan, where Python floats raise ZeroDivisionError
+    xs = np.linspace(0.0, 2.0, 9)
+    f = lambda x: scale * (x - 0.3) * (x + 1.7) * (x - 5.1)
+    assert grid_roots(f, xs, f(xs), 1e-15, 1e-8) == _brentq_grid_roots(f, xs, f(xs), 1e-15, 1e-8)
 
 
 def test_grid_roots_non_finite_inside_a_bracket_is_a_domain_error():
@@ -594,6 +681,62 @@ def test_termination_search_at_high_order_does_not_warn():
     # error under the suite's warning filter)
     records = termination_search(FieldConfig(u0=1.0, a=2.0, delta1=2.0, delta2=1.0), 40)
     assert [r.n for r in records] == list(range(41))
+
+
+def _reference_search(delta1, n_max, a_max):
+    """The search as one grid per probe coupling: the plain recursion, and
+    :func:`grid_roots` on masked copies of the grid on either side of a = 1."""
+    avals, h = np.linspace(_A_MIN, a_max, _A_GRID, retstep=True)
+    sides = (avals < 1.0 - 0.5 * h, avals > 1.0 + 0.5 * h)
+    records = [TerminationRecord(0, "trivial", {}, 0.0)]
+    for n_stop in range(1, n_max + 1):
+        d2 = float(n_stop)
+        roots_by_u0 = {}
+        for u0 in _U0_PROBES:
+            gamma, alpha1 = _branch_constants(generalized_rabi(u0, delta1), delta1, -1)
+            f = lambda a: _plain_continuant(a, gamma, d2, -d2, (a - 1.0) * d2 * alpha1, n_stop)
+            fvals = f(avals)
+            roots_by_u0[u0] = tuple(r for side in sides for r in grid_roots(
+                f, avals[side], fvals[side], _ROOT_XTOL, 1e-8))
+        sets = list(roots_by_u0.values())
+        counts = {len(s) for s in sets}
+        if counts == {0}:
+            status, drift = "trivial", 0.0
+        elif len(counts) > 1:
+            status, drift = "conditional", math.inf
+        else:
+            stacked = np.array([sorted(s) for s in sets])
+            drift = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
+            status = "unconditional" if drift < _ROOT_MATCH_ATOL else "conditional"
+        records.append(TerminationRecord(n_stop, status, roots_by_u0, drift))
+    return records
+
+
+@pytest.mark.parametrize("a_max", [8.0, 50.0])
+@pytest.mark.parametrize("n_max", [3, 6, 10])
+def test_termination_search_equals_the_per_probe_reference(n_max, a_max):
+    # the one-pass search (stacked grid, every bracket at once, the cells at
+    # a = 1 sliced away) returns the records of one grid per coupling searched
+    # side by side, roots and drifts equal as floats
+    rng = np.random.default_rng(1000 * n_max + int(a_max))
+    for sign in (1.0, -1.0):
+        for size in (1.02, 12.0, *rng.uniform(1.02, 12.0, 5)):
+            delta1 = sign * float(size)
+            got = termination_search(FieldConfig(u0=1.0, a=2.0, delta1=delta1, delta2=1.0),
+                                     n_max, a_max=a_max)
+            assert got == _reference_search(delta1, n_max, a_max), delta1
+
+
+@pytest.mark.parametrize("delta1, a_max", [(-9.680707118832233, 2.1798127965638106),
+                                           (7.956925238446511, 29.383616727942655),
+                                           (10.684607353502019, 7.036283075368875)])
+def test_termination_search_leaves_out_the_cells_at_a_equal_one(delta1, a_max):
+    # on these grids the left-out point nearest a = 1 has the other sign than
+    # both its neighbours at some of orders 7 to 10: neither cell touching it
+    # is searched, as neither lies within one side
+    got = termination_search(FieldConfig(u0=1.0, a=2.0, delta1=delta1, delta2=1.0), 10,
+                             a_max=a_max)
+    assert got == _reference_search(delta1, 10, a_max)
 
 
 def test_termination_search_validates_n_max():
