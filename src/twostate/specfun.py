@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ParameterError
 
 # Tolerances shared between implementation, tests and docs.
-EPS_SERIES = 1e-16   # series term cutoff, relative to the partial sum
+EPS_SERIES = 1e-16   # series stop: a block's last two terms below this times its partial sum
 EPS_CHECK = 1e-11    # identity / oracle agreement tolerance
 MAX_TERMS = 10_000   # hard cap on hypergeometric series length
 
@@ -69,9 +69,11 @@ def _require_finite(name: str, z: complex, *params: complex) -> None:
 def _first_block_length(az: float) -> int:
     """Terms in the first series block at ``|z| = az``: ``1.25 ln EPS_SERIES / ln|z| + 4``.
 
-    The incomplete-Beta series with ``p2 = 2`` stops within 1.11 times
-    ``ln EPS_SERIES / ln|z|`` terms on the solvable model's orbits, so one
-    block covers it.
+    On the solvable model's orbits the incomplete-Beta series with ``p2 = 2``
+    has two consecutive terms below ``EPS_SERIES`` times the partial sum
+    within 1.12 times ``ln EPS_SERIES / ln|z|`` terms, and its terms keep
+    falling, so the first block's end passes the block rule of
+    :func:`_hyp2f1_series`: one block sums it.
     """
     return min(int(1.25 * _LOG_EPS_SERIES / math.log(az)) + 4, MAX_TERMS)
 
@@ -104,14 +106,17 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     factor ``z`` when the parameters are; :func:`_ratios` builds the part
     before ``z`` once per triple and block), its running product (the terms,
     multiplied in the order a term-by-term loop would) and its running sum
-    (the partial sums).  The series stops at the first term that is exactly
-    zero, or at the second of two consecutive terms below ``EPS_SERIES`` times
-    the partial sum.  The first block holds :func:`_first_block_length` terms;
-    a longer series continues from its last term and partial sum in a block
-    reaching twice as far: the same sequential operations.  When ``p1``
-    or ``p2`` is a non-positive integer ``-m``, term ``m + 1`` is the first
-    zero and a block ends there, so no term past it is computed (their ratios
-    could overflow).
+    (the partial sums).  One test at each block's end stops the series: a
+    block whose last two terms are both below ``EPS_SERIES`` times its last
+    partial sum is accepted whole, and a block that holds a term exactly zero
+    ends at the first such term.  So the sum takes at least the terms that a
+    term-by-term stop (the first of two consecutive small terms) would, and
+    every later one up to the block's end.  The first block holds
+    :func:`_first_block_length` terms; a rejected block continues from its
+    last term and partial sum in a block reaching twice as far: the same
+    sequential operations.  When ``p1`` or ``p2`` is a non-positive integer
+    ``-m``, term ``m + 1`` is the first zero and a block ends there, so no
+    term past it is computed (their ratios could overflow).
     """
     az = abs(z)
     if az == 0:
@@ -134,19 +139,15 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
         t[0] = total                    # the running sum starts from the partial sum
         s = _running_sum(t)             # s[k]: partial sum through term number start + k
         t[0] = term
-        tol = abs(s)
-        tol *= EPS_SERIES
-        tiny = abs(t) < tol
-        # two consecutive tiny terms, so an accidentally small factor
-        # (p1+n or p2+n near zero) cannot fake convergence
-        pair = tiny[1:] & tiny[:-1]
-        j = pair.argmax() + 1
-        if not pair[j - 1]:
-            j = len(t)
         if t[-1] == 0:                  # a zero term ends the series: every later term is zero
-            j = min(j, (t == 0).argmax())
-        if j < len(t):
+            j = (t == 0).argmax()
             return complex(s[j]), start + int(j)
+        # the last two terms both small, so an accidentally small factor
+        # (p1+n or p2+n near zero) cannot fake convergence
+        end = complex(s[-1])
+        tol = EPS_SERIES * abs(end)
+        if abs(t[-1]) < tol and abs(t[-2]) < tol:
+            return end, stop
         if stop == last:
             raise ConvergenceError(f"hyp2f1: no convergence after {stop} terms at z={z}")
         start, term, total = stop, t[-1], s[-1]
@@ -162,8 +163,10 @@ def hyp2f1(p1: complex, p2: complex, p3: complex, z: complex) -> complex:
     numpy blocks of terms (a vector of ratios, its running product and its
     running sum), sized from ``|z|`` so that one block usually holds the whole
     series; a longer series continues from its last term and partial sum in
-    further blocks.  The stopping rule is the term-by-term one: the first zero term,
-    or two consecutive terms below ``EPS_SERIES`` times the partial sum.
+    further blocks.  The stopping rule is tested once per block, at its end:
+    the series stops in the first block whose last two terms are both below
+    ``EPS_SERIES`` times its partial sum, summing that whole block, or at the
+    first zero term.
 
     Verified domain: within ``EPS_CHECK * (1 + |F|)`` of a 30-digit reference
     for ``|z| <= 0.9`` in the incomplete-Beta shape ``p3 = p1 + 1`` (the only

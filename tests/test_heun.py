@@ -2,9 +2,11 @@
 
 The independent oracles here: rationalized hand arithmetic for the parameter
 map (derivations recorded inline), a grid-scan root finder for the accessory
-polynomial, and a finite-difference residual of the underlying ODE for the
-series evaluation.
+polynomial, a finite-difference residual of the underlying ODE for the
+series evaluation, and the numerical oracle for the hierarchy's members.
 """
+
+import functools
 
 import cmath
 import math
@@ -17,12 +19,13 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from twostate.errors import ConvergenceError, DomainError, ParameterError
-from twostate.fields import FieldConfig, a_from_delta1
+from twostate.fields import FieldConfig, StateVector, a_from_delta1, drive_field
 from twostate.heun import (_A_GRID, _A_MIN, _ROOT_MATCH_ATOL, _ROOT_XTOL, _U0_PROBES, BetaSeries,
                            HeunParams, TerminationRecord, _branch_constants, _constraint,
                            _continuant, _recurrence_terms, _stacked_grid_roots, eval_series,
                            expand, generalized_rabi, grid_roots, map_to_heun, q_polynomial,
                            series_solution, termination_search)
+from twostate.oracle import integrate
 from twostate.specfun import UnwoundPoint, fold_beta_sum, inc_beta
 
 SQ2 = math.sqrt(2.0)
@@ -761,3 +764,46 @@ def test_termination_search_rejects_a_coarse_grid():
             termination_search(base, 3, a_max=a_max)
     roots = termination_search(base, 3, a_max=50.0)[2].roots_by_u0
     assert all(len(r) == 1 and abs(r[0] - 3.0) < 1e-9 for r in roots.values())
+
+
+@functools.cache
+def hierarchy_deviations() -> dict:
+    """Largest |a2| deviation from the oracle among the members of each order N.
+
+    Every root that ``termination_search(cfg, 7)`` reports at each probe u0,
+    for delta1 in {2, -2.5, 3.5}, is one member ``FieldConfig(u0, root,
+    delta1, delta2=N)``.  Its normalised ``series_solution(cfg, -1)`` seeds
+    the oracle as in criterion 10 (rtol 1e-11), over two periods at 101 samples.
+    """
+    worst = {}
+    for delta1 in (2.0, -2.5, 3.5):
+        for rec in termination_search(FieldConfig(u0=1.0, a=2.0, delta1=delta1, delta2=1.0), 7):
+            for u0, roots in rec.roots_by_u0.items():
+                for a in roots:
+                    cfg = FieldConfig(u0=u0, a=a, delta1=delta1, delta2=float(rec.n))
+                    a2_fn, da2_fn = series_solution(cfg, -1)
+                    a1_0 = 1j * da2_fn(0.0) / cfg.u0
+                    scale = math.sqrt(abs(a1_0) ** 2 + abs(a2_fn(0.0)) ** 2)
+                    state0 = StateVector(a1=a1_0 / scale, a2=a2_fn(0.0) / scale)
+                    grid = np.linspace(0.0, 2.0 * cfg.period, 101)
+                    traj = integrate(drive_field(cfg), state0, (0.0, float(grid[-1])),
+                                     t_eval=grid, rtol=1e-11, atol=1e-13)
+                    series = np.array([a2_fn(t) for t in grid]) / scale
+                    dev = float(np.max(np.abs(series - traj.a2)))
+                    worst[rec.n] = max(worst.get(rec.n, 0.0), dev)
+    return worst
+
+
+_FOLD_CANCELLATION = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="known defect, fold cancellation: every head of the fold carries (1 - z)^(1 - N), "
+           "and near theta = 0 heads of 4.3e6 cancel to a sum of 0.068, so the series loses "
+           "digits: 7.0e-9 at N = 6, 3.8e-7 at N = 7")
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, pytest.param(6, marks=_FOLD_CANCELLATION),
+                                   pytest.param(7, marks=_FOLD_CANCELLATION)])
+def test_every_hierarchy_member_series_tracks_the_oracle(order):
+    # each terminated member's finite Beta sum, seeded into the oracle, solves
+    # its own drive: the worst up to N = 5 is 2.0e-10 (N = 5, delta1 = 3.5, u0 = 2)
+    assert hierarchy_deviations()[order] <= 1e-9

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import twostate
-from twostate.closedform import hg_quasipoly, hg_three_beta
+from twostate.closedform import circle_point, hg_quasipoly, hg_three_beta
 from twostate.errors import ConvergenceError, DomainError, ParameterError
+from twostate.fields import N2Config
+from twostate.heun import generalized_rabi
 from twostate.specfun import (EPS_CHECK, EPS_SERIES, MAX_TERMS, UnwoundPoint,
                               _first_block_length, _hyp2f1_series, _ratios, as_complex,
                               beta_step, fold_beta_sum, hyp2f1, inc_beta, power, unwound_power)
@@ -134,43 +136,82 @@ def test_power_at_zero_and_non_finite_z():
 
 
 # ---------------------------------------------------------------- hyp2f1 stopping rule
-# hyp2f1 sums its series in numpy blocks.  These tests hold it to a
-# term-by-term loop of the same recurrence, with stops and zero terms at
-# block edges.
+# hyp2f1 sums its series in numpy blocks and tests for a stop once per block,
+# at its end.  These tests hold it to a term-by-term loop of the same
+# recurrence, with stops and zero terms at block edges.
 
-def loop_hyp2f1(p1, p2, p3, z):
-    """Term-by-term reference: the sum, the terms after the leading 1, and sum |t_n|."""
+def loop_terms(p1, p2, p3, z):
+    """The terms t_1, t_2, ... of the recurrence, one at a time, each with its partial sum."""
     p1, p2, p3, z = complex(p1), complex(p2), complex(p3), complex(z)
     total = term = 1.0 + 0j
-    scale = 1.0
-    small_streak = 0
     for n in range(MAX_TERMS):
         term *= (p1 + n) * (p2 + n) / ((p3 + n) * (n + 1)) * z
         total += term
+        yield term, total
+
+
+def loop_hyp2f1(p1, p2, p3, z):
+    """Term-by-term reference: the sum, the terms after the leading 1, and sum |t_n|."""
+    scale = 1.0
+    small_streak = 0
+    for n, (term, total) in enumerate(loop_terms(p1, p2, p3, z), 1):
         scale += abs(term)
         if term == 0:
-            return total, n + 1, scale
+            return total, n, scale
         if abs(term) < EPS_SERIES * abs(total):
             small_streak += 1
             if small_streak >= 2:
-                return total, n + 1, scale
+                return total, n, scale
         else:
             small_streak = 0
     raise ConvergenceError("loop_hyp2f1: no convergence")
 
 
-def assert_matches_loop(p1, p2, p3, z):
-    """Same stop as the loop, and the same sum to 1e-14 of sum |t_n|; returns the term count.
+def block_ends(az):
+    """Where the blocks end at ``|z| = az``: L, 2L, 4L, ... with L the first block's length."""
+    end = _first_block_length(az)
+    while end < MAX_TERMS:
+        yield end
+        end *= 2
+    yield MAX_TERMS
 
-    numpy may round a complex product or quotient differently from Python
-    (a fused multiply-add), so the sums agree to the rounding of the largest
-    terms: 1e-14 relative wherever the terms do not cancel.
+
+def loop_block_hyp2f1(p1, p2, p3, z):
+    """The block rule on the loop's own terms: the sum, the terms after the leading 1, and sum |t_n|.
+
+    The series stops at the first zero term, or at the first block end whose
+    last two terms are both below ``EPS_SERIES`` times the partial sum there.
     """
-    ref, terms, scale = loop_hyp2f1(p1, p2, p3, z)
-    assert _hyp2f1_series(complex(p1), complex(p2), complex(p3), complex(z))[1] == terms
+    az = abs(complex(z))
+    ends = set(block_ends(az)) if az else set()     # at z = 0 the first term is zero
+    scale = 1.0
+    before = 1.0 + 0j
+    for n, (term, total) in enumerate(loop_terms(p1, p2, p3, z), 1):
+        scale += abs(term)
+        if term == 0:
+            return total, n, scale
+        tol = EPS_SERIES * abs(total)
+        if n in ends and abs(term) < tol and abs(before) < tol:
+            return total, n, scale
+        before = term
+    raise ConvergenceError("loop_block_hyp2f1: no convergence")
+
+
+def assert_matches_loop(p1, p2, p3, z):
+    """The loop's sum and count under the block rule, a count no lower than the term-by-term stop's.
+
+    Returns the term count.  The sums agree to 1e-14 of sum |t_n|: numpy may
+    round a complex product or quotient differently from Python (a fused
+    multiply-add), so they agree to the rounding of the largest terms, 1e-14
+    relative wherever the terms do not cancel.
+    """
+    terms = loop_hyp2f1(p1, p2, p3, z)[1]
+    ref, count, scale = loop_block_hyp2f1(p1, p2, p3, z)
+    assert count >= terms
+    assert _hyp2f1_series(complex(p1), complex(p2), complex(p3), complex(z))[1] == count
     got = hyp2f1(p1, p2, p3, z)
     assert abs(got - ref) <= 1e-14 * scale, (p1, p2, p3, z, got, ref)
-    return terms
+    return count
 
 
 @pytest.mark.parametrize("radius", [1e-300, 1e-3, 0.22, 0.85, 0.99])
@@ -202,12 +243,13 @@ def test_hyp2f1_zero_term_inside_and_on_block_edges():
 
 def test_hyp2f1_stop_straddling_a_block_edge():
     # the first of the two small terms ends the first block, the second lies
-    # past it: the longer block summed again from term 0 must find the pair
+    # past it: the first block fails the rule at its end, and the series
+    # continues into the second block, accepted at its end
     z = cmath.rect(0.22, 0.3)
     edge = _first_block_length(abs(z))
     p2 = next(p2 for p2 in np.arange(2.0, 20.0, 0.05)
               if loop_hyp2f1(3.3, p2, 4.3, z)[1] == edge + 1)
-    assert assert_matches_loop(3.3, p2, 4.3, z) == edge + 1
+    assert assert_matches_loop(3.3, p2, 4.3, z) == 2 * edge
 
 
 def test_hyp2f1_terminating_sum_is_exactly_zero():
@@ -251,12 +293,42 @@ def test_hyp2f1_still_raises_convergence_error():
 
 def test_hyp2f1_no_warning_from_terms_past_the_stop():
     # a block computes terms beyond a two-small-terms stop: here they
-    # underflow or pass a near-pole ratio (p3 + n ~ 1e-9); it ends at a zero term
+    # underflow, end at a zero term, or pass a near-pole ratio (p3 + n ~ 1e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for args in ((2.5, 3.0, 3.5, 1e-300), (1.0, 1.0, 2.0, 1e-200 + 1e-200j),
                      (-3.0, 2.0, 0.5, 0.9), (1.5, 2.0, -30.0 + 1e-9, 0.22)):
             assert_matches_loop(*args)
+
+
+def test_hyp2f1_sums_past_a_false_stop_before_a_near_pole_against_mpmath():
+    # p3 + 30 = 1e-9: the terms fall below EPS_SERIES by term 16, then the
+    # ratio 1/(p3 + 30) lifts them by 1e9.  A term-by-term stop ends at term
+    # 16, 1.1e-4 short of the series; here the first block ends past the pole,
+    # and the block rule, tested at block ends only, sums through it
+    args = (1.5, 2.0, -30.0 + 1e-9, 0.22)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.hyp2f1(*args))
+    loop_sum, loop_count, _ = loop_hyp2f1(*args)
+    assert loop_count < 30 < _first_block_length(0.22)
+    assert abs(loop_sum - ref) > 1e-4 * abs(ref)
+    assert abs(hyp2f1(*args) - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("u0", [0.2, 1.0, 5.0])
+@pytest.mark.parametrize("delta1", [-1.1, -2.5, -6.0])
+def test_beta_series_on_the_solvable_orbits_is_one_block(delta1, u0):
+    # the solvable model's Beta series sum_n c_n B_z(R + n, -1), n = 0, 1, 2,
+    # on its orbit |z| = sqrt(a) < 1: each 2F1(R + n, 2; R + n + 1; z) is
+    # accepted at the end of its first block, so it costs one block of passes
+    cfg = N2Config(u0=u0, delta1=delta1)
+    big_r = generalized_rabi(u0, delta1)
+    for k in range(16):
+        z = circle_point(cfg, cfg.period * k / 16).value
+        assert math.isclose(abs(z), math.sqrt(cfg.a), rel_tol=1e-15)
+        for p in (big_r, big_r + 1.0, big_r + 2.0):
+            got = _hyp2f1_series(complex(p), 2.0 + 0j, complex(p) + 1.0, z)[1]
+            assert got == _first_block_length(abs(z)), (delta1, u0, k, p)
 
 
 # ---------------------------------------------------------------- inc_beta
@@ -458,6 +530,15 @@ def test_inc_beta_and_beta_step_match_mpmath(p, p2, z):
     assert abs(beta_step(p, q, z) - ref) <= EPS_CHECK * (1.0 + abs(ref)), (p, q, z)
 
 
+@given(BETA_P, ONE_MINUS_Q, DISC_Z)
+def test_hyp2f1_block_rule_against_the_loop_over_the_mpmath_domain(p, p2, z):
+    # the block series against the term-by-term loop over the domain the
+    # mpmath tests verify: the loop's sum under the block rule, to 1e-14 of
+    # sum |t_n|, and no fewer terms than the term-by-term stop takes
+    assume(_off_poles(p + 1.0))
+    assert_matches_loop(p, p2, p + 1.0, z)
+
+
 @pytest.mark.xfail(strict=True, reason="known defect: near Re p = 45, q = -4, |z| = 0.89 the "
                    "series misses EPS_CHECK inside the verified domain")
 @pytest.mark.parametrize("kernel, p", [(inc_beta, 45 + 6j), (beta_step, 44 + 6j)],
@@ -584,13 +665,11 @@ def restart_hyp2f1_series(p1, p2, p3, z):
         np.multiply((p1 + n) * (p2 + n) / ((p3 + n) * (n + 1.0)), z, out=t[1:])
         np.multiply.accumulate(t, out=t)
         s = np.add.accumulate(t)
-        tiny = abs(t) < abs(s) * EPS_SERIES
-        pair = tiny[1:] & tiny[:-1]
-        j = pair.argmax() + 1 if pair.any() else len(t)
         if t[-1] == 0:
-            j = min(j, (t == 0).argmax())
-        if j < len(t):
+            j = (t == 0).argmax()
             return complex(s[j]), int(j)
+        if abs(t[-1]) < abs(s[-1]) * EPS_SERIES and abs(t[-2]) < abs(s[-1]) * EPS_SERIES:
+            return complex(s[-1]), stop
         if stop == last:
             raise ConvergenceError("restart_hyp2f1_series: no convergence")
         length *= 2
