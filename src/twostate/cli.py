@@ -1,6 +1,8 @@
 """Batch front door: sample drives, run oracle and analytic pipelines, emit data.
 
 One command per invocation; plot-ready CSV or JSON goes to a file or stdout.
+Each command is a function from its parsed arguments to ``(meta, columns)``
+that writes nothing; :func:`main` writes the output and picks the exit code.
 Every output carries a metadata block echoing the full parameter set (including
 the internally used drive-scaled values) so runs are auditable and
 reproducible byte for byte.
@@ -139,7 +141,7 @@ def _window(args, t0: float, period: float, default_periods: float) -> tuple[np.
     return ts, {"t-start": _fmt(ts[0]), "t-end": _fmt(ts[-1]), "samples": str(len(ts))}
 
 
-def _cmd_detuning(args) -> int:
+def _cmd_detuning(args) -> tuple[dict, dict]:
     if args.model == "n3":
         _require(args, ["u0", "delta1"])
         # the n3 field is printed in drive-scaled time: its period is 2 pi
@@ -154,82 +156,76 @@ def _cmd_detuning(args) -> int:
         cfg, meta = _drive(args)
         ts, window = _window(args, cfg.t0, cfg.period, 1.0)
         vals = (detuning_n2 if args.model == "n2" else detuning_general)(cfg, ts)
-    _emit(args, {**meta, **window}, {"t": ts, "delta_t": vals})
-    return EXIT_OK
+    return {**meta, **window}, {"t": ts, "delta_t": vals}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, dict]:
     cfg, meta = _drive(args)
     state0 = _parse_init(args.init)
     ts, window = _window(args, cfg.t0, cfg.period, 5.0)
     traj = integrate(drive_field(cfg), state0, (float(ts[0]), float(ts[-1])),
                      t_eval=ts, rtol=args.rtol, atol=args.atol)
-    _emit(args, {**meta, **window, "init": args.init, "rtol": _fmt(args.rtol),
-                 "atol": _fmt(args.atol), "norm-drift": _fmt(traj.norm_drift)}, {
+    return {**meta, **window, "init": args.init, "rtol": _fmt(args.rtol),
+            "atol": _fmt(args.atol), "norm-drift": _fmt(traj.norm_drift)}, {
         "t": traj.times,
         "re_a1": traj.a1.real, "im_a1": traj.a1.imag,
         "re_a2": traj.a2.real, "im_a2": traj.a2.imag,
         "pop2": traj.pop2, "norm": traj.norm,
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_closed_form(args) -> int:
+def _cmd_closed_form(args) -> tuple[dict, dict]:
     cfg, meta = _drive(args)
     state0 = _parse_init(args.init)
     ts, window = _window(args, cfg.t0, cfg.period, 5.0)
     a1, a2 = closed_form_states(cfg, state0, float(ts[0]), ts)
-    _emit(args, {**meta, **window, "init": args.init}, {
+    return {**meta, **window, "init": args.init}, {
         "t": ts, "re_a2": a2.real, "im_a2": a2.imag, "pop2": np.abs(a2) ** 2,
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_floquet(args) -> int:
+def _cmd_floquet(args) -> tuple[dict, dict]:
     cfg, meta = _drive(args)
     rep = floquet_analytic(cfg)
     mono = monodromy(drive_field(cfg), t_ref=cfg.t0, rtol=args.rtol, atol=1e-13)
     lam_phys = (rep.lambda1 * cfg.delta, rep.lambda2 * cfg.delta)
     residual = exponent_pair_residual(lam_phys, mono.exponents, cfg.delta)
     eig_mod_err = max(abs(abs(ev) - 1.0) for ev in mono.eigenvalues)
-    _emit(args, {**meta, "rtol": _fmt(args.rtol)}, {
+    return {**meta, "rtol": _fmt(args.rtol)}, {
         "lambda1": [rep.lambda1], "lambda2": [rep.lambda2],
         "mono_exp1": [mono.exponents[0]], "mono_exp2": [mono.exponents[1]],
         "residual_mod_delta": [residual], "eig_modulus_err": [eig_mod_err],
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_heun_map(args) -> int:
+def _cmd_heun_map(args) -> tuple[dict, dict]:
     cfg = _general_config(args).scaled()
     maps = [(name, *map_to_heun(cfg, sign)) for sign, name in ((+1, "plus"), (-1, "minus"))]
-    _emit(args, {"a": _fmt(cfg.a), "u0-scaled": _fmt(cfg.u0),
-                 "delta1-scaled": _fmt(cfg.delta1), "delta2-scaled": _fmt(cfg.delta2)}, {
+    return {"a": _fmt(cfg.a), "u0-scaled": _fmt(cfg.u0),
+            "delta1-scaled": _fmt(cfg.delta1), "delta2-scaled": _fmt(cfg.delta2)}, {
         "sign": [name for name, _, _ in maps],
         **{key: [float(complex(getattr(hp, key)).real) for _, hp, _ in maps]
            for key in ("gamma", "delta", "epsilon", "alpha", "beta", "q")},
         "alpha1": [alpha1 for _, _, alpha1 in maps],
         "fuchs_residual": [hp.fuchs_residual() for _, hp, _ in maps],
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_terminate(args) -> int:
+def _cmd_terminate(args) -> tuple[dict, dict]:
     _require(args, ["u0", "delta1"])
     base = FieldConfig(u0=args.u0, a=2.0, delta1=args.delta1, delta2=1.0)
     records = termination_search(base, args.n_max, a_max=args.a_max)
     roots = [sorted({_fmt(r) for rs in rec.roots_by_u0.values() for r in rs}) for rec in records]
-    _emit(args, {"u0": _fmt(args.u0), "delta1": _fmt(args.delta1),
-                 "n-max": str(args.n_max), "a-max": _fmt(args.a_max)}, {
+    return {"u0": _fmt(args.u0), "delta1": _fmt(args.delta1),
+            "n-max": str(args.n_max), "a-max": _fmt(args.a_max)}, {
         "n": [float(rec.n) for rec in records],
         "status": [rec.status for rec in records],
         "drift": [rec.drift if math.isfinite(rec.drift) else float("nan") for rec in records],
         "roots": [";".join(uniq) if uniq else "none" for uniq in roots],
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[dict, dict]:
     cfg, meta = _drive(args)
     state0 = _parse_init(args.init)
     periods, spp, tol = args.periods, args.samples_per_period, args.tol
@@ -243,12 +239,11 @@ def _cmd_compare(args) -> int:
     traj = integrate(drive_field(cfg), state0, (float(ts[0]), float(ts[-1])),
                      t_eval=ts, rtol=args.rtol, atol=1e-13)
     deviation = float(np.max(np.abs(a2c - traj.a2)))
-    verdict = "PASS" if deviation <= tol else "FAIL"
-    _emit(args, {**meta, "init": args.init, "periods": str(periods),
-                 "samples-per-period": str(spp), "rtol": _fmt(args.rtol)}, {
-        "max_deviation": [deviation], "tolerance": [tol], "verdict": [verdict],
-    })
-    return EXIT_OK if verdict == "PASS" else EXIT_COMPARE_FAIL
+    return {**meta, "init": args.init, "periods": str(periods),
+            "samples-per-period": str(spp), "rtol": _fmt(args.rtol)}, {
+        "max_deviation": [deviation], "tolerance": [tol],
+        "verdict": ["PASS" if deviation <= tol else "FAIL"],
+    }
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -379,14 +374,16 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
-        return args.run(args)
+        meta, columns = args.run(args)
+        _emit(args, meta, columns)
     except (argparse.ArgumentError, ParameterError, DomainError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"twostate: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, ConvergenceError, SingularSystemError, ArithmeticError) as exc:
         print(f"twostate: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_COMPARE_FAIL if columns.get("verdict") == ["FAIL"] else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -112,7 +112,10 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     ends at the first such term.  So the sum takes at least the terms that a
     term-by-term stop (the first of two consecutive small terms) would, and
     every later one up to the block's end.  The first block holds
-    :func:`_first_block_length` terms; a rejected block continues from its
+    :func:`_first_block_length` terms, or, when the non-positive integer
+    ``-m`` nearest ``p3`` (``Re p3 < 0``) lies at or past that end, reaches
+    term ``m + 2``: a ratio ``1/(p3 + m)`` near a pole lifts every later term,
+    so the two terms tested lie past it.  A rejected block continues from its
     last term and partial sum in a block reaching twice as far: the same
     sequential operations.  When ``p1`` or ``p2`` is a non-positive integer
     ``-m``, term ``m + 1`` is the first zero and a block ends there, so no
@@ -128,6 +131,8 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     if not (p1.imag or p2.imag or p3.imag):
         p1, p2, p3 = p1.real, p2.real, p3.real
     length = _first_block_length(az)
+    if p3.real < 0 and (m := round(-p3.real)) >= length:
+        length = min(m + 2, MAX_TERMS)      # a near pole at -m lifts the terms after m
     start, term, total = 0, 1.0 + 0j, 1.0 + 0j
     while True:
         stop = min(length, last)

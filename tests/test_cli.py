@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostate import __version__, oracle
+from twostate import __version__, cli, oracle
 from twostate.cli import build_parser, main
 from twostate.fields import drive_field
 
@@ -330,21 +330,24 @@ def test_json_structure(tmp_path):
 
 
 _GENERAL = ["--u0", "1", "--a", "2", "--delta1", "2", "--delta2", "1"]
+# one argv per command and model
+_EVERY_COMMAND = {
+    "terminate": ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"],
+    "heun-map": ["heun-map", *_GENERAL],
+    "detuning-n2": ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--samples", "5"],
+    "detuning-n3": ["detuning", "--model", "n3", "--u0", "1", "--delta1", "-2",
+                    "--samples", "5"],
+    "detuning-general": ["detuning", "--model", "general", *_GENERAL, "--samples", "5"],
+    "simulate": ["simulate", "--model", "general", *_GENERAL, "--samples", "5"],
+    "closed-form": ["closed-form", "--u0", "1", "--delta1", "-2.5", "--t0", "0.4",
+                    "--samples", "5"],
+    "floquet": ["floquet", "--u0", "1", "--delta1", "2"],
+    "compare": ["compare", "--u0", "1", "--delta1", "2", "--periods", "1",
+                "--samples-per-period", "10"],
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "3"],
-    ["heun-map", *_GENERAL],
-    ["detuning", "--model", "n2", "--u0", "1", "--delta1", "2", "--samples", "5"],
-    ["detuning", "--model", "n3", "--u0", "1", "--delta1", "-2", "--samples", "5"],
-    ["detuning", "--model", "general", *_GENERAL, "--samples", "5"],
-    ["simulate", "--model", "general", *_GENERAL, "--samples", "5"],
-    ["closed-form", "--u0", "1", "--delta1", "-2.5", "--t0", "0.4", "--samples", "5"],
-    ["floquet", "--u0", "1", "--delta1", "2"],
-    ["compare", "--u0", "1", "--delta1", "2", "--periods", "1",
-     "--samples-per-period", "10"],
-], ids=["terminate", "heun-map", "detuning-n2", "detuning-n3", "detuning-general",
-        "simulate", "closed-form", "floquet", "compare"])
+@pytest.mark.parametrize("argv", list(_EVERY_COMMAND.values()), ids=list(_EVERY_COMMAND))
 def test_json_carries_the_csv_values(tmp_path, argv):
     # string columns (status, roots, sign, verdict) stay strings; the other
     # columns are the floats the CSV prints to 17 digits
@@ -368,6 +371,26 @@ def test_json_carries_the_csv_values(tmp_path, argv):
                 assert isinstance(got, float) and format(got, ".17g") == text, name
 
 
+@pytest.mark.parametrize("argv, code", [
+    *((argv, 0) for argv in _EVERY_COMMAND.values()),
+    (["compare", "--u0", "1", "--delta1", "2", "--periods", "1", "--samples-per-period", "50",
+      "--tol", "1e-18"], 4),
+], ids=[*_EVERY_COMMAND, "compare-fail"])
+def test_command_returns_its_output_and_main_writes_it(tmp_path, capsys, argv, code):
+    # a command is a function of its parsed arguments to (meta, columns): it
+    # writes nothing and picks no exit code; main adds the envelope, writes
+    # the output once and exits 4 on a FAIL verdict
+    out = tmp_path / "out.csv"
+    args = cli._parse([*argv, "-o", str(out)])
+    meta, columns = args.run(args)
+    assert isinstance(meta, dict) and isinstance(columns, dict)
+    assert not out.exists() and not (tmp_path / "out.csv.partial").exists()
+    assert capsys.readouterr() == ("", "")
+    assert main([*argv, "-o", str(out)]) == code
+    envelope = {"tool": "twostate", "version": __version__, "command": argv[0], **meta}
+    assert out.read_bytes() == cli._render_csv(envelope, columns).encode("utf-8")
+
+
 def test_config_error_exit_codes(tmp_path):
     # missing required options
     assert main(["detuning", "--model", "n2", "-o", "-"]) == 2
@@ -378,6 +401,16 @@ def test_config_error_exit_codes(tmp_path):
                  "--init", "1,0,1,0"]) == 2
     # unreadable config file
     assert main(["detuning", "--model", "n2", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_config_file_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    # a UTF-16 byte-order mark once ended in a UnicodeDecodeError traceback (exit 1)
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_bytes(b'\xff\xfe{"u0": 1}')
+    assert main(["detuning", "--model", "n2", "--config", str(cfg_file), "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured
+    assert captured.err.startswith("twostate: configuration error: 'utf-8' codec"), captured
 
 
 def test_bad_numeric_inputs_exit_2(tmp_path):

@@ -301,18 +301,29 @@ def test_hyp2f1_no_warning_from_terms_past_the_stop():
             assert_matches_loop(*args)
 
 
-def test_hyp2f1_sums_past_a_false_stop_before_a_near_pole_against_mpmath():
-    # p3 + 30 = 1e-9: the terms fall below EPS_SERIES by term 16, then the
-    # ratio 1/(p3 + 30) lifts them by 1e9.  A term-by-term stop ends at term
-    # 16, 1.1e-4 short of the series; here the first block ends past the pole,
-    # and the block rule, tested at block ends only, sums through it
-    args = (1.5, 2.0, -30.0 + 1e-9, 0.22)
-    with mpmath.workdps(30):
+@pytest.mark.parametrize("p3, short, rtol", [
+    (-30.0 + 1e-9, 1e-4, 1e-15),
+    (-40.0 + 1e-9, 5e-10, 1e-15),
+    (-40.0 - 1e-9, 5e-10, 1e-15),
+    (-50.0 + 1e-9, None, 4e-15),    # the terms it lifts stay below the rounding error
+], ids=["-30+1e-9", "-40+1e-9", "-40-1e-9", "-50+1e-9"])
+def test_hyp2f1_sums_past_a_false_stop_before_a_near_pole_against_mpmath(p3, short, rtol):
+    # p3 + m = +-1e-9: the terms fall below EPS_SERIES before term m, then the
+    # ratio 1/(p3 + m) lifts them by 1e9.  A term-by-term stop ends before the
+    # pole, 1.1e-4 short of the series at m = 30.  The first block ends past
+    # the pole at m = 30 (34 terms at |z| = 0.22); from m = 40 on, past that
+    # end, it reaches term m + 2.  The block rule, tested at block ends only,
+    # sums through the pole; at m = 40 the first block's end once accepted
+    # the series 6.9e-10 short
+    args = (1.5, 2.0, p3, 0.22)
+    m = round(-p3)
+    with mpmath.workdps(40):
         ref = complex(mpmath.hyp2f1(*args))
     loop_sum, loop_count, _ = loop_hyp2f1(*args)
-    assert loop_count < 30 < _first_block_length(0.22)
-    assert abs(loop_sum - ref) > 1e-4 * abs(ref)
-    assert abs(hyp2f1(*args) - ref) <= 1e-15 * abs(ref)
+    assert loop_count < m < _hyp2f1_series(*map(complex, args))[1]
+    if short is not None:
+        assert abs(loop_sum - ref) > short * abs(ref)
+    assert abs(hyp2f1(*args) - ref) <= rtol * abs(ref)
 
 
 @pytest.mark.parametrize("u0", [0.2, 1.0, 5.0])
