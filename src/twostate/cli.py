@@ -54,8 +54,10 @@ def _render_csv(meta: dict, columns: dict) -> str:
 
 
 def _render_json(meta: dict, columns: dict) -> str:
-    payload = {"meta": meta, "data": {k: np.atleast_1d(v).tolist() for k, v in columns.items()}}
-    return json.dumps(payload, indent=2) + "\n"
+    # a non-finite float is no JSON number (RFC 8259): it is written null
+    data = {k: [None if isinstance(x, float) and not math.isfinite(x) else x
+                for x in np.atleast_1d(v).tolist()] for k, v in columns.items()}
+    return json.dumps({"meta": meta, "data": data}, indent=2) + "\n"
 
 
 def _emit(args, meta: dict, columns: dict) -> None:
@@ -215,13 +217,13 @@ def _cmd_terminate(args) -> tuple[dict, dict]:
     _require(args, ["u0", "delta1"])
     base = FieldConfig(u0=args.u0, a=2.0, delta1=args.delta1, delta2=1.0)
     records = termination_search(base, args.n_max, a_max=args.a_max)
-    roots = [sorted({_fmt(r) for rs in rec.roots_by_u0.values() for r in rs}) for rec in records]
+    roots = [sorted({r for rs in rec.roots_by_u0.values() for r in rs}) for rec in records]
     return {"u0": _fmt(args.u0), "delta1": _fmt(args.delta1),
             "n-max": str(args.n_max), "a-max": _fmt(args.a_max)}, {
         "n": [float(rec.n) for rec in records],
         "status": [rec.status for rec in records],
         "drift": [rec.drift if math.isfinite(rec.drift) else float("nan") for rec in records],
-        "roots": [";".join(uniq) if uniq else "none" for uniq in roots],
+        "roots": [";".join(map(_fmt, uniq)) if uniq else "none" for uniq in roots],
     }
 
 

@@ -158,6 +158,7 @@ def recover_a1(cfg: N2Config, a2_derivative, phase):
 
 def _fundamental_pair(cfg: N2Config, times) -> tuple[np.ndarray, np.ndarray]:
     """``(a1, a2)`` of the plus and minus fundamental solutions; axis 0 is the sign."""
+    phase = phase_n2(cfg, times)             # first: it applies the drive's time rule
     t = np.asarray(times, dtype=float)
     theta = cfg.delta * (t - cfg.t0) + _angle_offset(cfg)
     rs = np.reshape((1.0, -1.0), (2,) + (1,) * t.ndim) * generalized_rabi(cfg.u0, cfg.delta1)
@@ -166,14 +167,13 @@ def _fundamental_pair(cfg: N2Config, times) -> tuple[np.ndarray, np.ndarray]:
     z = math.sqrt(cfg.a) * np.exp(1j * theta)
     bracket, dbracket = _bracket(rs, cfg.delta1, z)
     da2 = 1j * cfg.delta * zp * (lam * bracket + z * dbracket)
-    return recover_a1(cfg, da2, phase_n2(cfg, times)), zp * bracket
+    return recover_a1(cfg, da2, phase), zp * bracket
 
 
 def match_initial(cfg: N2Config, state0: StateVector, t_start: float) -> tuple[complex, complex]:
     """Weights (C+, C-) of the fundamental pair matching ``state0`` at ``t_start``."""
     if not abs(state0.norm - 1.0) <= 1e-6:     # NaN fails the checks written this way
         raise ParameterError(f"match_initial: state must be normalized, |state|^2 = {state0.norm}")
-    drive_lattice("match_initial", t_start, cfg.t0, cfg.period)
     (a1p, a1m), (vp, vm) = np.array(_fundamental_pair(cfg, t_start)).tolist()
     det = a1p * vm - a1m * vp
     scale = abs(a1p * vm) + abs(a1m * vp)
@@ -188,7 +188,6 @@ def closed_form_states(cfg: N2Config, state0: StateVector, t_start: float, times
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Matched analytic trajectory ``(a1(t), a2(t))`` on an array of times."""
     c_plus, c_minus = match_initial(cfg, state0, t_start)
-    drive_lattice("closed_form_states", times, cfg.t0, cfg.period)
     a1, a2 = _fundamental_pair(cfg, times)
     return c_plus * a1[0] + c_minus * a1[1], c_plus * a2[0] + c_minus * a2[1]
 

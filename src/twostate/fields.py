@@ -348,22 +348,27 @@ def drive_lattice(owner: str, t, center: float, period: float) -> tuple[np.ndarr
     return k.astype(int), np.minimum(np.maximum(x - k * period, -0.5 * period), 0.5 * period)
 
 
+def _scalar_detuning(owner: str, cfg) -> Callable[[float], float]:
+    """The detuning of a :class:`N2Config` or :class:`FieldConfig` as a function of a float."""
+    if not isinstance(cfg, (N2Config, FieldConfig)):
+        raise ParameterError(f"{owner}: unsupported config type {type(cfg)!r}")
+    return (_n2_detuning if isinstance(cfg, N2Config) else _general_detuning)(cfg, math)
+
+
 @functools.lru_cache(maxsize=1)
 def drive_field(cfg) -> DriveField:
     """The physical-time drive (constant Rabi frequency, detuning) for the oracle.
 
     Memoised on the last (frozen, hashable) config, so calls in a row with
     equal configs return the same :class:`DriveField`, and the oracle can read
-    one command's solve for the next (:mod:`twostate.oracle`).  A drive built
-    by hand compares its ``delta_t`` by identity and so equals no other.
+    one command's solve for the next (:mod:`twostate.oracle`).  Its callers are
+    the oracle's: :func:`classify_crossings` builds no drive, so a census
+    between two readers of one drive costs them no second solve.  A drive
+    built by hand compares its ``delta_t`` by identity and so equals no other.
     """
-    if isinstance(cfg, N2Config):
-        return DriveField(u=cfg.u0 * cfg.delta, delta_t=_n2_detuning(cfg, math),
-                          period=cfg.period, center=cfg.t0)
-    if isinstance(cfg, FieldConfig):
-        return DriveField(u=cfg.u0, delta_t=_general_detuning(cfg, math),
-                          period=cfg.period, center=cfg.t0)
-    raise ParameterError(f"drive_field: unsupported config type {type(cfg)!r}")
+    delta_t = _scalar_detuning("drive_field", cfg)
+    u = cfg.u0 * cfg.delta if isinstance(cfg, N2Config) else cfg.u0
+    return DriveField(u=u, delta_t=delta_t, period=cfg.period, center=cfg.t0)
 
 
 def _crossing_phase(cfg) -> float:
@@ -398,7 +403,7 @@ def classify_crossings(cfg, window: tuple[float, float]) -> CrossingReport:
     the periods of the window (:func:`drive_lattice`), so the cost and the
     output grow with their number.  Takes a :class:`FieldConfig` or :class:`N2Config`.
     """
-    f = drive_field(cfg).delta_t
+    f = _scalar_detuning("classify_crossings", cfg)
     t0, delta = cfg.t0, cfg.delta
 
     t_lo, t_hi = window

@@ -529,8 +529,8 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
         times = np.concatenate(([t_start], inner, [t_end]))
     m, phase_period = _monodromy_at_centre(sol)
     k, s = drive_lattice("integrate", times, c, T)
-    y = _reflect(sol, s)
-    y0 = _reflect(sol, np.array([s0]))[:, 0]
+    y = _reflect(sol, np.append(s, s0))                     # the samples, then t_start
+    y, y0 = y[:, :-1], y[:, -1]
     # M^j v0 for the whole periods j = k - k0 from t_start, v0 = Y(t_start)^-1 c0
     c0 = np.array([state0.a1 * cmath.exp(1j * state0.phase), state0.a2], dtype=complex)
     j = k - k0

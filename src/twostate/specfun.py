@@ -11,9 +11,9 @@ and its finite-sum reductions) is built on three primitives:
   (:class:`UnwoundPoint`), which must never be snapped back to the principal
   branch.
 
-The kernels are pure functions.  The module's only state is the read-only
-array of term indices and a bounded cache of read-only term-ratio vectors
-(:func:`_ratios`), which the points of one orbit share.
+The kernels are pure functions.  The module's only state is a bounded cache
+of read-only term-ratio vectors (:func:`_ratios`), which the points of one
+orbit share.
 
 Branch conventions: logarithms and non-integer powers of ``1 - z`` use the
 principal branch; powers of ``z`` itself go through :class:`UnwoundPoint`
@@ -40,10 +40,6 @@ _INT_TOL = 1e-12
 _FOLD_LEFTOVER_RTOL = 1e-10
 
 _LOG_EPS_SERIES = math.log(EPS_SERIES)
-# Index n of each term ratio, read-only and shared by every call
-_N = np.arange(float(MAX_TERMS))
-_N_PLUS_1 = _N + 1.0
-_N.flags.writeable = _N_PLUS_1.flags.writeable = False
 _RATIO_CACHE_SIZE = 32                      # parameter triples and blocks whose ratios are kept
 _running_product = np.multiply.accumulate   # np.cumprod minus its Python wrapper
 _running_sum = np.add.accumulate
@@ -87,12 +83,8 @@ def _ratios(p1: complex, p2: complex, p3: complex, start: int, stop: int) -> np.
     parameter triples and blocks: enough for the calls within one evaluation,
     not for a long run of configurations.
     """
-    n = _N[start:stop]
-    r = p1 + n
-    r *= p2 + n
-    den = p3 + n
-    den *= _N_PLUS_1[start:stop]
-    r /= den
+    n = np.arange(float(start), float(stop))
+    r = (p1 + n) * (p2 + n) / ((p3 + n) * (n + 1.0))
     r.flags.writeable = False
     return r
 

@@ -164,6 +164,20 @@ def test_terminate_output_is_pinned(n_max, delta1):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TERMINATE_SHA256[n_max, delta1]
 
 
+@pytest.mark.parametrize("a_max", ["20", "50"])
+def test_terminate_roots_ascend_as_numbers(tmp_path, a_max):
+    # the roots once sorted as strings: 17.68 came before 6.88
+    out = tmp_path / "term.csv"
+    assert main(["terminate", "--u0", "1", "--delta1", "2", "--n-max", "8", "--a-max", a_max,
+                 "-o", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    cells = [cell for cell in column(header, rows, "roots", as_float=False) if cell != "none"]
+    assert any(float(cell.split(";")[-1]) > 10.0 for cell in cells)
+    for cell in cells:
+        roots = [float(r) for r in cell.split(";")]
+        assert roots == sorted(roots) and len(set(roots)) == len(roots), cell
+
+
 def test_terminate_overflow_is_a_configuration_error(tmp_path, capsys):
     # the constraint determinant overflows on such a-grids; it once exited 0
     # with every order "trivial" and overflow RuntimeWarnings
@@ -347,15 +361,26 @@ _EVERY_COMMAND = {
 }
 
 
-@pytest.mark.parametrize("argv", list(_EVERY_COMMAND.values()), ids=list(_EVERY_COMMAND))
+# every command, and a terminate run whose probes disagree on the root count
+# at orders 5 and 6, so that its drift reads nan
+_JSON_ARGVS = {**_EVERY_COMMAND,
+               "terminate-nan": ["terminate", "--u0", "1", "--delta1", "2", "--n-max", "10"]}
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is no JSON number")
+
+
+@pytest.mark.parametrize("argv", list(_JSON_ARGVS.values()), ids=list(_JSON_ARGVS))
 def test_json_carries_the_csv_values(tmp_path, argv):
     # string columns (status, roots, sign, verdict) stay strings; the other
-    # columns are the floats the CSV prints to 17 digits
+    # columns are the floats the CSV prints to 17 digits, null where it prints
+    # nan: NaN and Infinity are no JSON (RFC 8259), so the parser refuses them
     csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
     assert main([*argv, "-o", str(csv_out)]) == 0
     assert main([*argv, "--format", "json", "-o", str(json_out)]) == 0
     meta, header, rows = read_csv(csv_out)
-    payload = json.loads(json_out.read_text())
+    payload = json.loads(json_out.read_text(), parse_constant=_refuse)
     # the same envelope in both formats, key for key and in order
     assert list(payload["meta"].items()) == list(meta.items())
     assert list(meta.items())[:3] == [("tool", "twostate"), ("version", __version__),
@@ -367,6 +392,8 @@ def test_json_carries_the_csv_values(tmp_path, argv):
         for got, text in zip(values, texts):
             if isinstance(got, str):
                 assert got == text, name
+            elif got is None:
+                assert text == "nan", name
             else:
                 assert isinstance(got, float) and format(got, ".17g") == text, name
 

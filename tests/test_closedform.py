@@ -20,7 +20,7 @@ from twostate.closedform import (StateVector, _fundamental_pair, circle_point,
                                  hg_quasipoly, hg_three_beta, match_initial, phase_n2,
                                  recover_a1, three_beta_coeffs)
 from twostate.errors import DomainError, ParameterError
-from twostate.fields import N2Config, detuning_n2, drive_field
+from twostate.fields import N2Config, detuning_n2, drive_field, drive_lattice
 from twostate.heun import generalized_rabi
 from twostate.oracle import integrate, mean_detuning, mod_distance
 from twostate.specfun import UnwoundPoint, inc_beta, unwound_power
@@ -254,6 +254,25 @@ def test_times_off_the_drive_lattice_raise_without_warning(t):
                      lambda: match_initial(cfg, state0, t)):
             with pytest.raises(ParameterError, match="periods from the drive's centre"):
                 call()
+
+
+def test_closed_form_applies_the_time_rule_once_per_input(monkeypatch):
+    # phase_n2 applies it to t_start (in match_initial) and to the times, before
+    # anything is evaluated; a bad t_start still raises, without a warning
+    from twostate import closedform
+    seen = []
+
+    def counting(owner, t, center, period):
+        seen.append(np.shape(t))
+        return drive_lattice(owner, t, center, period)
+    monkeypatch.setattr(closedform, "drive_lattice", counting)
+    cfg, state0 = N2Config(u0=1.0, delta1=-2.5), StateVector(a1=1.0, a2=0.0)
+    closed_form_states(cfg, state0, 0.3, np.linspace(0.0, 1.0, 7))
+    assert seen == [(), (7,)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="periods from the drive's centre"):
+            closed_form_states(cfg, state0, 1e308, np.linspace(0.0, 1.0, 7))
 
 
 def test_matched_solution_tracks_oracle():

@@ -20,8 +20,8 @@ from scipy.integrate import solve_ivp
 from twostate import oracle
 from twostate.closedform import StateVector, closed_form_states, floquet_analytic
 from twostate.errors import IntegrationError, ParameterError
-from twostate.fields import (DriveField, FieldConfig, N2Config, detuning_general, detuning_n2,
-                             drive_field)
+from twostate.fields import (DriveField, FieldConfig, N2Config, classify_crossings,
+                             detuning_general, detuning_n2, drive_field)
 from twostate.oracle import (exponent_pair_residual, integrate, mean_detuning,
                              mod_distance, monodromy, rabi_population, wrap_mod)
 
@@ -656,6 +656,21 @@ def test_a_solve_is_reused_only_for_an_equal_drive_at_equal_tolerances():
     assert calls[0] == 0
 
 
+def test_a_crossing_census_between_two_readers_costs_no_solve(monkeypatch):
+    # integrate on drive A, a census of drive B, then monodromy on A at equal
+    # tolerances: the census builds no drive, so A's memo and solve survive it
+    cfg_a, cfg_b = CONFIGS["n2-off-centre"], N2Config(u0=1.3, delta1=3.0)
+    solves = []
+    step = oracle._dop853_step
+    monkeypatch.setattr(oracle, "_dop853_step", lambda: solves.append(1) or step())
+    integrate(drive_field(cfg_a), GROUND, (0.0, cfg_a.period), rtol=1e-11, atol=1e-13)
+    info = drive_field.cache_info()
+    classify_crossings(cfg_b, (0.0, cfg_b.period))
+    assert drive_field.cache_info() == info
+    monodromy(drive_field(cfg_a), t_ref=cfg_a.t0, rtol=1e-11, atol=1e-13)
+    assert len(solves) == 1
+
+
 def test_drive_field_is_one_object_per_configuration():
     for cfg in CONFIGS.values():
         equal = type(cfg)(**vars(cfg))
@@ -687,6 +702,28 @@ def test_oracle_imports_no_analytic_module():
     relative = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level > 0}
     assert relative == {"errors", "fields"}
+
+
+def test_no_analytic_module_names_the_oracle_drive():
+    # the other direction of the split: closedform, heun and specfun never name
+    # drive_field or DriveField; in fields only drive_field builds a drive, and
+    # nothing calls drive_field, whose memo so serves the oracle's callers alone
+    pkg = Path(oracle.__file__).parent
+    for name in ("closedform", "heun", "specfun"):
+        tree = ast.parse((pkg / f"{name}.py").read_text(encoding="utf-8"))
+        names = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                 | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                 | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names})
+        assert not names & {"drive_field", "DriveField"}, name
+    tree = ast.parse((pkg / "fields.py").read_text(encoding="utf-8"))
+
+    def callers(callee):
+        return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == callee}
+    assert callers("DriveField") == {"drive_field"}
+    assert callers("drive_field") == set()
 
 
 def test_no_module_imports_scipy():
