@@ -355,7 +355,6 @@ def _scalar_detuning(owner: str, cfg) -> Callable[[float], float]:
     return (_n2_detuning if isinstance(cfg, N2Config) else _general_detuning)(cfg, math)
 
 
-@functools.lru_cache(maxsize=1)
 def drive_field(cfg) -> DriveField:
     """The physical-time drive (constant Rabi frequency, detuning) for the oracle.
 
@@ -365,7 +364,15 @@ def drive_field(cfg) -> DriveField:
     the oracle's: :func:`classify_crossings` builds no drive, so a census
     between two readers of one drive costs them no second solve.  A drive
     built by hand compares its ``delta_t`` by identity and so equals no other.
+    A config of another type raises :class:`ParameterError` before the memo hashes it.
     """
+    if not isinstance(cfg, (N2Config, FieldConfig)):
+        raise ParameterError(f"drive_field: unsupported config type {type(cfg)!r}")
+    return _drive_field(cfg)
+
+
+@functools.lru_cache(maxsize=1)
+def _drive_field(cfg) -> DriveField:
     delta_t = _scalar_detuning("drive_field", cfg)
     u = cfg.u0 * cfg.delta if isinstance(cfg, N2Config) else cfg.u0
     return DriveField(u=u, delta_t=delta_t, period=cfg.period, center=cfg.t0)

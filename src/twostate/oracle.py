@@ -72,6 +72,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,7 +351,6 @@ def _half_period_solve(owner: str, field: DriveField, rtol: float, atol: float,
     for the kept solve's ``field``, ``rtol`` and ``atol`` returns its steps
     without calling ``delta_t``, with ``nfev`` less the dense-output calls.
     """
-    import numbers                         # local: importing the module does no more work
     # a non-finite tolerance would make the solver step forever; from rtol 1 on
     # the error scale admits steps that overflow the fundamental matrix (rtol
     # 1e300 made a NaN monodromy with overflow warnings)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,36 @@ def _ratios(p1: complex, p2: complex, p3: complex, start: int, stop: int) -> np.
     return r
 
 
+def _block_ends(p1: complex, p2: complex, p3: complex, az: float) -> Iterator[int]:
+    """Where the blocks of :func:`_hyp2f1_series` end: each block's last term number.
+
+    The first block holds :func:`_first_block_length` terms, or, when the
+    non-positive integer ``-m`` nearest ``p3`` (``Re p3 < 0``) lies at or past
+    that end, reaches term ``m + 2``: a ratio ``1/(p3 + m)`` near a pole lifts
+    every later term, so the two terms tested lie past it.  Each later block
+    reaches twice as far.  The last ends at ``MAX_TERMS``, or at the first zero
+    term ``m + 1`` when ``p1`` or ``p2`` is a non-positive integer ``-m``, so
+    no term past it is computed (its ratio could overflow).
+    """
+    last = MAX_TERMS
+    for p in (p1, p2):
+        if p.real <= 0 and not p.imag and p.real.is_integer():
+            last = min(last, 1 - int(p.real))
+    end = _first_block_length(az)
+    if p3.real < 0 and (m := round(-p3.real)) >= end:
+        end = m + 2
+    while end < last:
+        yield end
+        end *= 2
+    yield last
+
+
 def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[complex, int]:
     """Sum of the ``2F1`` power series and the number of terms after the leading 1.
 
     Arguments are checked by the caller: finite, ``p3`` not a non-positive
-    integer, ``|z| < 1``.  Terms come in blocks: the ratio vector
+    integer, ``|z| < 1``.  Terms come in blocks ending where
+    :func:`_block_ends` says: the ratio vector
     ``(p1+n)(p2+n) z / ((p3+n)(n+1))`` over a run of ``n`` (real until the
     factor ``z`` when the parameters are; :func:`_ratios` builds the part
     before ``z`` once per triple and block), its running product (the terms,
@@ -103,31 +129,15 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
     partial sum is accepted whole, and a block that holds a term exactly zero
     ends at the first such term.  So the sum takes at least the terms that a
     term-by-term stop (the first of two consecutive small terms) would, and
-    every later one up to the block's end.  The first block holds
-    :func:`_first_block_length` terms, or, when the non-positive integer
-    ``-m`` nearest ``p3`` (``Re p3 < 0``) lies at or past that end, reaches
-    term ``m + 2``: a ratio ``1/(p3 + m)`` near a pole lifts every later term,
-    so the two terms tested lie past it.  A rejected block continues from its
-    last term and partial sum in a block reaching twice as far: the same
-    sequential operations.  When ``p1`` or ``p2`` is a non-positive integer
-    ``-m``, term ``m + 1`` is the first zero and a block ends there, so no
-    term past it is computed (their ratios could overflow).
+    every later one up to the block's end.  A rejected block continues from
+    its last term and partial sum: the same sequential operations.
     """
-    az = abs(z)
-    if az == 0:
+    if z == 0:
         return 1.0 + 0j, 1
-    last = MAX_TERMS
-    for p in (p1, p2):
-        if p.real <= 0 and not p.imag and p.real.is_integer():
-            last = min(last, 1 - int(p.real))
     if not (p1.imag or p2.imag or p3.imag):
         p1, p2, p3 = p1.real, p2.real, p3.real
-    length = _first_block_length(az)
-    if p3.real < 0 and (m := round(-p3.real)) >= length:
-        length = min(m + 2, MAX_TERMS)      # a near pole at -m lifts the terms after m
     start, term, total = 0, 1.0 + 0j, 1.0 + 0j
-    while True:
-        stop = min(length, last)
+    for stop in _block_ends(p1, p2, p3, abs(z)):
         r = _ratios(p1, p2, p3, start, stop)
         t = np.empty(stop - start + 1, dtype=complex)
         t[0] = term
@@ -145,10 +155,8 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
         tol = EPS_SERIES * abs(end)
         if abs(t[-1]) < tol and abs(t[-2]) < tol:
             return end, stop
-        if stop == last:
-            raise ConvergenceError(f"hyp2f1: no convergence after {stop} terms at z={z}")
         start, term, total = stop, t[-1], s[-1]
-        length *= 2
+    raise ConvergenceError(f"hyp2f1: no convergence after {start} terms at z={z}")
 
 
 def hyp2f1(p1: complex, p2: complex, p3: complex, z: complex) -> complex:
@@ -157,13 +165,10 @@ def hyp2f1(p1: complex, p2: complex, p3: complex, z: complex) -> complex:
     Uses the defining power series with the term-ratio recurrence
     ``t_{n+1} = t_n (p1+n)(p2+n) z / ((p3+n)(n+1))``; terminates naturally
     when ``p1`` or ``p2`` is a non-positive integer.  The recurrence runs in
-    numpy blocks of terms (a vector of ratios, its running product and its
-    running sum), sized from ``|z|`` so that one block usually holds the whole
-    series; a longer series continues from its last term and partial sum in
-    further blocks.  The stopping rule is tested once per block, at its end:
-    the series stops in the first block whose last two terms are both below
-    ``EPS_SERIES`` times its partial sum, summing that whole block, or at the
-    first zero term.
+    numpy blocks of terms ending where :func:`_block_ends` says, so one block
+    usually holds the whole series.  The series stops in the first block whose
+    last two terms are both below ``EPS_SERIES`` times its partial sum, summing
+    that whole block, or at the first zero term.
 
     Verified domain: within ``EPS_CHECK * (1 + |F|)`` of a 30-digit reference
     for ``|z| <= 0.9`` in the incomplete-Beta shape ``p3 = p1 + 1`` (the only

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from twostate import __version__, cli, oracle
 from twostate.cli import build_parser, main
-from twostate.fields import drive_field
+from twostate.fields import _drive_field
 
 SQ2 = math.sqrt(2.0)
 
@@ -294,9 +294,9 @@ def test_floquet_after_compare_prints_the_bytes_of_floquet_alone(monkeypatch, de
     compare_t0, floquet_t0 = t0s
     field = ["--u0", "0.8", "--delta1", delta1, "--delta", delta]
     monkeypatch.setattr(oracle, "_last_dense", None)        # nothing kept from earlier runs
-    drive_field.cache_clear()
+    _drive_field.cache_clear()
     alone = _stdout(["floquet", *field, "--t0", floquet_t0])
-    drive_field.cache_clear()
+    _drive_field.cache_clear()
     _stdout(["compare", *field, "--t0", compare_t0])
     monkeypatch.setattr(oracle, "_dop853_step", _solve_again)
     assert _stdout(["floquet", *field, "--t0", floquet_t0]) == alone

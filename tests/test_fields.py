@@ -257,11 +257,13 @@ def test_classify_glancing():
 def test_classify_window_validation():
     with pytest.raises(ParameterError):
         classify_crossings(N2Config(u0=1.0, delta1=2.0), (1.0, 1.0))
-    # a config of another type is refused, also one with the attributes of a drive
+    # a config of another type is refused by both, also one with the attributes of a drive
     look_alike = SimpleNamespace(**vars(N2Config(u0=1.0, delta1=2.0)), period=2 * math.pi)
     for cfg in (None, look_alike, {"u0": 1.0, "delta1": 2.0}):
         with pytest.raises(ParameterError, match="unsupported config type"):
             classify_crossings(cfg, (0.0, 1.0))
+        with pytest.raises(ParameterError, match="drive_field: unsupported config type"):
+            drive_field(cfg)
     # an infinite window once raised a bare OverflowError, and one 2**60 long
     # walked its 3.7e17 extrema one by one
     for window in ((0.0, math.inf), (0.0, 2.0**60)):

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from twostate import oracle
 from twostate.closedform import StateVector, closed_form_states, floquet_analytic
 from twostate.errors import IntegrationError, ParameterError
-from twostate.fields import (DriveField, FieldConfig, N2Config, classify_crossings,
+from twostate.fields import (DriveField, FieldConfig, N2Config, _drive_field, classify_crossings,
                              detuning_general, detuning_n2, drive_field)
 from twostate.oracle import (exponent_pair_residual, integrate, mean_detuning,
                              mod_distance, monodromy, rabi_population, wrap_mod)
@@ -664,9 +664,9 @@ def test_a_crossing_census_between_two_readers_costs_no_solve(monkeypatch):
     step = oracle._dop853_step
     monkeypatch.setattr(oracle, "_dop853_step", lambda: solves.append(1) or step())
     integrate(drive_field(cfg_a), GROUND, (0.0, cfg_a.period), rtol=1e-11, atol=1e-13)
-    info = drive_field.cache_info()
+    info = _drive_field.cache_info()
     classify_crossings(cfg_b, (0.0, cfg_b.period))
-    assert drive_field.cache_info() == info
+    assert _drive_field.cache_info() == info
     monodromy(drive_field(cfg_a), t_ref=cfg_a.t0, rtol=1e-11, atol=1e-13)
     assert len(solves) == 1
 
@@ -706,8 +706,8 @@ def test_oracle_imports_no_analytic_module():
 
 def test_no_analytic_module_names_the_oracle_drive():
     # the other direction of the split: closedform, heun and specfun never name
-    # drive_field or DriveField; in fields only drive_field builds a drive, and
-    # nothing calls drive_field, whose memo so serves the oracle's callers alone
+    # drive_field or DriveField; in fields only drive_field's memo builds a drive,
+    # and nothing calls drive_field, whose memo so serves the oracle's callers alone
     pkg = Path(oracle.__file__).parent
     for name in ("closedform", "heun", "specfun"):
         tree = ast.parse((pkg / f"{name}.py").read_text(encoding="utf-8"))
@@ -722,7 +722,8 @@ def test_no_analytic_module_names_the_oracle_drive():
         return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                 for node in ast.walk(fn) if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name) and node.func.id == callee}
-    assert callers("DriveField") == {"drive_field"}
+    assert callers("DriveField") == {"_drive_field"}
+    assert callers("_drive_field") == {"drive_field"}
     assert callers("drive_field") == set()
 
 

@@ -23,7 +23,7 @@ from twostate.closedform import circle_point, hg_quasipoly, hg_three_beta
 from twostate.errors import ConvergenceError, DomainError, ParameterError
 from twostate.fields import N2Config
 from twostate.heun import generalized_rabi
-from twostate.specfun import (EPS_CHECK, EPS_SERIES, MAX_TERMS, UnwoundPoint,
+from twostate.specfun import (EPS_CHECK, EPS_SERIES, MAX_TERMS, UnwoundPoint, _block_ends,
                               _first_block_length, _hyp2f1_series, _ratios, as_complex,
                               beta_step, fold_beta_sum, hyp2f1, inc_beta, power, unwound_power)
 
@@ -167,23 +167,14 @@ def loop_hyp2f1(p1, p2, p3, z):
     raise ConvergenceError("loop_hyp2f1: no convergence")
 
 
-def block_ends(az):
-    """Where the blocks end at ``|z| = az``: L, 2L, 4L, ... with L the first block's length."""
-    end = _first_block_length(az)
-    while end < MAX_TERMS:
-        yield end
-        end *= 2
-    yield MAX_TERMS
-
-
 def loop_block_hyp2f1(p1, p2, p3, z):
     """The block rule on the loop's own terms: the sum, the terms after the leading 1, and sum |t_n|.
 
-    The series stops at the first zero term, or at the first block end whose
-    last two terms are both below ``EPS_SERIES`` times the partial sum there.
+    The series stops at the first zero term, or at the first block end (:func:`_block_ends`)
+    whose last two terms are both below ``EPS_SERIES`` times the partial sum there.
     """
-    az = abs(complex(z))
-    ends = set(block_ends(az)) if az else set()     # at z = 0 the first term is zero
+    p1, p2, p3, z = map(complex, (p1, p2, p3, z))
+    ends = set(_block_ends(p1, p2, p3, abs(z))) if z else set()     # at z = 0 term 1 is zero
     scale = 1.0
     before = 1.0 + 0j
     for n, (term, total) in enumerate(loop_terms(p1, p2, p3, z), 1):
@@ -542,6 +533,8 @@ def test_inc_beta_and_beta_step_match_mpmath(p, p2, z):
 
 
 @given(BETA_P, ONE_MINUS_Q, DISC_Z)
+@example(-6.5, 1.0, 1e-13)              # p3 = -5.5: m = 6 past a first block of 5, to term 8
+@example(-4.5, 1.0, 4.146384930621045e-42)  # p3 = -3.5: m = 4 at a first block of 4, to term 6
 def test_hyp2f1_block_rule_against_the_loop_over_the_mpmath_domain(p, p2, z):
     # the block series against the term-by-term loop over the domain the
     # mpmath tests verify: the loop's sum under the block rule, to 1e-14 of
@@ -660,16 +653,10 @@ def test_fold_beta_sum_is_the_separate_loop_bit_for_bit(p0, q, head_coeffs, z, r
 # longer block summed again from term 0, the same sequential operations.
 
 def restart_hyp2f1_series(p1, p2, p3, z):
-    """The block series as it was before blocks continued: each longer block sums again from term 0."""
-    last = MAX_TERMS
-    for p in (p1, p2):
-        if p.real <= 0 and not p.imag and p.real.is_integer():
-            last = min(last, 1 - int(p.real))
+    """The block series as it was before blocks continued: each block end sums again from term 0."""
     if not (p1.imag or p2.imag or p3.imag):
         p1, p2, p3 = p1.real, p2.real, p3.real
-    length = _first_block_length(abs(z))
-    while True:
-        stop = min(length, last)
+    for stop in _block_ends(p1, p2, p3, abs(z)):
         n = np.arange(float(stop))
         t = np.empty(stop + 1, dtype=complex)
         t[0] = 1.0
@@ -681,9 +668,7 @@ def restart_hyp2f1_series(p1, p2, p3, z):
             return complex(s[j]), int(j)
         if abs(t[-1]) < abs(s[-1]) * EPS_SERIES and abs(t[-2]) < abs(s[-1]) * EPS_SERIES:
             return complex(s[-1]), stop
-        if stop == last:
-            raise ConvergenceError("restart_hyp2f1_series: no convergence")
-        length *= 2
+    raise ConvergenceError("restart_hyp2f1_series: no convergence")
 
 
 @given(BETA_P, ONE_MINUS_Q, st.builds(cmath.rect, st.floats(0.5, 0.99), st.floats(-math.pi, math.pi)))
