@@ -29,7 +29,7 @@ from .errors import (ConvergenceError, DomainError, IntegrationError, ParameterE
 from .fields import (FieldConfig, N2Config, detuning_general, detuning_n2, detuning_n3,
                      drive_field, drive_lattice)
 from .heun import map_to_heun, termination_search
-from .oracle import exponent_pair_residual, integrate, monodromy
+from .oracle import DEFAULT_RTOL, exponent_pair_residual, integrate, monodromy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -189,7 +189,7 @@ def _cmd_closed_form(args) -> tuple[dict, dict]:
 def _cmd_floquet(args) -> tuple[dict, dict]:
     cfg, meta = _drive(args)
     rep = floquet_analytic(cfg)
-    mono = monodromy(drive_field(cfg), t_ref=cfg.t0, rtol=args.rtol, atol=1e-13)
+    mono = monodromy(drive_field(cfg), rtol=args.rtol)
     lam_phys = (rep.lambda1 * cfg.delta, rep.lambda2 * cfg.delta)
     residual = exponent_pair_residual(lam_phys, mono.exponents, cfg.delta)
     eig_mod_err = max(abs(abs(ev) - 1.0) for ev in mono.eigenvalues)
@@ -239,7 +239,7 @@ def _cmd_compare(args) -> tuple[dict, dict]:
     ts = np.linspace(cfg.t0, cfg.t0 + periods * cfg.period, periods * spp + 1)
     a1c, a2c = closed_form_states(cfg, state0, float(ts[0]), ts)
     traj = integrate(drive_field(cfg), state0, (float(ts[0]), float(ts[-1])),
-                     t_eval=ts, rtol=args.rtol, atol=1e-13)
+                     t_eval=ts, rtol=args.rtol)
     deviation = float(np.max(np.abs(a2c - traj.a2)))
     return {**meta, "init": args.init, "periods": str(periods),
             "samples-per-period": str(spp), "rtol": _fmt(args.rtol)}, {
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("floquet", _cmd_floquet, "quasi-energies: analytic vs monodromy")
     _add_field_options(p)
-    p.add_argument("--rtol", type=float, default=1e-11,
+    p.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
                    help="oracle relative tolerance, in [1e-13, 1) (default %(default)g)")
     _add_common(p)
 
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-per-period", type=int, default=200, help="(default %(default)s)")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="verdict threshold on max |a2| deviation (default %(default)g)")
-    p.add_argument("--rtol", type=float, default=1e-11,
+    p.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
                    help="oracle relative tolerance, in [1e-13, 1) (default %(default)g); it "
                         "bounds the one-period error, so the deviation k periods out grows "
                         "like k*rtol")

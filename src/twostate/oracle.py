@@ -53,12 +53,15 @@ scipy, whose import takes longer than a whole run of most CLI commands.
 
 The oracle keeps its last dense half-period solve, with its drive and
 ``(rtol, atol)``.  A non-dense request (:func:`monodromy` at a lattice
-``t_ref``, :func:`mean_detuning`) for an equal drive at equal tolerances reads
-that solve's steps instead of solving again: dense output adds three calls per
-accepted step and changes no step, so the end point is the same bits, and the
-reported ``nfev`` is the one a fresh non-dense solve makes.  ``twostate
-compare`` followed by ``twostate floquet`` thus solves once
-(:func:`~twostate.fields.drive_field` returns one drive per configuration).
+``t_ref``, the drive's centre by default; :func:`mean_detuning`) for an equal
+drive at equal tolerances reads that solve's steps instead of solving again:
+dense output adds three calls per accepted step and changes no step, so the
+end point is the same bits, and the reported ``nfev`` is the one a fresh
+non-dense solve makes.  One tolerance pair, ``DEFAULT_RTOL`` and
+``DEFAULT_ATOL``, is every reader's default, so :func:`integrate` then
+:func:`monodromy` at their defaults solve once, as do ``twostate compare``
+then ``twostate floquet`` (:func:`~twostate.fields.drive_field` returns one
+drive per configuration).
 Reuse runs only from dense to non-dense: a dense request always solves, and
 replaces the kept solve, so every dense timing and count is a fresh solve's.
 Drives are equal as dataclasses, which compares ``delta_t`` by identity.
@@ -80,8 +83,8 @@ import numpy as np
 from .errors import IntegrationError, ParameterError
 from .fields import DriveField, StateVector, drive_lattice
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
+DEFAULT_RTOL = 1e-11                       # every reader's default (module docstring)
+DEFAULT_ATOL = 1e-13
 _MIN_RTOL = 1e-13
 _MAX_RTOL = 1.0
 # work bound of one half-period solve: a dense solve at rtol 1e-11 makes 150 to
@@ -486,21 +489,23 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     integrated with dense output over ``[c, c + T/2]`` only, ``c`` being the
     drive's symmetry centre.  A time ``t = c + k T + s`` with ``|s| <= T/2``
     has ``Y(t) = Y(c + s) M^k`` and ``delta(t) = delta(c + s) + k Phi``,
-    ``Y(c + s)`` for ``s < 0`` coming from reflection (module docstring).  The transfer matrix of any window, forward
-    or backward, is ``U(t, t_start) = Y(t) Y(t_start)^{-1}``, applied to
+    ``Y(c + s)`` for ``s < 0`` coming from reflection (module docstring).  The
+    transfer matrix of any window, forward or backward, is
+    ``U(t, t_start) = Y(t) Y(t_start)^{-1}``, applied to
     ``c0 = (a1 exp(i delta0), a2)``; then
     ``delta = delta0 + delta(t) - delta(t_start)`` and ``a1 = c1 exp(-i delta)``.
-    The cost therefore does not grow with the number of periods, while the
-    error grows like ``k eps_M``, ``eps_M`` being the error of the one-period
-    matrix.  ``nfev`` counts the calls of the one solve, dense-output stages
-    included; neither it nor any sample's value depends on ``t_eval``.
+    The solve's cost does not grow with the number of periods, but ``M^j``
+    is built one product per period spanned, so time and memory do (250 MB
+    and 1.5 to 2.7 s at 10^6 periods); the error grows like ``k eps_M``,
+    ``eps_M`` being the error of the one-period matrix.  ``nfev`` counts the
+    calls of the one solve, dense-output stages included; neither it nor any
+    sample's value depends on ``t_eval``.
 
     ``state0.phase`` seeds the accumulated phase modulation at ``t_span[0]``;
     pass 0 when starting at the drive's time origin.  ``t_span`` may run
     backward (``t_span[1] < t_span[0]``); it must be finite and of nonzero
-    length, and ``t_eval`` strictly monotone within it.  Without ``t_eval`` the
-    samples are the solver's half-period steps, reflected about ``c`` and tiled
-    over the span, cut at its ends, with both end points included.
+    length, and ``t_eval`` strictly monotone within it.  Without ``t_eval``
+    the samples are the span's ends, ``(t_start, t_end)``.
     """
     T, c = field.period, field.center
     t_start, t_end = float(t_span[0]), float(t_span[1])
@@ -508,32 +513,20 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     if not (math.isfinite(span) and span != 0.0):
         raise ParameterError(f"integrate: t_span must be finite and of nonzero length, "
                              f"got {t_span}")
-    sign = -1.0 if span < 0 else 1.0
-    if t_eval is not None:
-        times = np.array(t_eval, dtype=float)
-        x = sign * (times - t_start)
-        # written so that a NaN sample fails every comparison
-        if not (x.size and np.all(x >= 0) and np.all(x <= abs(span)) and np.all(np.diff(x) > 0)):
-            raise ParameterError("integrate: t_eval must be non-empty, finite and strictly "
-                                 "monotone within t_span")
-    # both ends resolve, so every time between them does
-    (k0, k1), (s0, _) = drive_lattice("integrate", (t_start, t_end), c, T)
+    times = np.array((t_start, t_end) if t_eval is None else t_eval, dtype=float)
+    x = (times - t_start) if span > 0 else (t_start - times)
+    # written so that a NaN sample fails every comparison
+    if not (x.size and np.all(x >= 0) and np.all(x <= abs(span)) and np.all(np.diff(x) > 0)):
+        raise ParameterError("integrate: t_eval must be non-empty, finite and strictly "
+                             "monotone within t_span")
+    k, s = drive_lattice("integrate", np.append(times, t_start), c, T)  # the samples, t_start
     sol = _half_period_solve("integrate", field, rtol, atol, dense=True)
-    if t_eval is None:
-        steps = sol.t - c                                        # [0, T/2]
-        cell = np.concatenate((-steps[:0:-1], steps[:-1]))       # [-T/2, T/2)
-        lo, hi = min(t_start, t_end), max(t_start, t_end)
-        ks = np.arange(min(k0, k1) - 1, max(k0, k1) + 2)
-        grid = (c + ks[:, None] * T + cell).ravel()
-        inner = grid[(grid > lo) & (grid < hi)][::int(sign)]
-        times = np.concatenate(([t_start], inner, [t_end]))
     m, phase_period = _monodromy_at_centre(sol)
-    k, s = drive_lattice("integrate", times, c, T)
-    y = _reflect(sol, np.append(s, s0))                     # the samples, then t_start
+    y = _reflect(sol, s)
     y, y0 = y[:, :-1], y[:, -1]
-    # M^j v0 for the whole periods j = k - k0 from t_start, v0 = Y(t_start)^-1 c0
+    # M^j v0 for the whole periods j from t_start, v0 = Y(t_start)^-1 c0
     c0 = np.array([state0.a1 * cmath.exp(1j * state0.phase), state0.a2], dtype=complex)
-    j = k - k0
+    j = k[:-1] - k[-1]
     j_lo, j_hi = min(int(j.min()), 0), max(int(j.max()), 0)
     forward = [np.linalg.solve(y0[:4].reshape(2, 2), c0)]
     backward = forward[:]
@@ -551,23 +544,24 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     return Trajectory(times=times, a1=a1, a2=a2, phase=phase, norm_drift=drift, nfev=sol.nfev)
 
 
-def monodromy(field: DriveField, t_ref: float = 0.0,
-              rtol: float = 1e-11, atol: float = 1e-13) -> MonodromyResult:
+def monodromy(field: DriveField, t_ref: float | None = None,
+              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> MonodromyResult:
     """One-period transfer matrix and Floquet exponents of the drive.
 
-    At the symmetry centre the matrix is ``M(c) = Y_h^T Y_h``, from the end
-    point ``Y_h = Y(c + T/2)`` of the half-period solve that :func:`integrate`
-    composes its samples from, and so exactly complex symmetric.  At any other
-    reference time it is ``M(t_ref) = Y(t_ref) M(c) Y(t_ref)^{-1}``; only a
-    ``t_ref`` off the lattice ``c + k T`` needs the solve's dense output.  On
-    the lattice the end point of the last dense solve of an equal drive at
-    equal tolerances serves (module docstring), and ``nfev`` is still the
-    count of a fresh solve without dense output.  Eigenvalue arguments
-    divided by the period give the exponents, folded into
-    ``[-Delta/2, Delta/2)`` with ``Delta = 2 pi / T``.
+    ``t_ref`` defaults to the drive's symmetry centre ``c``, where the matrix
+    is ``M(c) = Y_h^T Y_h``, from the end point ``Y_h = Y(c + T/2)`` of the
+    half-period solve that :func:`integrate` composes its samples from, and
+    so exactly complex symmetric.  At any other reference time it is
+    ``M(t_ref) = Y(t_ref) M(c) Y(t_ref)^{-1}``; only a ``t_ref`` off the
+    lattice ``c + k T`` needs the solve's dense output.  On the lattice the
+    end point of the last dense solve of an equal drive at equal tolerances
+    serves (module docstring), and ``nfev`` is still the count of a fresh
+    solve without dense output.  Eigenvalue arguments divided by the period
+    give the exponents, folded into ``[-Delta/2, Delta/2)`` with
+    ``Delta = 2 pi / T``.
     """
     T = field.period
-    _, s = drive_lattice("monodromy", t_ref, field.center, T)
+    _, s = drive_lattice("monodromy", field.center if t_ref is None else t_ref, field.center, T)
     off_lattice = bool(s != 0.0)
     sol = _half_period_solve("monodromy", field, rtol, atol, dense=off_lattice)
     m, _ = _monodromy_at_centre(sol)
@@ -606,17 +600,18 @@ def mean_detuning(field: DriveField) -> float:
     """Period average of the detuning, ``Phi / T``, from one half-period solve.
 
     ``Phi = 2 delta(c + T/2)``, the phase gained over one period, is the end
-    point of the solve that :func:`monodromy` reads, at its default tolerances
-    (rtol 1e-11, atol 1e-13), the same bits whether solved afresh or read
-    from the last dense solve of an equal drive at those tolerances (module
+    point of the solve that :func:`monodromy` reads, at the oracle's one
+    default tolerance pair ``(DEFAULT_RTOL, DEFAULT_ATOL)``, the same bits
+    whether solved afresh or read from the last dense solve of an equal drive
+    at those tolerances, such as a default :func:`integrate` (module
     docstring); read, it calls ``delta_t`` no more.  Its cost is the
-    ``nfev`` of that :func:`monodromy`, a fresh solve without dense output.
+    ``nfev`` of a default :func:`monodromy`, a fresh solve without dense output.
     It relies on the :class:`~twostate.fields.DriveField` contract: a
     detuning that is not ``period``-periodic and even about ``center`` gives
     a wrong average, not an error.  Like every solve it raises
     :class:`IntegrationError` past ``_MAX_RHS_CALLS`` right-hand-side calls.
     """
-    sol = _half_period_solve("mean_detuning", field, 1e-11, 1e-13, dense=False)
+    sol = _half_period_solve("mean_detuning", field, DEFAULT_RTOL, DEFAULT_ATOL, dense=False)
     _, phase_period = _monodromy_at_centre(sol)
     return phase_period / field.period
 

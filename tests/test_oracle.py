@@ -152,7 +152,8 @@ def test_norm_conservation_all_drive_families():
         printed_n3_drive(),
     ]
     for fld in drives:
-        traj = integrate(fld, GROUND, (0.0, 10 * fld.period), rtol=rtol, atol=1e-12)
+        ts = np.linspace(0.0, 10 * fld.period, 2001)
+        traj = integrate(fld, GROUND, (0.0, float(ts[-1])), t_eval=ts, rtol=rtol, atol=1e-12)
         assert traj.norm_drift <= 100 * rtol
 
 
@@ -218,24 +219,35 @@ def test_composed_integrate_matches_brute_force(name, periods):
     assert np.max(np.abs(traj.a1 - a1)) < 1e-9, name
     assert np.max(np.abs(traj.a2 - a2)) < 1e-9, name
     assert np.max(np.abs(traj.phase - phase)) < 1e-9, name
-    # without t_eval: the half-period steps, reflected and tiled over the window
-    steps = integrate(fld, state0, t_span, rtol=1e-11, atol=1e-13)
-    assert steps.times[0] == t_span[0] and steps.times[-1] == t_span[1]
-    assert np.all(np.sign(periods) * np.diff(steps.times) > 0)
-    a1, a2, _ = brute_force(fld, state0, t_span, steps.times)
-    assert np.max(np.abs(steps.a1 - a1)) < 1e-9, name
-    assert np.max(np.abs(steps.a2 - a2)) < 1e-9, name
+    # the half-period lattice c + i T/2 inside the window, where the offset
+    # from the centre is 0 or +-T/2, between the window's ends
+    lo, hi, half = min(t_span), max(t_span), 0.5 * fld.period
+    i = np.arange(math.floor((lo - fld.center) / half), math.ceil((hi - fld.center) / half) + 1)
+    inner = [t for t in fld.center + i * half if lo < t < hi]
+    edges = np.array([t_span[0], *inner[::int(np.sign(periods))], t_span[1]])
+    lattice = integrate(fld, state0, t_span, t_eval=edges, rtol=1e-11, atol=1e-13)
+    a1, a2, _ = brute_force(fld, state0, t_span, edges)
+    assert np.max(np.abs(lattice.a1 - a1)) < 1e-9, name
+    assert np.max(np.abs(lattice.a2 - a2)) < 1e-9, name
+    # without t_eval: the window's ends, with the bits they have in a grid
+    ends = integrate(fld, state0, t_span, rtol=1e-11, atol=1e-13)
+    assert ends.times.tolist() == list(t_span)
+    assert np.array_equal(ends.a1, traj.a1[[0, -1]]) and np.array_equal(ends.a2, traj.a2[[0, -1]])
 
 
 @pytest.mark.parametrize("t_span", [(0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (0.0, -2.0)])
 def test_whole_period_windows_match_brute_force(t_span):
-    # spans of exactly one or two periods, where a sample falls on a period end
+    # spans of exactly one or two periods, 100 samples a period, one on each
+    # period end
     cfg = N2Config(u0=1.0, delta1=2.0)
     fld = drive_field(cfg)
     t_span = (t_span[0] * cfg.period, t_span[1] * cfg.period)
-    traj = integrate(fld, GROUND, t_span, rtol=1e-11, atol=1e-13)
-    assert traj.times[-1] == t_span[1]
-    a1, a2, _ = brute_force(fld, GROUND, t_span, traj.times)
+    ends = np.linspace(*t_span, round(abs(t_span[1] - t_span[0]) / cfg.period) + 1)
+    ts = np.append(np.concatenate([np.linspace(a, b, 101)[:-1] for a, b in zip(ends, ends[1:])]),
+                   ends[-1])
+    traj = integrate(fld, GROUND, t_span, t_eval=ts, rtol=1e-11, atol=1e-13)
+    assert traj.times[-1] == t_span[1] and np.isin(ends, traj.times).all()
+    a1, a2, _ = brute_force(fld, GROUND, t_span, ts)
     assert np.max(np.abs(traj.a1 - a1)) < 1e-9
     assert np.max(np.abs(traj.a2 - a2)) < 1e-9
 
@@ -281,7 +293,7 @@ def test_times_too_many_periods_from_the_centre_raise_before_solving():
     far = DriveField(u=never.u, delta_t=never.delta_t, period=1.0, center=1e20)
     # t - c overflows to inf, which once warned before any check refused it
     edge = DriveField(u=never.u, delta_t=never.delta_t, period=1.0, center=-1e308)
-    for call in (lambda: monodromy(far),
+    for call in (lambda: monodromy(far, t_ref=0.0),
                  lambda: integrate(far, GROUND, (0.0, 1.0)),
                  lambda: monodromy(edge, t_ref=1e308),
                  lambda: integrate(edge, GROUND, (1e308, 0.0)),
@@ -455,6 +467,19 @@ def test_a_sample_does_not_depend_on_the_other_samples():
     assert np.array_equal(back.a2[600:], back_tail.a2)
 
 
+def test_integrate_without_t_eval_samples_the_span_ends():
+    # the default samples are (t_start, t_end) whatever the window's length,
+    # with the bits those times have in a grid
+    fld = drive_field(CONFIGS["n2-off-centre"])
+    for t_span in ((0.3, 0.3 + 2.5 * fld.period), (0.3, 0.3 - 2.5 * fld.period),
+                   (0.0, 20_000 * fld.period)):
+        ends = integrate(fld, GROUND, t_span)
+        assert ends.times.tolist() == list(t_span), t_span
+        grid = integrate(fld, GROUND, t_span, t_eval=np.linspace(*t_span, 101))
+        for name in ("a1", "a2", "phase"):
+            assert np.array_equal(getattr(ends, name), getattr(grid, name)[[0, -1]]), name
+
+
 # ---------------------------------------------------------------- monodromy
 
 def test_monodromy_matches_analytic_quasi_energies():
@@ -515,11 +540,23 @@ def test_monodromy_columns_match_integrate(cfg):
             assert np.max(np.abs(m[:, j] - col)) < 1e-9, (cfg, t_ref, j)
 
 
+def test_monodromy_defaults_to_the_drive_centre():
+    # on a drive centred off the time origin the default reference time is the
+    # centre: the same bits as an explicit t_ref there, from a solve without
+    # dense output
+    fld = drive_field(CONFIGS["n2-off-centre"])
+    calls, counted = _counting_field(fld)
+    got = monodromy(counted)
+    want = monodromy(fld, t_ref=fld.center)
+    assert np.array_equal(got.matrix, want.matrix) and got.exponents == want.exponents
+    assert got.nfev == calls[0] == want.nfev
+
+
 @pytest.mark.parametrize("name", DRIVES)
 def test_monodromy_at_centre_is_complex_symmetric(name):
     # A(t) is complex symmetric and even about the centre, so M(c) = Y_h^T Y_h
     fld = DRIVES[name]()
-    m = monodromy(fld, t_ref=fld.center).matrix
+    m = monodromy(fld).matrix
     assert np.array_equal(m, m.T), name
 
 
@@ -570,7 +607,7 @@ def test_half_period_below_float_spacing_is_an_integration_error():
     # c + T/2 rounds to c: no step can be taken
     fld = DriveField(u=1.0, delta_t=lambda t: 1.0, period=1.0, center=2.0**60)
     with pytest.raises(IntegrationError, match="spacing between numbers"):
-        monodromy(fld, t_ref=fld.center)
+        monodromy(fld)
 
 
 def test_integrate_cost_independent_of_periods():
@@ -615,10 +652,10 @@ def test_monodromy_reads_the_last_dense_solve(name):
                      rtol=1e-11, atol=1e-13)
     assert traj.nfev == calls[0] > 0
     calls[0] = 0
-    got = monodromy(counted, t_ref=counted.center)
+    got = monodromy(counted)
     assert calls[0] == 0
     fresh_calls, fresh = _counting_field(fld)
-    want = monodromy(fresh, t_ref=fresh.center)
+    want = monodromy(fresh)
     assert want.nfev == fresh_calls[0] < traj.nfev
     assert np.array_equal(got.matrix, want.matrix)
     assert got.eigenvalues == want.eigenvalues and got.exponents == want.exponents
@@ -628,6 +665,20 @@ def test_monodromy_reads_the_last_dense_solve(name):
     assert calls[0] == 0
 
 
+def test_library_defaults_solve_once():
+    # one tolerance pair is every reader's default: integrate, then monodromy
+    # and mean_detuning on the same drive, none given tolerances or t_ref,
+    # read integrate's solve
+    fld = drive_field(CONFIGS["general-off-centre"])
+    calls, counted = _counting_field(fld)
+    traj = integrate(counted, GROUND, (0.0, fld.period))
+    assert traj.nfev == calls[0] > 0
+    calls[0] = 0
+    mono = monodromy(counted)
+    mean_detuning(counted)
+    assert calls[0] == 0 and 0 < mono.nfev < traj.nfev
+
+
 def test_a_solve_is_reused_only_for_an_equal_drive_at_equal_tolerances():
     # every other request solves, and its nfev is the count it made
     fld = drive_field(CONFIGS["n2-off-centre"])
@@ -635,12 +686,12 @@ def test_a_solve_is_reused_only_for_an_equal_drive_at_equal_tolerances():
     span = (0.0, fld.period)
     integrate(counted, GROUND, span, rtol=1e-11, atol=1e-13)
     requests = {
-        "another rtol": lambda: monodromy(counted, t_ref=counted.center, rtol=1e-12),
-        "another atol": lambda: monodromy(counted, t_ref=counted.center, atol=1e-14),
+        "another rtol": lambda: monodromy(counted, rtol=1e-12),
+        "another atol": lambda: monodromy(counted, atol=1e-14),
         # equal values, but a detuning of its own: drives compare it by identity
         "hand-built drive": lambda: monodromy(DriveField(
             u=counted.u, delta_t=lambda t: counted.delta_t(t), period=counted.period,
-            center=counted.center), t_ref=counted.center),
+            center=counted.center)),
         "off-lattice t_ref": lambda: monodromy(counted, t_ref=counted.center + 0.3),
         "integrate again": lambda: integrate(counted, GROUND, span, rtol=1e-11, atol=1e-13),
     }
@@ -652,7 +703,7 @@ def test_a_solve_is_reused_only_for_an_equal_drive_at_equal_tolerances():
         integrate(DriveField(u=1.0, delta_t=lambda t: 1j, period=1.0), GROUND, (0.0, 1.0),
                   rtol=1e-11, atol=1e-13)
     calls[0] = 0
-    monodromy(counted, t_ref=counted.center)
+    monodromy(counted)
     assert calls[0] == 0
 
 
@@ -667,7 +718,7 @@ def test_a_crossing_census_between_two_readers_costs_no_solve(monkeypatch):
     info = _drive_field.cache_info()
     classify_crossings(cfg_b, (0.0, cfg_b.period))
     assert _drive_field.cache_info() == info
-    monodromy(drive_field(cfg_a), t_ref=cfg_a.t0, rtol=1e-11, atol=1e-13)
+    monodromy(drive_field(cfg_a), rtol=1e-11, atol=1e-13)
     assert len(solves) == 1
 
 
