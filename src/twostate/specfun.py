@@ -11,9 +11,15 @@ and its finite-sum reductions) is built on three primitives:
   (:class:`UnwoundPoint`), which must never be snapped back to the principal
   branch.
 
-The kernels are pure functions.  The module's only state is a bounded cache
-of read-only term-ratio vectors (:func:`_ratios`), which the points of one
-orbit share.
+The kernels are pure functions.  The module's only state is two bounded
+caches of ``_CACHE_SIZE`` entries that the points of one orbit share:
+the block schedule of a series (:func:`_schedule`, a tuple of block ends per
+parameter triple and first-block length) and each block's term ratios
+(:func:`_ratios`, a read-only complex vector per triple and block, its
+leading slot 0 for the block's first term).  A series call makes one lookup
+for its schedule and one per block for its ratios, so it pays its fixed
+costs once; :func:`inc_beta` checks its arguments in one pass when they hold,
+and :func:`_fold` takes ``log z`` once for all its heads.
 
 Branch conventions: logarithms and non-integer powers of ``1 - z`` use the
 principal branch; powers of ``z`` itself go through :class:`UnwoundPoint`
@@ -25,7 +31,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +46,7 @@ _INT_TOL = 1e-12
 _FOLD_LEFTOVER_RTOL = 1e-10
 
 _LOG_EPS_SERIES = math.log(EPS_SERIES)
-_RATIO_CACHE_SIZE = 32                      # parameter triples and blocks whose ratios are kept
+_CACHE_SIZE = 32                            # entries of the schedule cache and of the ratio cache
 _running_product = np.multiply.accumulate   # np.cumprod minus its Python wrapper
 _running_sum = np.add.accumulate
 
@@ -75,43 +80,62 @@ def _first_block_length(az: float) -> int:
     return min(int(1.25 * _LOG_EPS_SERIES / math.log(az)) + 4, MAX_TERMS)
 
 
-@functools.lru_cache(maxsize=_RATIO_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def _ratios(p1: complex, p2: complex, p3: complex, start: int, stop: int) -> np.ndarray:
-    """Read-only term ratios ``(p1+n)(p2+n) / ((p3+n)(n+1))`` for ``start <= n < stop``.
+    """Read-only complex factors of the block of terms ``start + 1 .. stop``.
 
+    Entry ``k >= 1`` is the term ratio ``(p1+n)(p2+n) / ((p3+n)(n+1))`` at
+    ``n = start + k - 1``; entry 0 is 0, the slot that takes the block's first
+    term.  So ``_ratios(...) * z`` is the block before its running product,
+    with nothing to cast (the ratios are complex already) and no view to cut.
     They do not depend on ``z``, so the points of one orbit (one ``|z|``, one
-    block length) share them.  Cached for the last ``_RATIO_CACHE_SIZE``
+    block length) share them.  Cached for the last ``_CACHE_SIZE``
     parameter triples and blocks: enough for the calls within one evaluation,
     not for a long run of configurations.
     """
     n = np.arange(float(start), float(stop))
-    r = (p1 + n) * (p2 + n) / ((p3 + n) * (n + 1.0))
+    r = np.zeros(stop - start + 1, dtype=complex)
+    r[1:] = (p1 + n) * (p2 + n) / ((p3 + n) * (n + 1.0))
     r.flags.writeable = False
     return r
 
 
-def _block_ends(p1: complex, p2: complex, p3: complex, az: float) -> Iterator[int]:
-    """Where the blocks of :func:`_hyp2f1_series` end: each block's last term number.
+def _block_ends(p1: complex, p2: complex, p3: complex, az: float) -> tuple[int, ...]:
+    """Where the blocks of :func:`_hyp2f1_series` end at ``|z| = az``: each block's last term number.
 
-    The first block holds :func:`_first_block_length` terms, or, when the
-    non-positive integer ``-m`` nearest ``p3`` (``Re p3 < 0``) lies at or past
-    that end, reaches term ``m + 2``: a ratio ``1/(p3 + m)`` near a pole lifts
-    every later term, so the two terms tested lie past it.  Each later block
-    reaches twice as far.  The last ends at ``MAX_TERMS``, or at the first zero
-    term ``m + 1`` when ``p1`` or ``p2`` is a non-positive integer ``-m``, so
-    no term past it is computed (its ratio could overflow).
+    The first block holds :func:`_first_block_length` terms; :func:`_schedule`
+    owns the rest of the rule.
     """
+    return _schedule(p1, p2, p3, _first_block_length(az))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _schedule(p1: complex, p2: complex, p3: complex, first: int) -> tuple[int, ...]:
+    """The block ends of :func:`_block_ends` for a first block of ``first`` terms (cached, a tuple).
+
+    When the non-positive integer ``-m`` nearest ``p3`` (``Re p3 < 0``) lies
+    at or past the first block's end, that block reaches term ``m + 2``: a
+    ratio ``1/(p3 + m)`` near a pole lifts every later term, so the two terms
+    tested lie past it.  Each later block reaches twice as far.  The last ends
+    at ``MAX_TERMS``, or at the first zero term ``m + 1`` when ``p1`` or ``p2``
+    is a non-positive integer ``-m``, so no term past it is computed (its
+    ratio could overflow).
+    """
+    if first < 1:
+        raise DomainError(f"hyp2f1: no series block fits a first block of {first} terms (|z| >= 1)")
     last = MAX_TERMS
     for p in (p1, p2):
         if p.real <= 0 and not p.imag and p.real.is_integer():
             last = min(last, 1 - int(p.real))
-    end = _first_block_length(az)
+    end = first
     if p3.real < 0 and (m := round(-p3.real)) >= end:
         end = m + 2
+    ends = []
     while end < last:
-        yield end
+        ends.append(end)
         end *= 2
-    yield last
+    ends.append(last)
+    return tuple(ends)
 
 
 def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[complex, int]:
@@ -119,18 +143,18 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
 
     Arguments are checked by the caller: finite, ``p3`` not a non-positive
     integer, ``|z| < 1``.  Terms come in blocks ending where
-    :func:`_block_ends` says: the ratio vector
-    ``(p1+n)(p2+n) z / ((p3+n)(n+1))`` over a run of ``n`` (real until the
-    factor ``z`` when the parameters are; :func:`_ratios` builds the part
-    before ``z`` once per triple and block), its running product (the terms,
-    multiplied in the order a term-by-term loop would) and its running sum
-    (the partial sums).  One test at each block's end stops the series: a
-    block whose last two terms are both below ``EPS_SERIES`` times its last
-    partial sum is accepted whole, and a block that holds a term exactly zero
-    ends at the first such term.  So the sum takes at least the terms that a
-    term-by-term stop (the first of two consecutive small terms) would, and
-    every later one up to the block's end.  A rejected block continues from
-    its last term and partial sum: the same sequential operations.
+    :func:`_block_ends` says (one cached schedule per call): the factors
+    ``(p1+n)(p2+n) z / ((p3+n)(n+1))`` over a run of ``n`` (the part before
+    ``z`` is one cached :func:`_ratios` vector per triple and block), their
+    running product (the terms, multiplied in the order a term-by-term loop
+    would) and its running sum (the partial sums).  One test at each block's
+    end stops the series: a block whose last two terms are both below
+    ``EPS_SERIES`` times its last partial sum is accepted whole, and a block
+    that holds a term exactly zero ends at the first such term.  So the sum
+    takes at least the terms that a term-by-term stop (the first of two
+    consecutive small terms) would, and every later one up to the block's
+    end.  A rejected block continues from its last term and partial sum: the
+    same sequential operations.
     """
     if z == 0:
         return 1.0 + 0j, 1
@@ -138,24 +162,22 @@ def _hyp2f1_series(p1: complex, p2: complex, p3: complex, z: complex) -> tuple[c
         p1, p2, p3 = p1.real, p2.real, p3.real
     start, term, total = 0, 1.0 + 0j, 1.0 + 0j
     for stop in _block_ends(p1, p2, p3, abs(z)):
-        r = _ratios(p1, p2, p3, start, stop)
-        t = np.empty(stop - start + 1, dtype=complex)
+        t = _ratios(p1, p2, p3, start, stop) * z
         t[0] = term
-        np.multiply(r, z, out=t[1:])
         _running_product(t, out=t)      # t[k]: term number start + k
+        before, last = t.item(-2), t.item(-1)
         t[0] = total                    # the running sum starts from the partial sum
         s = _running_sum(t)             # s[k]: partial sum through term number start + k
-        t[0] = term
-        if t[-1] == 0:                  # a zero term ends the series: every later term is zero
-            j = (t == 0).argmax()
-            return complex(s[j]), start + int(j)
+        if last == 0:                   # a zero term ends the series: every later term is zero
+            j = 1 + int((t[1:] == 0).argmax())  # t[0] holds the partial sum now
+            return s.item(j), start + j
         # the last two terms both small, so an accidentally small factor
         # (p1+n or p2+n near zero) cannot fake convergence
-        end = complex(s[-1])
+        end = s.item(-1)
         tol = EPS_SERIES * abs(end)
-        if abs(t[-1]) < tol and abs(t[-2]) < tol:
+        if abs(last) < tol and abs(before) < tol:
             return end, stop
-        start, term, total = stop, t[-1], s[-1]
+        start, term, total = stop, last, end
     raise ConvergenceError(f"hyp2f1: no convergence after {start} terms at z={z}")
 
 
@@ -208,10 +230,12 @@ def inc_beta(p: complex, q: complex, z) -> complex:
     disc.
     """
     p, q, zc = complex(p), complex(q), as_complex(z)
-    _require_finite("inc_beta", zc, p, q)
-    if _is_nonpositive_integer(p):
-        raise ParameterError(f"inc_beta: p={p} is a non-positive integer")
-    if abs(zc) >= 1.0:
+    # one pass when every check holds (a NaN or infinite z fails abs(zc) < 1);
+    # otherwise the checks in their order, for the message
+    if not (abs(zc) < 1.0 and cmath.isfinite(p) and cmath.isfinite(q)) or _is_nonpositive_integer(p):
+        _require_finite("inc_beta", zc, p, q)
+        if _is_nonpositive_integer(p):
+            raise ParameterError(f"inc_beta: p={p} is a non-positive integer")
         raise DomainError(f"inc_beta: series path requires |z| < 1, got |z|={abs(zc)}")
     if zc == 0:
         return 0.0 + 0j
@@ -235,11 +259,16 @@ def _fold(name: str, coeffs, p0: complex, q: complex, z) -> tuple[complex, compl
         raise DomainError(f"{name}: z = 1 is a singular point")
     if zc == 0:
         return 0j, 0j                   # every B_0(p, q) is 0, as in inc_beta
+    z = z if isinstance(z, UnwoundPoint) else zc
+    log_z = _cover_log(z)               # one log: each head's z^p is power(z, p)
     total, tail = 0j, (1 - zc) ** q
-    for n in range(len(work) - 1):
-        p = p0 + n
-        total += work[n] * (power(z, p) / p * tail)
-        work[n + 1] += work[n] * (q + p) / p
+    try:
+        for n in range(len(work) - 1):
+            p = p0 + n
+            total += work[n] * (cmath.exp(complex(p) * log_z) / p * tail)
+            work[n + 1] += work[n] * (q + p) / p
+    except OverflowError:
+        raise _overflow(z, p) from None
     return total, work[-1]
 
 
@@ -295,33 +324,45 @@ class UnwoundPoint:
         return self.modulus * cmath.exp(1j * self.angle)
 
 
+def _cover_log(z) -> complex:
+    """``log z`` as every power here takes it: ``ln|pt| + i angle`` on the cover, principal otherwise."""
+    if isinstance(z, UnwoundPoint):
+        return math.log(z.modulus) + 1j * z.angle
+    return cmath.log(z)
+
+
+def _overflow(z, mu) -> DomainError:
+    """:func:`power`'s error for a ``z^mu`` that overflows a float."""
+    modulus = z.modulus if isinstance(z, UnwoundPoint) else abs(z)
+    return DomainError(f"power: |z|^mu overflows at |z| = {modulus}, mu = {mu}")
+
+
 def unwound_power(pt: UnwoundPoint, mu: complex) -> complex:
     """``pt ** mu`` evaluated on the universal cover: exp(mu (ln|pt| + i angle))."""
-    mu = complex(mu)
-    return cmath.exp(mu * (math.log(pt.modulus) + 1j * pt.angle))
+    return cmath.exp(complex(mu) * _cover_log(pt))
 
 
 def power(z, mu: complex) -> complex:
     """Uniform power helper: unwound for :class:`UnwoundPoint`, principal otherwise.
 
-    The principal power is ``exp(mu log z)``: ``cmath.log`` rescales subnormal
-    parts of ``z``, where Python's ``complex ** complex`` loses their bits.
-    ``z = 0`` gives ``0j`` for ``Re mu > 0``.  Raises :class:`DomainError` there
-    otherwise, for a non-finite ``z`` and when the result overflows a float.
+    Either way it is ``exp(mu log z)`` with :func:`_cover_log`'s ``log z``;
+    the principal ``cmath.log`` rescales subnormal parts of ``z``, where
+    Python's ``complex ** complex`` loses their bits.  ``z = 0`` gives ``0j``
+    for ``Re mu > 0``.  Raises :class:`DomainError` there otherwise, for a
+    non-finite ``z`` and when the result overflows a float.
     """
     try:
         if isinstance(z, UnwoundPoint):
-            if math.isfinite(z.modulus) and math.isfinite(z.angle):
-                return unwound_power(z, mu)
+            usable = math.isfinite(z.modulus) and math.isfinite(z.angle)
         else:
             z = complex(z)
-            if z and cmath.isfinite(z):
-                return cmath.exp(complex(mu) * cmath.log(z))
-            if z == 0 and complex(mu).real > 0:
-                return 0j
+            usable = z and cmath.isfinite(z)
+        if usable:
+            return cmath.exp(complex(mu) * _cover_log(z))
+        if z == 0 and complex(mu).real > 0:
+            return 0j
     except OverflowError:
-        modulus = z.modulus if isinstance(z, UnwoundPoint) else abs(z)
-        raise DomainError(f"power: |z|^mu overflows at |z| = {modulus}, mu = {mu}") from None
+        raise _overflow(z, mu) from None
     raise DomainError(f"power: z must be finite, and nonzero unless Re mu > 0; "
                       f"got z = {z}, mu = {mu}")
 

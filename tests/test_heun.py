@@ -25,7 +25,7 @@ from twostate.heun import (_A_GRID, _A_MIN, _ROOT_MATCH_ATOL, _ROOT_XTOL, _U0_PR
                            _continuant, _recurrence_terms, _stacked_grid_roots, eval_series,
                            expand, generalized_rabi, grid_roots, map_to_heun, q_polynomial,
                            series_solution, termination_search)
-from twostate.oracle import integrate
+from twostate.oracle import exponent_pair_residual, integrate, monodromy
 from twostate.specfun import UnwoundPoint, fold_beta_sum, inc_beta
 
 SQ2 = math.sqrt(2.0)
@@ -807,3 +807,49 @@ def test_every_hierarchy_member_series_tracks_the_oracle(order):
     # each terminated member's finite Beta sum, seeded into the oracle, solves
     # its own drive: the worst up to N = 5 is 2.0e-10 (N = 5, delta1 = 3.5, u0 = 2)
     assert hierarchy_deviations()[order] <= 1e-9
+
+
+def n2_exponent_residual(cfg: FieldConfig) -> float:
+    """Mod-1 residual of the oracle's Floquet exponents against ``(delta1 -+ R)/2`` (scaled time)."""
+    big_r = generalized_rabi(cfg.u0, cfg.delta1)
+    analytic = (0.5 * (cfg.delta1 - big_r), 0.5 * (cfg.delta1 + big_r))
+    return exponent_pair_residual(analytic, monodromy(drive_field(cfg)).exponents, 1.0)
+
+
+@functools.cache
+def hierarchy_exponent_residuals() -> dict:
+    """Largest exponent residual (:func:`n2_exponent_residual`) among the members of each order N.
+
+    The members are those of :func:`hierarchy_deviations`: every root that
+    ``termination_search(cfg, 7)`` reports at each probe u0, for delta1 in
+    {2, -2.5, 3.5}, 93 in all.  The oracle's monodromy at its default
+    tolerances reads no series, so N = 6 and 7 are checked here too.
+    """
+    worst = {}
+    for delta1 in (2.0, -2.5, 3.5):
+        for rec in termination_search(FieldConfig(u0=1.0, a=2.0, delta1=delta1, delta2=1.0), 7):
+            for u0, roots in rec.roots_by_u0.items():
+                for a in roots:
+                    cfg = FieldConfig(u0=u0, a=a, delta1=delta1, delta2=float(rec.n))
+                    worst[rec.n] = max(worst.get(rec.n, 0.0), n2_exponent_residual(cfg))
+    return worst
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7])
+def test_every_hierarchy_member_has_the_n2_floquet_exponents(order):
+    # a member's a2 is z^alpha1 times a folded finite sum whose heads
+    # z^(gamma0 + k) (1 - z)^(1 - N) all wind once per period, so a2 gains
+    # exp(2 pi i (alpha1 + gamma0)) = exp(i pi (delta1 -+ R)) at every order and
+    # root.  The worst residual per order, N = 2 to 7, was 2.0e-12 to 3.5e-12
+    # (3.5e-12 at N = 7); the bound leaves ~30x for other platforms' rounding
+    assert hierarchy_exponent_residuals()[order] <= 1e-10
+
+
+@pytest.mark.parametrize("u0, a, delta1, delta2", [
+    (1.0, 2.0, 2.0, 3.0), (1.0, 0.3, 2.0, 4.0), (0.5, 0.5, -2.5, 3.0), (2.0, 1.5, 3.5, 5.0),
+    (1.0, 2.0, 2.0, 2.5),
+])
+def test_off_a_root_the_n2_floquet_exponents_fail(u0, a, delta1, delta2):
+    # the same formula off every root misses by 0.020 to 0.40, so the check
+    # above tests termination_search's roots against the oracle
+    assert n2_exponent_residual(FieldConfig(u0=u0, a=a, delta1=delta1, delta2=delta2)) > 1e-3

@@ -584,9 +584,14 @@ def two_loop_fold(coeffs, p0, q, z):
 
 
 def two_loop_beta_step(p, q, z):
-    """The separate neighbour step: head plus weight times the upper neighbour."""
+    """The separate neighbour step: head plus weight times the upper neighbour.
+
+    The head enters as a fold's first head does, weight 1 added to ``0j``:
+    exact, but it turns a negative zero part of a head positive, and a real
+    ``B_z`` then ends with imaginary part +0.0, not -0.0.
+    """
     p, q, zc = complex(p), complex(q), as_complex(z)
-    head = power(z, p) / p * (1 - zc) ** q
+    head = 0j + complex(1.0) * (power(z, p) / p * (1 - zc) ** q)
     coeff = (q + p) / p
     if coeff == 0:
         return head
@@ -607,6 +612,7 @@ def _plain_or_unwound(radius):
 @given(BETA_P, ONE_MINUS_Q, _plain_or_unwound(0.95))
 @example(1.0, 2.0, 0.5)                 # q + p = 0: the head alone
 @example(2.5, 0.0, UnwoundPoint(0.7, 7.0))
+@example(-0.5, 0.0, 0.5)                # a real B_z: its imaginary part is +0.0
 def test_beta_step_is_the_separate_step_bit_for_bit(p, p2, z):
     assume(_off_poles(p) and _off_poles(p + 1.0))
     q = 1.0 - p2
@@ -645,6 +651,87 @@ def test_fold_beta_sum_is_the_separate_loop_bit_for_bit(p0, q, head_coeffs, z, r
     else:
         with pytest.raises(DomainError, match="does not fold"):
             fold_beta_sum(coeffs, p0, q, z)
+
+
+# ---------------------------------------------------------------- pinned values
+# The models above check the kernels' arithmetic against models of the same
+# arithmetic.  These rows hold the values themselves: the bits the kernels
+# gave on the solvable model's orbits before their fixed per-call costs were
+# reworked.  z = circle_point(N2Config(u0, delta1), t), unwound or plain.
+# inc_beta(R + n, -1, z) has a series only inside the disc, for delta1 < -1.
+
+PINNED_ORBIT_VALUES = [
+    # u0, delta1, t, unwound, kernel, real part, imaginary part
+    (0.25, -1.106, 0.9, True, "inc_beta0", "0x1.733517b583b30p-9", "-0x1.d673b52cc701cp-4"),
+    (0.25, -1.106, 0.9, True, "inc_beta1", "-0x1.56e0f112da659p-7", "0x1.1ba591938f4d6p-7"),
+    (0.25, -1.106, 0.9, True, "inc_beta2", "0x1.08bd9beda77f4p-9", "0x1.8db15b2637998p-12"),
+    (0.25, -1.106, 0.9, True, "three_beta", "0x1.71fcb81725cf8p-5", "-0x1.2ae3fd503197cp-3"),
+    (0.25, -1.106, 0.9, True, "quasipoly", "0x1.71fcb81725cf5p-5", "-0x1.2ae3fd503197bp-3"),
+    (0.25, -1.106, 0.9, False, "inc_beta0", "-0x1.c7b25ce9a300cp-4", "-0x1.d5e54d9cce446p-6"),
+    (0.25, -1.106, 0.9, False, "inc_beta1", "0x1.8de4e21897230p-8", "0x1.8e0c02780527ep-7"),
+    (0.25, -1.106, 0.9, False, "inc_beta2", "0x1.b0b4c2d08de3cp-11", "-0x1.ed620d50e1572p-10"),
+    (0.25, -1.106, 0.9, False, "three_beta", "-0x1.0e4df3ecb59e5p-3", "-0x1.3b21415922a34p-4"),
+    (0.25, -1.106, 0.9, False, "quasipoly", "-0x1.0e4df3ecb59e3p-3", "-0x1.3b21415922a35p-4"),
+    (0.25, -1.106, -17.3, True, "inc_beta0", "0x1.3917ea074e929p-6", "0x1.07b651b67a9ffp-3"),
+    (0.25, -1.106, -17.3, True, "inc_beta1", "0x1.fbb5162b07428p-7", "-0x1.dd65a8c3aba8ep-9"),
+    (0.25, -1.106, -17.3, True, "inc_beta2", "-0x1.6900133e6bdaap-11", "-0x1.344f0b7348639p-9"),
+    (0.25, -1.106, -17.3, True, "three_beta", "-0x1.40c3b96cdb346p-5", "0x1.19e2940d8a58cp-3"),
+    (0.25, -1.106, -17.3, True, "quasipoly", "-0x1.40c3b96cdb343p-5", "0x1.19e2940d8a58cp-3"),
+    (0.25, -1.106, -17.3, False, "inc_beta0", "-0x1.2e3833f167174p-4", "-0x1.b7479127e66b6p-4"),
+    (0.25, -1.106, -17.3, False, "inc_beta1", "-0x1.93825446eb2f6p-7", "0x1.4a70f6d071cd4p-7"),
+    (0.25, -1.106, -17.3, False, "inc_beta2", "0x1.b140c8022734ap-10", "0x1.da6f8d7372a6cp-10"),
+    (0.25, -1.106, -17.3, False, "three_beta", "-0x1.9f6d432dc7a70p-6", "-0x1.206eb2cbebddap-3"),
+    (0.25, -1.106, -17.3, False, "quasipoly", "-0x1.9f6d432dc7a71p-6", "-0x1.206eb2cbebdd9p-3"),
+    (0.7, -4.0, 0.9, True, "inc_beta0", "-0x1.b7a7aea27f7e3p-6", "-0x1.a3c868dddd5bep-6"),
+    (0.7, -4.0, 0.9, True, "inc_beta1", "-0x1.95dea06e821d8p-10", "0x1.713bbbde0e1b8p-6"),
+    (0.7, -4.0, 0.9, True, "inc_beta2", "0x1.8055bd9f72403p-7", "-0x1.1135cbb0b2c00p-7"),
+    (0.7, -4.0, 0.9, True, "three_beta", "-0x1.7bf866a54466cp-7", "-0x1.4833e55c63eb7p-4"),
+    (0.7, -4.0, 0.9, True, "quasipoly", "-0x1.7bf866a544696p-7", "-0x1.4833e55c63eb8p-4"),
+    (0.7, -4.0, 0.9, False, "inc_beta0", "-0x1.c3e6f3dc6d0d6p-6", "0x1.9691be8b457e1p-6"),
+    (0.7, -4.0, 0.9, False, "inc_beta1", "0x1.6e3f83f83dbb0p-6", "0x1.aa432d71376dcp-9"),
+    (0.7, -4.0, 0.9, False, "inc_beta2", "-0x1.e694add503bf8p-8", "-0x1.93f0715b9548bp-7"),
+    (0.7, -4.0, 0.9, False, "three_beta", "-0x1.4adbd8b855c7fp-4", "0x1.67b1eb72415acp-8"),
+    (0.7, -4.0, 0.9, False, "quasipoly", "-0x1.4adbd8b855c7ep-4", "0x1.67b1eb72415bap-8"),
+    (0.7, -4.0, -17.3, True, "inc_beta0", "-0x1.428ad12837625p-7", "0x1.bdd45f8542d66p-5"),
+    (0.7, -4.0, -17.3, True, "inc_beta1", "0x1.1575dad898248p-5", "0x1.070b7e4aece3cp-8"),
+    (0.7, -4.0, -17.3, True, "inc_beta2", "0x1.89faa5c84987cp-10", "-0x1.661c0983bde51p-6"),
+    (0.7, -4.0, -17.3, True, "three_beta", "-0x1.3ca0d008b5434p-4", "0x1.84b8b74f4f23ep-6"),
+    (0.7, -4.0, -17.3, True, "quasipoly", "-0x1.3ca0d008b5434p-4", "0x1.84b8b74f4f241p-6"),
+    (0.7, -4.0, -17.3, False, "inc_beta0", "0x1.8a049da5fb5f0p-10", "-0x1.c4e54b72be70ep-5"),
+    (0.7, -4.0, -17.3, False, "inc_beta1", "-0x1.173e078200578p-5", "0x1.2e1affaf2b850p-10"),
+    (0.7, -4.0, -17.3, False, "inc_beta2", "0x1.dcb654e9bc9b8p-10", "0x1.65b767b619776p-6"),
+    (0.7, -4.0, -17.3, False, "three_beta", "0x1.2a4c799ec4e0ap-4", "-0x1.1fdb2ed5d59fap-5"),
+    (0.7, -4.0, -17.3, False, "quasipoly", "0x1.2a4c799ec4e09p-4", "-0x1.1fdb2ed5d59f9p-5"),
+    (1.0, 2.0, 0.9, True, "three_beta", "-0x1.80e23fb9a9c9dp-1", "-0x1.79e45c1c2c1fap-1"),
+    (1.0, 2.0, 0.9, True, "quasipoly", "-0x1.80e23fb9a9c9dp-1", "-0x1.79e45c1c2c1f9p-1"),
+    (1.0, 2.0, 0.9, False, "three_beta", "-0x1.80e23fb9a9c9bp-1", "-0x1.79e45c1c2c1fcp-1"),
+    (1.0, 2.0, 0.9, False, "quasipoly", "-0x1.80e23fb9a9c9ap-1", "-0x1.79e45c1c2c1fcp-1"),
+    (1.0, 2.0, -17.3, True, "three_beta", "-0x1.d61e4669b3c8fp-2", "0x1.7aa41688f3932p-1"),
+    (1.0, 2.0, -17.3, True, "quasipoly", "-0x1.d61e4669b3c82p-2", "0x1.7aa41688f392dp-1"),
+    (1.0, 2.0, -17.3, False, "three_beta", "0x1.8e2d01b8803d8p-2", "-0x1.8ebaef6abd3c4p-1"),
+    (1.0, 2.0, -17.3, False, "quasipoly", "0x1.8e2d01b8803d5p-2", "-0x1.8ebaef6abd3c3p-1"),
+    (0.4, 5.5, 0.9, True, "three_beta", "0x1.56b6ad3795f2cp-2", "-0x1.c940e14178ed9p-3"),
+    (0.4, 5.5, 0.9, True, "quasipoly", "0x1.56b6ad3795f2cp-2", "-0x1.c940e14178ed8p-3"),
+    (0.4, 5.5, 0.9, False, "three_beta", "0x1.56b6ad3795f2cp-2", "-0x1.c940e14178ed9p-3"),
+    (0.4, 5.5, 0.9, False, "quasipoly", "0x1.56b6ad3795f2cp-2", "-0x1.c940e14178ed8p-3"),
+    (0.4, 5.5, -17.3, True, "three_beta", "0x1.48705e03acbb0p-7", "-0x1.7a8f93ff25df2p-2"),
+    (0.4, 5.5, -17.3, True, "quasipoly", "0x1.48705e03acadcp-7", "-0x1.7a8f93ff25de7p-2"),
+    (0.4, 5.5, -17.3, False, "three_beta", "-0x1.548c674a192d3p-2", "0x1.4b4d8fa78eff5p-3"),
+    (0.4, 5.5, -17.3, False, "quasipoly", "-0x1.548c674a192cfp-2", "0x1.4b4d8fa78eff3p-3"),
+]
+
+
+@pytest.mark.parametrize("u0, delta1, t, unwound, kernel, re, im", PINNED_ORBIT_VALUES)
+def test_kernel_values_on_the_solvable_orbits_are_pinned(u0, delta1, t, unwound, kernel, re, im):
+    pt = circle_point(N2Config(u0=u0, delta1=delta1), t)
+    z = pt if unwound else pt.value
+    if kernel == "three_beta":
+        got = hg_three_beta(delta1, u0, z)
+    elif kernel == "quasipoly":
+        got = hg_quasipoly(delta1, u0, z)
+    else:
+        got = inc_beta(generalized_rabi(u0, delta1) + int(kernel[-1]), -1.0, z)
+    assert _bits(got) == (re, im)
 
 
 # ---------------------------------------------------------------- continued series blocks
