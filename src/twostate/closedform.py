@@ -28,18 +28,20 @@ circle map half a turn later; the amplitudes below include that offset so they
 solve the equation driven by :func:`twostate.fields.detuning_n2` on both
 branches.
 
-The module's only state is two memos of ``_MEMO_SIZE`` entries, keyed on
-``(delta1, u0)``: ``_quasipoly_constants`` (``R``, the plus bracket's weights
-and its norm) for :func:`hg_quasipoly`, and ``_three_beta_constants`` (the
-weights of :func:`three_beta_coeffs` and ``R``) for :func:`hg_three_beta`.
-They hold tuples of floats, so the points of one orbit pay for them once, and
-a value read from a memo has the bits of one computed afresh.
+The module's only state is one memo of ``_MEMO_SIZE`` entries, keyed on
+``(delta1, u0)`` (:func:`_constants`): ``R``, the plus bracket's weights
+``c, w``, its norm ``R (R+1) (delta1+1)`` and the three-Beta weights.  Every
+reader of ``R`` takes it from there, and the memo owns the model's domain
+rule ``|delta1| > 1``.  It holds tuples of floats, so the points of one orbit
+pay for them once, and a value read from the memo has the bits of one
+computed afresh.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +51,7 @@ from .fields import N2Config, StateVector, drive_lattice  # StateVector re-expor
 from .heun import generalized_rabi
 from .specfun import UnwoundPoint, as_complex, fold_beta_sum, power
 
-_MEMO_SIZE = 8      # (delta1, u0) pairs whose constants the two series routes keep
+_MEMO_SIZE = 8      # (delta1, u0) pairs whose constants the memo keeps
 
 
 @dataclass(frozen=True)
@@ -105,17 +107,21 @@ def _bracket_at(c, w, delta1: float, z):
     return c + (w * z if delta1 < -1.0 else w) / (1.0 - z)
 
 
-def _bracket(rs: float, delta1: float, z):
-    """The bracket of :func:`_bracket_weights` at ``z`` and its derivative ``w / (1 - z)^2``."""
-    c, w = _bracket_weights(rs, delta1)
-    return _bracket_at(c, w, delta1, z), w / (1.0 - z) ** 2
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _quasipoly_constants(delta1: float, u0: float) -> tuple[float, float, float, float]:
-    """``R``, the plus bracket's weights ``c, w`` and the norm ``R (R+1) (delta1+1)`` (memoised)."""
+def _constants(delta1: float, u0: float) -> tuple[float, float, float, float, float, float]:
+    """``(R, c, w, norm, c1, c2)`` of the model at ``(delta1, u0)`` (memoised).
+
+    ``c, w`` are the plus bracket's :func:`_bracket_weights`, ``norm`` is
+    ``R (R+1) (delta1+1)`` and ``(1, c1, c2)`` are :func:`three_beta_coeffs`.
+    :class:`ParameterError` unless ``|delta1| > 1``, where the detuning is real.
+    """
+    if not abs(delta1) > 1.0:
+        raise ParameterError(f"the solvable model needs |delta1| > 1, got delta1 = {delta1}")
     big_r = generalized_rabi(u0, delta1)
-    return (big_r, *_bracket_weights(big_r, delta1), big_r * (big_r + 1.0) * (delta1 + 1.0))
+    c1 = 2.0 * delta1 * (1.0 - big_r) / ((delta1 + 1.0) * big_r)
+    c2 = (delta1 - 1.0) * (big_r - 1.0) / ((delta1 + 1.0) * (big_r + 1.0))
+    return (big_r, *_bracket_weights(big_r, delta1), big_r * (big_r + 1.0) * (delta1 + 1.0),
+            c1, c2)
 
 
 def hg_quasipoly(delta1: float, u0: float, z) -> complex:
@@ -123,26 +129,13 @@ def hg_quasipoly(delta1: float, u0: float, z) -> complex:
     zc = as_complex(z)
     if zc == 1.0:
         raise ParameterError("hg_quasipoly: singular at z = 1")
-    if delta1 == -1.0:
-        raise ParameterError("hg_quasipoly: singular at delta1 = -1")
-    big_r, c, w, norm = _quasipoly_constants(delta1, u0)
+    big_r, c, w, norm, _, _ = _constants(delta1, u0)
     return power(z, big_r) * _bracket_at(c, w, delta1, zc) / norm
 
 
 def three_beta_coeffs(delta1: float, u0: float) -> tuple[float, float, float]:
     """Constant weights of the three-Beta combination (first weight normalized to 1)."""
-    if not abs(delta1) > 1.0:
-        raise ParameterError(f"three_beta_coeffs: need |delta1| > 1, got {delta1}")
-    big_r = generalized_rabi(u0, delta1)
-    c1 = 2.0 * delta1 * (1.0 - big_r) / ((delta1 + 1.0) * big_r)
-    c2 = (delta1 - 1.0) * (big_r - 1.0) / ((delta1 + 1.0) * (big_r + 1.0))
-    return 1.0, c1, c2
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _three_beta_constants(delta1: float, u0: float) -> tuple[tuple[float, float, float], float]:
-    """The weights of :func:`three_beta_coeffs` and ``R`` (memoised)."""
-    return three_beta_coeffs(delta1, u0), generalized_rabi(u0, delta1)
+    return (1.0, *_constants(delta1, u0)[4:])
 
 
 def hg_three_beta(delta1: float, u0: float, z) -> complex:
@@ -153,8 +146,8 @@ def hg_three_beta(delta1: float, u0: float, z) -> complex:
     sum is elementary for any finite ``z != 1``, ``0j`` at ``z = 0`` (the
     ``z``-power honours an :class:`UnwoundPoint` argument).
     """
-    coeffs, big_r = _three_beta_constants(delta1, u0)
-    return fold_beta_sum(coeffs, big_r, -1.0, z)
+    big_r, _, _, _, c1, c2 = _constants(delta1, u0)
+    return fold_beta_sum((1.0, c1, c2), big_r, -1.0, z)
 
 
 def phase_n2(cfg: N2Config, t):
@@ -189,12 +182,13 @@ def _fundamental_pair(cfg: N2Config, times) -> tuple[np.ndarray, np.ndarray]:
     phase = phase_n2(cfg, times)             # first: it applies the drive's time rule
     t = np.asarray(times, dtype=float)
     theta = cfg.delta * (t - cfg.t0) + _angle_offset(cfg)
-    rs = np.reshape((1.0, -1.0), (2,) + (1,) * t.ndim) * generalized_rabi(cfg.u0, cfg.delta1)
+    rs = np.reshape((1.0, -1.0), (2,) + (1,) * t.ndim) * _constants(cfg.delta1, cfg.u0)[0]
     lam = 0.5 * (cfg.delta1 + rs)
     zp = np.exp(1j * lam * theta)                        # z^lambda / sqrt(a)^lambda
     z = math.sqrt(cfg.a) * np.exp(1j * theta)
-    bracket, dbracket = _bracket(rs, cfg.delta1, z)
-    da2 = 1j * cfg.delta * zp * (lam * bracket + z * dbracket)
+    c, w = _bracket_weights(rs, cfg.delta1)      # the bracket's z-derivative is w / (1 - z)^2
+    bracket = _bracket_at(c, w, cfg.delta1, z)
+    da2 = 1j * cfg.delta * zp * (lam * bracket + z * (w / (1.0 - z) ** 2))
     return recover_a1(cfg, da2, phase), zp * bracket
 
 
@@ -238,7 +232,7 @@ def floquet_analytic(cfg: N2Config) -> FloquetReport:
     the search reports at delta1 = 2, -2.5 and 3.5 agrees to 3.5e-12 mod 1.
     """
     d1 = cfg.delta1
-    big_r = generalized_rabi(cfg.u0, d1)
+    big_r = _constants(d1, cfg.u0)[0]
     small = 2.0 * cfg.u0 * cfg.u0 / (big_r + abs(d1))
     if d1 > 0:
         return FloquetReport(lambda1=-small, lambda2=0.5 * (d1 + big_r))
@@ -253,10 +247,11 @@ def harmonic_content(cfg: N2Config, n_harmonics: int) -> HarmonicLadder:
     proceeds in ``1/z``), ascending ones for radius < 1.  All ladder weights
     carry the factor ``R + delta1 != 0``, so no harmonic is absent.
     """
-    if n_harmonics < 1:
-        raise ParameterError(f"harmonic_content: n_harmonics must be >= 1, got {n_harmonics}")
+    if not (isinstance(n_harmonics, numbers.Integral) and n_harmonics >= 1):
+        raise ParameterError(f"harmonic_content: n_harmonics must be an integer >= 1, "
+                             f"got {n_harmonics!r}")
     base = math.sqrt(cfg.a) * math.cos(_angle_offset(cfg))  # -sqrt(a) on the shifted branch
-    c, w = _bracket_weights(generalized_rabi(cfg.u0, cfg.delta1), cfg.delta1)
+    _, c, w, _, _, _ = _constants(cfg.delta1, cfg.u0)
     k = np.arange(1, n_harmonics + 1)   # integer exponents: base may be negative
     if abs(base) > 1.0:
         coeffs = np.concatenate(([c + 0j], -w * base**(-k)))

@@ -448,11 +448,12 @@ def termination_search(cfg: FieldConfig, n_max: int,
     |delta1| in [1.02, 12]) a step of 0.025 lost no root up to ``n_max`` 6,
     while roots were lost from a step of 0.125 at ``n_max`` 3, 0.1 at 6 and
     0.05 at 10.  A range whose step exceeds
-    ``_A_STEP_MAX`` = 0.025 raises :class:`DomainError`.  That bound holds up
-    to order 6 only: at ``n_max`` 10 even the default step of 0.004 lost a
-    root within 0.035 of a = 1, at order 9 or 10, in 9 of 180 random inputs
-    from the same ranges, so orders above 6 can miss roots near a = 1 at any
-    step.
+    ``_A_STEP_MAX`` = 0.025 raises :class:`DomainError`.  At ``n_max`` 10 the
+    same reference lost a root within 0.035 of a = 1, at order 9 or 10, in 9
+    of 180 random inputs from the same ranges even at the default step of
+    0.004; but near that double root its float continuant counts sign changes
+    of rounding as roots, and against a 60-digit continuant the root counts
+    matched in all 1,200 cases of 40 random inputs at ``n_max`` 10.
     """
     if n_max < 0:
         raise ParameterError(f"termination_search: n_max must be >= 0, got {n_max}")

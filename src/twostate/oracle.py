@@ -518,9 +518,10 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     times = np.array((t_start, t_end) if t_eval is None else t_eval, dtype=float)
     x = (times - t_start) if span > 0 else (t_start - times)
     # written so that a NaN sample fails every comparison
-    if not (x.size and np.all(x >= 0) and np.all(x <= abs(span)) and np.all(np.diff(x) > 0)):
-        raise ParameterError("integrate: t_eval must be non-empty, finite and strictly "
-                             "monotone within t_span")
+    if not (x.ndim == 1 and x.size and np.all(x >= 0) and np.all(x <= abs(span))
+            and np.all(np.diff(x) > 0)):
+        raise ParameterError("integrate: t_eval must be a non-empty sequence, finite and "
+                             "strictly monotone within t_span")
     k, s = drive_lattice("integrate", np.append(times, t_start), c, T)  # the samples, t_start
     sol = _half_period_solve("integrate", field, rtol, atol, dense=True)
     m, phase_period = _monodromy_at_centre(sol)
@@ -566,6 +567,8 @@ def monodromy(field: DriveField, t_ref: float | None = None,
     ``Delta = 2 pi / T``.
     """
     T = field.period
+    if np.ndim(t_ref) != 0:
+        raise ParameterError(f"monodromy: t_ref must be one time, got {t_ref!r}")
     _, s = drive_lattice("monodromy", field.center if t_ref is None else t_ref, field.center, T)
     off_lattice = bool(s != 0.0)
     sol = _half_period_solve("monodromy", field, rtol, atol, dense=off_lattice)

@@ -8,8 +8,8 @@ and its finite-sum reductions) is built on three primitives:
   representation, its neighbour recurrence, and the fold of a terminating
   Beta sum ``sum_n c_n B_z(p0+n, q)`` into elementary terms,
 * branch-tracked complex powers of points that wind around the origin
-  (:class:`UnwoundPoint`), which must never be snapped back to the principal
-  branch.
+  (:func:`power` of an :class:`UnwoundPoint`), which must never be snapped
+  back to the principal branch.
 
 The kernels are pure functions.  The module's only state is two bounded
 caches of ``_CACHE_SIZE`` entries that the points of one orbit share:
@@ -261,7 +261,11 @@ def _fold(name: str, coeffs, p0: complex, q: complex, z) -> tuple[complex, compl
         return 0j, 0j                   # every B_0(p, q) is 0, as in inc_beta
     z = z if isinstance(z, UnwoundPoint) else zc
     log_z = _cover_log(z)               # one log: each head's z^p is power(z, p)
-    total, tail = 0j, (1 - zc) ** q
+    try:
+        total, tail = 0j, (1 - zc) ** q
+    except (OverflowError, ZeroDivisionError):      # complex ** raises either when it overflows
+        raise DomainError(f"{name}: (1 - z)^q overflows at |1 - z| = {abs(1 - zc)}, "
+                          f"q = {q}") from None
     try:
         for n in range(len(work) - 1):
             p = p0 + n
@@ -335,11 +339,6 @@ def _overflow(z, mu) -> DomainError:
     """:func:`power`'s error for a ``z^mu`` that overflows a float."""
     modulus = z.modulus if isinstance(z, UnwoundPoint) else abs(z)
     return DomainError(f"power: |z|^mu overflows at |z| = {modulus}, mu = {mu}")
-
-
-def unwound_power(pt: UnwoundPoint, mu: complex) -> complex:
-    """``pt ** mu`` evaluated on the universal cover: exp(mu (ln|pt| + i angle))."""
-    return cmath.exp(complex(mu) * _cover_log(pt))
 
 
 def power(z, mu: complex) -> complex:

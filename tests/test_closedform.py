@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twostate.closedform import (StateVector, _fundamental_pair, circle_point,
-                                 closed_form_states, floquet_analytic, harmonic_content,
-                                 hg_quasipoly, hg_three_beta, match_initial, phase_n2,
-                                 recover_a1, three_beta_coeffs)
+from twostate.closedform import (_MEMO_SIZE, StateVector, _constants, _fundamental_pair,
+                                 circle_point, closed_form_states, floquet_analytic,
+                                 harmonic_content, hg_quasipoly, hg_three_beta, match_initial,
+                                 phase_n2, recover_a1, three_beta_coeffs)
 from twostate.errors import DomainError, ParameterError
 from twostate.fields import N2Config, detuning_n2, drive_field, drive_lattice
 from twostate.heun import generalized_rabi
 from twostate.oracle import integrate, mean_detuning, mod_distance
-from twostate.specfun import UnwoundPoint, inc_beta, unwound_power
+from twostate.specfun import UnwoundPoint, inc_beta, power
 
 PAIRS = [(2.0, 1.0), (3.0, 0.5), (5.0, 3.5), (4.0 / 3.0, 2.0), (-3.0, 1.0)]
 
@@ -100,6 +100,42 @@ def test_three_beta_and_quasipoly_vanish_at_the_origin():
     for d1, u0 in PAIRS:
         assert hg_quasipoly(d1, u0, 0.0) == 0
         assert hg_three_beta(d1, u0, 0.0) == 0
+
+
+# ---------------------------------------------------------------- the constants memo
+
+def test_constants_memo_is_bounded_and_holds_floats():
+    _constants.cache_clear()
+    for k in range(3 * _MEMO_SIZE):
+        hg_three_beta(2.0 + k, 1.0, 0.5)
+        hg_quasipoly(-2.0 - k, 0.5, 0.5)
+    assert _constants.cache_info().currsize == _MEMO_SIZE
+    for d1, u0 in PAIRS:
+        consts = _constants(d1, u0)
+        assert type(consts) is tuple and all(type(x) is float for x in consts), consts
+
+
+def test_constants_memo_has_the_bits_of_a_fresh_computation():
+    bits = lambda values: [(complex(x).real.hex(), complex(x).imag.hex()) for x in values]
+    z = UnwoundPoint(0.7, 5.0)
+    for d1, u0 in PAIRS + [(1.0 + 1e-7, 1.0), (-1.0 - 1e-7, 0.3), (1e3, 1e-3)]:
+        _constants.cache_clear()
+        cold = [hg_quasipoly(d1, u0, z), hg_three_beta(d1, u0, z), *three_beta_coeffs(d1, u0)]
+        warm = [hg_quasipoly(d1, u0, z), hg_three_beta(d1, u0, z), *three_beta_coeffs(d1, u0)]
+        assert _constants.cache_info().hits == 5
+        assert bits(cold) == bits(warm)
+        assert bits(_constants(d1, u0)) == bits(_constants.__wrapped__(d1, u0))
+        assert _constants(d1, u0)[0] == generalized_rabi(u0, d1)
+
+
+def test_both_series_routes_share_the_domain_rule():
+    # the detuning is real only for |delta1| > 1; hg_quasipoly once returned a number here
+    for d1 in (0.5, 1.0, -1.0, 0.0, -0.999, math.nan):
+        for route in (hg_quasipoly, hg_three_beta):
+            with pytest.raises(ParameterError, match=r"\|delta1\| > 1"):
+                route(d1, 1.0, 0.5)
+        with pytest.raises(ParameterError, match=r"\|delta1\| > 1"):
+            three_beta_coeffs(d1, 1.0)
 
 
 # ---------------------------------------------------------------- fundamental solutions
@@ -401,7 +437,7 @@ def _fft_bracket(cfg, n_fft=4096):
     ts = np.arange(n_fft) * cfg.period / n_fft
     # the fundamental solution carries z^lam2 / sqrt(a)^lam2
     g = np.array([fundamental_a2(cfg, +1, t) * math.sqrt(cfg.a) ** lam2
-                  / unwound_power(circle_point(cfg, t), lam2) for t in ts])
+                  / power(circle_point(cfg, t), lam2) for t in ts])
     return np.fft.fft(g) / n_fft
 
 
@@ -438,5 +474,8 @@ def test_harmonic_ladder_never_dies():
         cfg = N2Config(u0=rng.uniform(0.05, 5.0), delta1=rng.uniform(1.05, 6.0))
         ladder = harmonic_content(cfg, 12)
         assert np.all(np.abs(ladder.coeffs) > 0.0)
-    with pytest.raises(ParameterError):
-        harmonic_content(N2Config(u0=1.0, delta1=2.0), 0)
+    # a count of 2.5 once gave 3 harmonics
+    for bad in (0, -1, 2.5, "3", None):
+        with pytest.raises(ParameterError, match="n_harmonics"):
+            harmonic_content(N2Config(u0=1.0, delta1=2.0), bad)
+    assert harmonic_content(N2Config(u0=1.0, delta1=2.0), np.int64(3)).coeffs.size == 4

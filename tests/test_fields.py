@@ -286,17 +286,33 @@ def test_classify_reports_the_closed_window():
             assert end in classify_crossings(cfg, window).times, (k, window)
 
 
-def _census_reference(detuning, t0, delta, window, edge_tol):
+U = 2.0**-53     # unit roundoff of a double
+
+
+def _gamma(n):
+    """``n u / (1 - n u)``: bounds ``|prod (1 + e_i)^(+-1) - 1|`` over ``n`` roundings ``e_i``."""
+    return n * U / (1 - n * U)
+
+
+def _touch_in_doubt(float_err, values):
+    """Whether the census's float of an exact detuning in ``values`` may cross GLANCING_TOL."""
+    return any(abs(abs(d) - GLANCING_TOL) <= float_err(d) for d in values)
+
+
+def _census_reference(detuning, float_err, t0, delta, window, edge_tol):
     """Kind and times of the crossing census of a 30-digit ``detuning(theta)``.
 
     The glancing rule at the extrema theta = k pi, and mpmath.findroot
     bracketing the transversal root between theta = 0 and pi; no closed form.
-    An event within ``edge_tol`` of a window end is in or out by rounding, so
-    such windows are not drawn.
+    An event within ``edge_tol`` of a window end is in or out by rounding, and
+    so is a touch where the detuning at an extremum lies within
+    ``float_err(d)``, a bound on the census's float error at the exact value
+    ``d``, of GLANCING_TOL: such draws are not drawn.
     """
     with mpmath.workdps(30):
         t_lo, t_hi = (mpmath.mpf(t) for t in window)
         d_0, d_pi = detuning(mpmath.mpf(0)), detuning(mpmath.pi)
+        assume(not _touch_in_doubt(float_err, (d_0, d_pi)))
         k_lo = int(mpmath.floor((t_lo - t0) * delta / mpmath.pi))
         k_hi = int(mpmath.ceil((t_hi - t0) * delta / mpmath.pi))
         glance = [t0 + k * mpmath.pi / delta for k in range(k_lo, k_hi + 1)
@@ -313,12 +329,50 @@ def _census_reference(detuning, t0, delta, window, edge_tol):
         return kind, sorted(float(t) for t in roots + glance)
 
 
-def _assert_census_matches(cfg, detuning, window):
+def _assert_census_matches(cfg, model, window):
     rep = classify_crossings(cfg, window)
-    kind, times = _census_reference(detuning, cfg.t0, cfg.delta, window, 1e-13 * cfg.period)
+    kind, times = _census_reference(*model, cfg.t0, cfg.delta, window, 1e-13 * cfg.period)
     assert (rep.kind, len(rep.times)) == (kind, len(times)), (cfg, window, rep, times)
     assert all(abs(got - ref) <= 1e-13 * cfg.period for got, ref in zip(rep.times, times)), \
         (cfg, window, rep.times, times)
+
+
+def _n2_model(cfg):
+    """The n2 detuning of theta at 30 digits, and a bound on the census's float error.
+
+    ``b = sqrt(d1^2 - 1)`` is the double's, as in the census.  The census
+    evaluates ``D = delta (d1 - q)``, ``q = 2 / (1/(|d1| + b) + 2b sin^2)``
+    (cos^2 for d1 < 0), with at most 7 roundings in the denominator (``sin``
+    within an ulp counts as two).  That denominator differs from
+    ``d1 - b cos(theta)`` by ``(b^2 - d1^2 + 1)/(|d1| + b)``, at most a
+    relative ``(4 d1^2 - 3) u``, ``u = 2^-53``.  With the division ``q`` is
+    within ``gamma(5 + 4 d1^2)``; the subtraction and the product round once
+    each, so the error is at most ``gamma(2) |D| + gamma(8 + 4 d1^2) |delta q|``.
+    """
+    delta, d1 = cfg.delta, mpmath.mpf(cfg.delta1)
+    b = mpmath.mpf(math.sqrt(cfg.delta1 * cfg.delta1 - 1.0))
+    return (lambda th: delta * (d1 - 2 / (d1 - b * mpmath.cos(th))),
+            lambda d: _gamma(2) * abs(d) + abs(delta * d1 - d) * _gamma(8 + 4 * d1 * d1))
+
+
+def _general_model(cfg):
+    """The general detuning of theta at 30 digits, and a bound on the census's float error.
+
+    ``sqrt(a)`` is the double's, as in the census: near a = 1 the detuning's
+    condition number in it is ``1/|sqrt(a) - 1|``, beyond what any census of
+    the double ``a`` can resolve.  The census evaluates ``D = delta1 + q``,
+    ``q = (1 - a) delta2 / ((sqrt(a) - 1)^2 + 4 sqrt(a) sin^2)``: ``q`` rounds
+    at most 10 times (``sin`` within an ulp counts as two) and the sum once,
+    so the error is at most ``u |D| + gamma(11) |q|``.  The argument of
+    ``sin`` misses pi/2 by ulps, which enters ``sin^2`` at second order only.
+    """
+    a, delta1, delta2 = cfg.a, cfg.delta1, cfg.delta2
+    sqa = mpmath.mpf(math.sqrt(a))
+    # the denominator written as a sum of non-negative terms: near a = 1 the
+    # form 1 + a - 2 sqrt(a) cos(theta) cancels beyond 30 digits
+    den = lambda th: (sqa - 1) ** 2 + 4 * sqa * mpmath.sin(th / 2) ** 2
+    return (lambda th: delta1 + (1 - a) * delta2 / den(th),
+            lambda d: U * abs(d) + abs(d - delta1) * _gamma(11))
 
 
 WINDOW_START, WINDOW_PERIODS = st.floats(-10.0, 10.0), st.floats(0.1, 3.0)
@@ -328,10 +382,7 @@ WINDOW_START, WINDOW_PERIODS = st.floats(-10.0, 10.0), st.floats(0.1, 3.0)
        st.floats(0.5, 3.0), st.floats(-2.0, 2.0), WINDOW_START, WINDOW_PERIODS)
 def test_census_n2_matches_mpmath_root(abs_delta1, sign, delta, t0, start, periods):
     cfg = N2Config(u0=1.0, delta1=sign * abs_delta1, delta=delta, t0=t0)
-    d1 = mpmath.mpf(cfg.delta1)
-    b = mpmath.sqrt(d1 * d1 - 1)
-    _assert_census_matches(cfg, lambda th: delta * (d1 - 2 / (d1 - b * mpmath.cos(th))),
-                           (start, start + periods * cfg.period))
+    _assert_census_matches(cfg, _n2_model(cfg), (start, start + periods * cfg.period))
 
 
 @given(st.floats(0.05, 20.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
@@ -339,12 +390,24 @@ def test_census_n2_matches_mpmath_root(abs_delta1, sign, delta, t0, start, perio
 def test_census_general_matches_mpmath_root(a, delta1, delta2, delta, t0, start, periods):
     assume(math.sqrt(a) != 1.0)             # FieldConfig's own precondition
     cfg = FieldConfig(u0=1.0, a=a, delta1=delta1, delta2=delta2, delta=delta, t0=t0)
-    sqa = mpmath.sqrt(a)
-    # the denominator written as a sum of non-negative terms: near a = 1 the
-    # form 1 + a - 2 sqrt(a) cos(theta) cancels beyond 30 digits
-    den = lambda th: (sqa - 1) ** 2 + 4 * sqa * mpmath.sin(th / 2) ** 2
-    _assert_census_matches(cfg, lambda th: delta1 + (1 - a) * delta2 / den(th),
-                           (start, start + periods * cfg.period))
+    _assert_census_matches(cfg, _general_model(cfg), (start, start + periods * cfg.period))
+
+
+def test_census_at_the_threshold_is_the_floats():
+    # shrunk from the random-seed sweep: the detuning at both extrema is
+    # 1e-9 - O(1e-38) (and 1e-9 - O(1e-27)), a touch at 30 digits, but its
+    # float is GLANCING_TOL itself, which the strict rule counts as none; the
+    # model once said "glancing" at pi and 2 pi, and now draws no verdict
+    window = (1.0, 1.0 + 2 * math.pi)
+    for delta2 in (1.1754943508222875e-38, 1.665005988296086e-28):
+        cfg = FieldConfig(u0=1.0, a=2.0, delta1=1e-9, delta2=delta2)
+        assert detuning_general(cfg, 0.0) == detuning_general(cfg, math.pi) == GLANCING_TOL
+        assert classify_crossings(cfg, window) == CrossingReport("non-crossing", ())
+        detuning, float_err = _general_model(cfg)
+        with mpmath.workdps(30):
+            exact = detuning(mpmath.mpf(0)), detuning(mpmath.pi)
+            assert all(0 < GLANCING_TOL - d < 1e-26 for d in exact), exact
+            assert _touch_in_doubt(float_err, exact)
 
 
 # ---------------------------------------------------------------- three-term model

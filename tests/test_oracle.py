@@ -278,6 +278,8 @@ BAD_TIMES = {
     "zero-span": lambda f: integrate(f, GROUND, (1.0, 1.0)),
     "monodromy-t-ref-nan": lambda f: monodromy(f, t_ref=math.nan),
     "monodromy-t-ref-inf": lambda f: monodromy(f, t_ref=math.inf),
+    "t-eval-scalar": lambda f: integrate(f, GROUND, (0.0, 1.0), t_eval=0.5),
+    "monodromy-t-ref-array": lambda f: monodromy(f, t_ref=np.array([0.3])),
 }
 
 

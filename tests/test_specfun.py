@@ -25,7 +25,7 @@ from twostate.fields import N2Config
 from twostate.heun import generalized_rabi
 from twostate.specfun import (EPS_CHECK, EPS_SERIES, MAX_TERMS, UnwoundPoint, _block_ends,
                               _first_block_length, _hyp2f1_series, _ratios, as_complex,
-                              beta_step, fold_beta_sum, hyp2f1, inc_beta, power, unwound_power)
+                              beta_step, fold_beta_sum, hyp2f1, inc_beta, power)
 
 
 def quad_inc_beta(p, q, z):
@@ -133,6 +133,10 @@ def test_power_at_zero_and_non_finite_z():
     for z in NON_FINITE:
         with pytest.raises(DomainError, match="power"):
             power(z, 1.5)
+    # an overflowing power on the cover is the same DomainError as on the principal branch
+    for z in (UnwoundPoint(1e300, 0.0), 1e300):
+        with pytest.raises(DomainError, match="overflows"):
+            power(z, 2.0)
 
 
 # ---------------------------------------------------------------- hyp2f1 stopping rule
@@ -434,39 +438,39 @@ def test_inc_beta_and_beta_step_on_the_cover():
             assert abs(got - ref) <= 1e-13 * abs(ref), (kernel.__name__, k)
 
 
-# ---------------------------------------------------------------- unwound powers
+# ---------------------------------------------------------------- powers on the cover
 
-def test_unwound_power_identity_point():
+def test_power_unwound_identity_point():
     pt = UnwoundPoint(1.0, 0.0)
     for mu in (0.5, -1.3, 2.0 + 1.0j):
-        assert unwound_power(pt, mu) == 1.0
+        assert power(pt, mu) == 1.0
 
 
-def test_unwound_power_distinguishes_full_turn():
+def test_power_unwound_distinguishes_full_turn():
     pt = UnwoundPoint(1.0, 2.0 * math.pi)
-    val = unwound_power(pt, 0.5)
+    val = power(pt, 0.5)
     assert abs(val - (-1.0)) < 1e-15          # e^{i pi}, not +1
-    assert abs(unwound_power(UnwoundPoint(1.0, 0.0), 0.5) - 1.0) < 1e-15
+    assert abs(power(UnwoundPoint(1.0, 0.0), 0.5) - 1.0) < 1e-15
 
 
-def test_unwound_power_constant_modulus_on_circle():
+def test_power_unwound_constant_modulus_on_circle():
     # exponent (delta1 + R)/2 with delta1=2, u0=1: modulus sqrt(3)^(1+sqrt(2))
     mu = 0.5 * (2.0 + math.sqrt(4.0 + 4.0))
     expected_mod = math.sqrt(3.0) ** (1.0 + math.sqrt(2.0))
     for t in np.linspace(-7.0, 7.0, 9):
-        val = unwound_power(UnwoundPoint(math.sqrt(3.0), t), mu)
+        val = power(UnwoundPoint(math.sqrt(3.0), t), mu)
         assert abs(abs(val) - expected_mod) < 1e-12 * expected_mod
         assert abs(cmath.phase(val) - ((mu * t + math.pi) % (2 * math.pi) - math.pi)) < 1e-10
 
 
-def test_unwound_power_multiplicative_in_exponent():
+def test_power_unwound_multiplicative_in_exponent():
     rng = np.random.default_rng(3)
     for _ in range(30):
         pt = UnwoundPoint(rng.uniform(0.2, 3.0), rng.uniform(-20.0, 20.0))
         m1 = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
         m2 = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
-        lhs = unwound_power(pt, m1 + m2)
-        rhs = unwound_power(pt, m1) * unwound_power(pt, m2)
+        lhs = power(pt, m1 + m2)
+        rhs = power(pt, m1) * power(pt, m2)
         assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
 
 
@@ -559,10 +563,10 @@ def test_inc_beta_corner_the_mpmath_sweep_can_draw(kernel, p):
 
 
 @given(st.floats(0.05, 20.0), st.floats(-8 * math.pi, 8 * math.pi), _complex(-10.0, 50.0, 10.0))
-def test_unwound_power_matches_mpmath(modulus, angle, mu):
+def test_power_unwound_matches_mpmath(modulus, angle, mu):
     with mpmath.workdps(30):
         ref = complex(mpmath.power(modulus, mu) * mpmath.exp(1j * mu * angle))
-    got = unwound_power(UnwoundPoint(modulus, angle), mu)
+    got = power(UnwoundPoint(modulus, angle), mu)
     assert abs(got - ref) <= EPS_CHECK * abs(ref), (modulus, angle, mu)
 
 
@@ -578,7 +582,10 @@ def two_loop_fold(coeffs, p0, q, z):
     total = 0.0 + 0j
     for n in range(len(work) - 1):
         p = p0 + n
-        total += work[n] * (power(z, p) / p * (1 - zc) ** q)
+        try:
+            total += work[n] * (power(z, p) / p * (1 - zc) ** q)
+        except (OverflowError, ZeroDivisionError):      # (1 - z)^q left the float range
+            raise DomainError("two_loop_fold: (1 - z)^q overflows") from None
         work[n + 1] += work[n] * (q + p) / p
     return total, work[-1]
 
@@ -630,6 +637,8 @@ def test_beta_step_is_the_separate_step_bit_for_bit(p, p2, z):
        st.booleans())
 @example(1.5, -1.0, [1.0, 0.5], 2.0 + 0.5j, False)
 @example(2.2250738585e-313j, 0j, [0j], cmath.rect(3.0, -1.77), False)
+@example(1j, -2.0 + 0j, [0j], 1 + 2.5015747239086904e-166j, False)  # (1 - z)^q overflows:
+@example(1j, -2.0 + 1j, [0j], 1 + 2.5015747239086904e-166j, False)  # a bare error once
 def test_fold_beta_sum_is_the_separate_loop_bit_for_bit(p0, q, head_coeffs, z, real):
     if real:
         p0, q = p0.real, q.real
