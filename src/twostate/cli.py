@@ -140,6 +140,9 @@ def _window(args, t0: float, period: float, default_periods: float) -> tuple[np.
     if not (t_end > t_start and math.isfinite(t_end - t_start)):
         raise ParameterError("time window must satisfy t-end > t-start")
     ts = np.linspace(t_start, t_end, args.samples)
+    if not np.all(np.diff(ts) > 0):
+        raise ParameterError(f"time window [{_fmt(t_start)}, {_fmt(t_end)}] holds no "
+                             f"{args.samples} distinct sample times")
     return ts, {"t-start": _fmt(ts[0]), "t-end": _fmt(ts[-1]), "samples": str(len(ts))}
 
 

@@ -494,12 +494,11 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     ``U(t, t_start) = Y(t) Y(t_start)^{-1}``, applied to
     ``c0 = (a1 exp(i delta0), a2)``; then
     ``delta = delta0 + delta(t) - delta(t_start)`` and ``a1 = c1 exp(-i delta)``.
-    The solve's cost does not grow with the number of periods.  ``M^j`` is
-    applied one product per period spanned (``M^-1`` for a backward window),
-    so time does (1.1 to 1.4 s at 10^6 periods), but only the vectors at the
-    period counts sampled are kept, so memory does not (33 MB peak for
-    ``simulate --samples 2`` at 10^3, 10^5 and 10^6 periods); the error grows
-    like ``k eps_M``, ``eps_M`` being the error of the one-period matrix.
+    The solve's cost does not grow with the number of periods; ``M^j``
+    (``M^-1`` for a backward window) is raised to each sampled ``|j|`` by its
+    binary digits, so the composition's cost grows like ``log2 |j|``, while the
+    error grows like ``k eps_M``, ``eps_M`` being the error of the one-period
+    matrix.
     ``nfev`` counts the calls of the one solve, dense-output stages included;
     neither it nor any sample's value depends on ``t_eval``.
 
@@ -528,20 +527,18 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     y = _reflect(sol, s)
     y, y0 = y[:, :-1], y[:, -1]
     # M^j v0 for the whole periods j from t_start, v0 = Y(t_start)^-1 c0: every
-    # sample lies on the window's side of t_start, so j has the window's sign
-    # and one chain of M (or M^-1) serves; only the counts |j| sampled are kept
+    # sample lies on the window's side of t_start, so j has the window's sign,
+    # and step = M (or M^-1) is raised to each |j| by its binary digits in
+    # elementwise products, so that no sample's bits depend on the others
     c0 = np.array([state0.a1 * cmath.exp(1j * state0.phase), state0.a2], dtype=complex)
     j = k[:-1] - k[-1]
-    counts, which = np.unique(np.abs(j), return_inverse=True)
     step = m if span > 0 else np.linalg.inv(m)
-    v = np.linalg.solve(y0[:4].reshape(2, 2), c0)
-    kept, done = [], 0
-    for count in counts.tolist():
-        for _ in range(count - done):
-            v = step @ v
-        kept.append(v)
-        done = count
-    v = np.array(kept)[which].T
+    v = np.repeat(np.linalg.solve(y0[:4].reshape(2, 2), c0)[:, None], j.size, axis=1)
+    digits = np.abs(j)
+    for _ in range(int(digits.max()).bit_length()):
+        v = np.where(digits & 1, step[:, :1] * v[0] + step[:, 1:] * v[1], v)
+        digits >>= 1
+        step = step @ step
     c1 = y[0] * v[0] + y[1] * v[1]
     a2 = y[2] * v[0] + y[3] * v[1]
     phase = state0.phase + (y[4].real - y0[4].real) + j * phase_period

@@ -1,6 +1,5 @@
 """Command-line front door: outputs, formats, determinism, exit codes."""
 
-import hashlib
 import io
 import json
 import math
@@ -21,6 +20,8 @@ from hypothesis import strategies as st
 from twostate import __version__, cli, oracle
 from twostate.cli import build_parser, main
 from twostate.fields import _drive_field
+
+import cli_corpus
 
 SQ2 = math.sqrt(2.0)
 
@@ -143,25 +144,11 @@ def test_terminate_table(tmp_path):
     assert abs(float(roots2.split(";")[0]) - 3.0) < 1e-5
 
 
-# SHA-256 of the stdout of `terminate --u0 1 --delta1=D --n-max N -o -`: every
-# root, drift and status of the hierarchy, pinned to the last bit
-TERMINATE_SHA256 = {
-    ("3", "2"): "1d39c90199a5f8872ee2e6fb0fbc540c7c77cdf0a5df0aaaf6e88e49a202f9c1",
-    ("3", "-2.5"): "cd0cc9d880588777c1209ec95948947b8a8bfaa09b21d7aff94fec0de184d082",
-    ("3", "6"): "4dadb9190806a2f33654b18326d55728da7f82174ffdce6158da1ee247ea2bda",
-    ("10", "2"): "90cbfb5eded7f903b02362fa07cd3982d07bbfe37128e8f9708eb4033344c748",
-    ("10", "-2.5"): "c64337f097fea47a8e2e5823fcf65663c5bb1f0a475826620ad557c18395892c",
-    ("10", "6"): "0289fec9d9a3b267dc57853228a414cb60d68c15fa0b7780a569cd28bbaae0cb",
-    ("40", "2"): "df0fe9ca28104fbf95339297967f69730791205449eb1ad6ab690160d60e8f00",
-    ("40", "-2.5"): "63fdd112627157f4c08a7398246cfb6d07a4c582fd6baab63f3a5ebf3194b965",
-    ("40", "6"): "31a74ddef8a255f16a5b633b0486d624771a3bd5f2e35f7ecfbf0f56f2f6b07f",
-}
-
-
-@pytest.mark.parametrize("n_max, delta1", list(TERMINATE_SHA256))
-def test_terminate_output_is_pinned(n_max, delta1):
-    out = _stdout(["terminate", "--u0", "1", f"--delta1={delta1}", "--n-max", n_max])
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TERMINATE_SHA256[n_max, delta1]
+# every argv of the byte corpus gives its pinned exit code and the SHA-256 of
+# its stdout and stderr; `python3 tests/cli_corpus.py` regenerates the corpus
+@pytest.mark.parametrize("record", cli_corpus.load(), ids=lambda rec: " ".join(rec["argv"][:-2]))
+def test_output_bytes_are_pinned(record):
+    assert cli_corpus.replay(record["argv"]) == record
 
 
 @pytest.mark.parametrize("a_max", ["20", "50"])
@@ -237,6 +224,19 @@ def test_closed_form_large_coupling(tmp_path):
                  "-o", str(out)]) == 0
     _, header, rows = read_csv(out)
     assert all(math.isfinite(v) for v in column(header, rows, "pop2"))
+
+
+@pytest.mark.parametrize("command", [["simulate", "--model", "n2"], ["closed-form"]],
+                         ids=["simulate", "closed-form"])
+def test_a_window_that_repeats_times_is_a_configuration_error(capsys, command):
+    # at 1e15 doubles are 0.125 apart, so 201 samples over 12.6 repeat times:
+    # simulate once exited 2 from the oracle and closed-form 0, printing 201
+    # rows with 102 distinct times
+    assert main([*command, "--u0", "2", "--delta1", "2", "--t-start", "1e15",
+                 "--t-end", "1000000000000012.6", "--samples", "201", "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured
+    assert "201 distinct sample times" in captured.err, captured
 
 
 def test_compare_verdict_pass(tmp_path):
