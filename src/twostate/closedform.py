@@ -150,6 +150,15 @@ def hg_three_beta(delta1: float, u0: float, z) -> complex:
     return fold_beta_sum((1.0, c1, c2), big_r, -1.0, z)
 
 
+def _lattice_phase(cfg: N2Config, j, s):
+    """:func:`phase_n2` at ``t0 + j T + s``; linear in ``j``, so a difference is origin-free."""
+    d1, theta = cfg.delta1, cfg.delta * s
+    sg = math.copysign(1.0, d1)
+    rho = math.sqrt((abs(d1) - 1.0) / (abs(d1) + 1.0))
+    wind = np.angle(1.0 - sg * rho * np.exp(1j * theta))
+    return (d1 - 2.0 * sg) * (theta + 2.0 * math.pi * j) + 4.0 * sg * wind
+
+
 def phase_n2(cfg: N2Config, t):
     """Accumulated phase modulation ``int_{t0}^{t} delta_t ds`` (scalar or array).
 
@@ -157,34 +166,34 @@ def phase_n2(cfg: N2Config, t):
     ``rho = sqrt((|delta1| - 1)/(|delta1| + 1)) < 1`` the detuning is
     ``delta (delta1 - 2 s P(theta))`` with the Poisson kernel
     ``P = (1 - rho^2)/|1 - s rho exp(i theta)|^2``, whose integral is
-    ``theta - 2 arg(1 - s rho exp(i theta))``.  The argument stays in the
-    right half-plane, so its principal value is continuous in ``t``.
+    ``(delta1 - 2 s) theta + 4 s arg(1 - s rho exp(i theta))``.  The argument
+    stays in the right half-plane, so its principal value is continuous and
+    ``2 pi``-periodic in ``theta``; on the drive lattice ``t = t0 + k T + s``
+    it is read at ``delta s``, and ``theta`` is ``delta s + 2 pi k``.
     """
-    drive_lattice("phase_n2", t, cfg.t0, cfg.period)
-    theta = cfg.delta * (np.asarray(t, dtype=float) - cfg.t0)
-    d1 = cfg.delta1
-    s = math.copysign(1.0, d1)
-    rho = math.sqrt((abs(d1) - 1.0) / (abs(d1) + 1.0))
-    wind = np.angle(1.0 - s * rho * np.exp(1j * theta))
-    out = d1 * theta - 2.0 * s * (theta - 2.0 * wind)
+    out = _lattice_phase(cfg, *drive_lattice("phase_n2", t, cfg.t0, cfg.period))
     return float(out) if np.isscalar(t) else out
 
 
 def recover_a1(cfg: N2Config, a2_derivative, phase):
     """Companion amplitude: a1 = i * (da2/dt) * exp(-i phase) / U (scalar or array)."""
-    u_phys = cfg.u0 * cfg.delta
     # the factor has the shape of ``phase``: form it before it meets both solutions
-    return a2_derivative * (1j / u_phys * np.exp(-1j * phase))
+    return a2_derivative * (1j / (cfg.u0 * cfg.delta) * np.exp(-1j * phase))
 
 
-def _fundamental_pair(cfg: N2Config, times) -> tuple[np.ndarray, np.ndarray]:
-    """``(a1, a2)`` of the plus and minus fundamental solutions; axis 0 is the sign."""
-    phase = phase_n2(cfg, times)             # first: it applies the drive's time rule
-    t = np.asarray(times, dtype=float)
-    theta = cfg.delta * (t - cfg.t0) + _angle_offset(cfg)
-    rs = np.reshape((1.0, -1.0), (2,) + (1,) * t.ndim) * _constants(cfg.delta1, cfg.u0)[0]
+def _fundamental_pair(cfg: N2Config, j, s, phase) -> tuple[np.ndarray, np.ndarray]:
+    """``(a1, a2)`` of the plus and minus fundamental solutions; axis 0 is the sign.
+
+    A time ``t0 + k T + s`` enters by its offset ``s`` and its period count
+    ``j = k - k_start`` from the window's start, as
+    :func:`twostate.oracle.integrate` composes it: ``z`` and the bracket read
+    ``theta = delta s`` (plus ``pi`` for ``delta1 < -1``), the Floquet factor
+    is ``exp(i lambda (theta + 2 pi j))``, and ``a1`` reads ``phase``.
+    """
+    theta = cfg.delta * s + _angle_offset(cfg)
+    rs = np.reshape((1.0, -1.0), (2,) + (1,) * np.ndim(s)) * _constants(cfg.delta1, cfg.u0)[0]
     lam = 0.5 * (cfg.delta1 + rs)
-    zp = np.exp(1j * lam * theta)                        # z^lambda / sqrt(a)^lambda
+    zp = np.exp(1j * lam * (theta + 2.0 * math.pi * j))  # z^lambda / sqrt(a)^lambda
     z = math.sqrt(cfg.a) * np.exp(1j * theta)
     c, w = _bracket_weights(rs, cfg.delta1)      # the bracket's z-derivative is w / (1 - z)^2
     bracket = _bracket_at(c, w, cfg.delta1, z)
@@ -192,25 +201,46 @@ def _fundamental_pair(cfg: N2Config, times) -> tuple[np.ndarray, np.ndarray]:
     return recover_a1(cfg, da2, phase), zp * bracket
 
 
-def match_initial(cfg: N2Config, state0: StateVector, t_start: float) -> tuple[complex, complex]:
-    """Weights (C+, C-) of the fundamental pair matching ``state0`` at ``t_start``."""
+def _matched_pair(owner: str, cfg: N2Config, state0: StateVector, t_start: float, times=()):
+    """Weights ``(C+, C-)`` matching ``state0`` at ``t_start``, and the pair at ``times``.
+
+    One drive-lattice split serves the times and ``t_start`` (last); the
+    phase is ``state0.phase`` plus its increment from ``t_start``.
+    """
     if not abs(state0.norm - 1.0) <= 1e-6:     # NaN fails the checks written this way
-        raise ParameterError(f"match_initial: state must be normalized, |state|^2 = {state0.norm}")
-    (a1p, a1m), (vp, vm) = np.array(_fundamental_pair(cfg, t_start)).tolist()
+        raise ParameterError(f"{owner}: state must be normalized, |state|^2 = {state0.norm}")
+    k, s = drive_lattice(owner, np.append(times, t_start), cfg.t0, cfg.period)
+    j = k - k[-1]
+    phase = _lattice_phase(cfg, j, s)
+    a1, a2 = _fundamental_pair(cfg, j, s, state0.phase + (phase - phase[-1]))
+    (a1p, a1m), (vp, vm) = a1[:, -1].tolist(), a2[:, -1].tolist()
     det = a1p * vm - a1m * vp
-    scale = abs(a1p * vm) + abs(a1m * vp)
-    if not abs(det) > 1e-12 * max(scale, 1e-300):
-        raise SingularSystemError("match_initial: fundamental solutions are numerically dependent")
-    c_plus = (state0.a1 * vm - state0.a2 * a1m) / det
-    c_minus = (state0.a2 * a1p - state0.a1 * vp) / det
-    return c_plus, c_minus
+    if not abs(det) > 1e-12 * max(abs(a1p * vm) + abs(a1m * vp), 1e-300):
+        raise SingularSystemError(f"{owner}: fundamental solutions are numerically dependent")
+    weights = (state0.a1 * vm - state0.a2 * a1m) / det, (state0.a2 * a1p - state0.a1 * vp) / det
+    return weights, a1[:, :-1], a2[:, :-1]
+
+
+def match_initial(cfg: N2Config, state0: StateVector, t_start: float) -> tuple[complex, complex]:
+    """Weights (C+, C-) of the fundamental pair matching ``state0`` at ``t_start``.
+
+    ``state0.phase`` is the accumulated phase modulation at ``t_start``, as
+    :func:`twostate.oracle.integrate` reads it; the pair is the one of
+    :func:`closed_form_states`, whose Floquet factor counts periods from
+    ``t_start``.
+    """
+    return _matched_pair("match_initial", cfg, state0, t_start)[0]
 
 
 def closed_form_states(cfg: N2Config, state0: StateVector, t_start: float, times
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Matched analytic trajectory ``(a1(t), a2(t))`` on an array of times."""
-    c_plus, c_minus = match_initial(cfg, state0, t_start)
-    a1, a2 = _fundamental_pair(cfg, times)
+    """Matched analytic trajectory ``(a1(t), a2(t))`` on a 1-D array of times.
+
+    ``state0`` is the state at ``t_start`` and ``state0.phase`` the
+    accumulated phase modulation there, as :func:`twostate.oracle.integrate`
+    reads them, so both sources give one trajectory for one ``state0``.
+    """
+    (c_plus, c_minus), a1, a2 = _matched_pair("closed_form_states", cfg, state0, t_start, times)
     return c_plus * a1[0] + c_minus * a1[1], c_plus * a2[0] + c_minus * a2[1]
 
 

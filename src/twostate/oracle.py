@@ -502,8 +502,9 @@ def integrate(field: DriveField, state0: StateVector, t_span: tuple[float, float
     ``nfev`` counts the calls of the one solve, dense-output stages included;
     neither it nor any sample's value depends on ``t_eval``.
 
-    ``state0.phase`` seeds the accumulated phase modulation at ``t_span[0]``;
-    pass 0 when starting at the drive's time origin.  ``t_span`` may run
+    ``state0.phase`` seeds the accumulated phase modulation at ``t_span[0]``,
+    as :func:`twostate.closedform.closed_form_states` reads it at its
+    ``t_start``; the CLI passes 0, the phase at ``--t-start``.  ``t_span`` may run
     backward (``t_span[1] < t_span[0]``); it must be finite and of nonzero
     length, and ``t_eval`` strictly monotone within it.  Without ``t_eval``
     the samples are the span's ends, ``(t_start, t_end)``.

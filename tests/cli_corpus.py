@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -54,6 +55,11 @@ CI_ARGVS = [
     "detuning --model n3 --u0 1 --delta1 -2 --delta 2",
     "compare --u0 800 --delta1 2",
 ]
+# both trajectory sources from a state that is not the ground state, over four
+# periods from two starts off the drive's origin: --init is the state at --t-start
+INIT_ARGVS = [f"{command} --u0 2 --delta1 2 --init 0.6,0,0,0.8 --samples 101 "
+              f"--t-start {t} --t-end {float(t) + 8 * math.pi!r}"
+              for t in ("3", "1e6") for command in ("simulate --model n2", "closed-form")]
 # every root, drift and status of the hierarchy up to order 40
 TERMINATE_ARGVS = [f"terminate --u0 1 --delta1={d1} --n-max {n}"
                    for n in (3, 10, 40) for d1 in ("2", "-2.5", "6")]
@@ -63,7 +69,7 @@ def argvs() -> list[list[str]]:
     """Every argv of the corpus, each writing to stdout, in replay order."""
     from bench.workloads import make_inputs
 
-    out = [line.split() for line in CI_ARGVS + TERMINATE_ARGVS]
+    out = [line.split() for line in CI_ARGVS + INIT_ARGVS + TERMINATE_ARGVS]
     for u0, d1 in make_inputs("validate", VALIDATE_SEED)[:VALIDATE_INPUTS]:
         field = ["--u0", repr(u0), "--delta1", repr(d1)]
         out += [["compare", *field, "--periods", "5"],

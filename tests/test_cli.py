@@ -218,6 +218,21 @@ def test_simulate_and_closed_form_agree(tmp_path):
     assert np.max(np.abs(norm - 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("pair", [cli_corpus.INIT_ARGVS[:2], cli_corpus.INIT_ARGVS[2:]],
+                         ids=["3", "1e6"])
+def test_simulate_and_closed_form_agree_from_any_state_and_start(tmp_path, pair):
+    # --init is the state at --t-start, with the drive phase 0 there, for both
+    # sources; closed-form read the phase from the drive's origin instead, and
+    # pop2 disagreed by 9.27e-2 from --t-start 3 and by 0.708 from 1e6
+    pops = []
+    for i, line in enumerate(pair):
+        out = tmp_path / f"{i}.csv"
+        assert main([*line.split(), "-o", str(out)]) == 0, line
+        _, header, rows = read_csv(out)
+        pops.append(np.array(column(header, rows, "pop2")))
+    assert pops[0].size == 101 and np.max(np.abs(pops[0] - pops[1])) <= 1e-8
+
+
 def test_closed_form_large_coupling(tmp_path):
     out = tmp_path / "clo.csv"
     assert main(["closed-form", "--u0", "300", "--delta1", "1.01", "--samples", "3",

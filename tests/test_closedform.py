@@ -142,7 +142,8 @@ def test_both_series_routes_share_the_domain_rule():
 
 def fundamental_a2(cfg, sign, t):
     """a2 at time ``t`` of the fundamental solution with sign ``sign`` (+1 or -1) of R."""
-    return complex(_fundamental_pair(cfg, t)[1][0 if sign > 0 else 1])
+    k, s = drive_lattice("fundamental_a2", t, cfg.t0, cfg.period)
+    return complex(_fundamental_pair(cfg, k, s, 0.0)[1][0 if sign > 0 else 1])
 
 
 def test_amplitude_floquet_ratio_is_constant():
@@ -238,7 +239,7 @@ def test_recover_a1_against_oracle():
 def test_match_ground_state_starts_dark():
     cfg = N2Config(u0=1.0, delta1=2.0)
     c_plus, c_minus = match_initial(cfg, StateVector(a1=1.0, a2=0.0), 0.0)
-    (a1p, a1m), (a2p, a2m) = _fundamental_pair(cfg, 0.0)
+    (a1p, a1m), (a2p, a2m) = _fundamental_pair(cfg, 0, 0.0, 0.0)
     a2_0 = c_plus * a2p + c_minus * a2m
     # a1 = i (da2/dt) exp(-i phase) / U, and the phase is 0 at t0 = 0
     da2_0 = (c_plus * a1p + c_minus * a1m) * cfg.u0 * cfg.delta / 1j
@@ -293,7 +294,7 @@ def test_times_off_the_drive_lattice_raise_without_warning(t):
 
 
 def test_closed_form_applies_the_time_rule_once_per_input(monkeypatch):
-    # phase_n2 applies it to t_start (in match_initial) and to the times, before
+    # one split of the times with t_start appended, as integrate makes it, before
     # anything is evaluated; a bad t_start still raises, without a warning
     from twostate import closedform
     seen = []
@@ -304,7 +305,7 @@ def test_closed_form_applies_the_time_rule_once_per_input(monkeypatch):
     monkeypatch.setattr(closedform, "drive_lattice", counting)
     cfg, state0 = N2Config(u0=1.0, delta1=-2.5), StateVector(a1=1.0, a2=0.0)
     closed_form_states(cfg, state0, 0.3, np.linspace(0.0, 1.0, 7))
-    assert seen == [(), (7,)]
+    assert seen == [(8,)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="periods from the drive's centre"):
@@ -320,6 +321,23 @@ def test_matched_solution_tracks_oracle():
                      rtol=1e-11, atol=1e-13)
     assert np.max(np.abs(a2c - traj.a2)) < 1e-8
     assert np.max(np.abs(a1c - traj.a1)) < 1e-8
+
+
+@pytest.mark.parametrize("u0,d1", [(2.0, 2.0), (0.7, -4.0)])
+@pytest.mark.parametrize("t_start", [0.0, 1e6, 1e9, 1e12, 1e15])
+def test_matched_solution_tracks_oracle_far_from_the_origin(u0, d1, t_start):
+    # both sources split a time on one drive lattice and count periods from
+    # t_start, and both read state0.phase as the phase at t_start; an angle
+    # formed from the absolute time drifted linearly in it, 0.26 in the
+    # population at 1e15, and a non-ground start disagreed at any t_start != t0
+    cfg = N2Config(u0=u0, delta1=d1)
+    grid = np.linspace(t_start, t_start + 4 * cfg.period, 101)
+    for state0 in (StateVector(a1=1.0, a2=0.0), StateVector(a1=0.6, a2=0.8j, phase=0.7)):
+        a1c, a2c = closed_form_states(cfg, state0, t_start, grid)
+        traj = integrate(drive_field(cfg), state0, (float(grid[0]), float(grid[-1])),
+                         t_eval=grid)
+        assert np.max(np.abs(a1c - traj.a1)) <= 1e-9, state0
+        assert np.max(np.abs(a2c - traj.a2)) <= 1e-9, state0
 
 
 def test_matched_solution_conserves_norm():
